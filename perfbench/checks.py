@@ -370,7 +370,7 @@ def check_op(workload: str, op: wl.Op, text: str, seed: int, extra: dict) -> lis
     if workload == "scheme-compare":
         return (check_sweep_shape(text, wl.COMPARE_SNR, wl.ALL_SCHEMES, [MC_METHOD], seed, wl.SAMPLES)
                 + check_mc_agreement(text, MC_POINTS[workload], seed)
-                + check_same_bytes(text, extra["one_worker"]["stdout"]))
+                + check_same_bytes(text, extra[wl.ONE_WORKER]["stdout"]))
     if workload == "closed-form-grid":
         topology = op.argv[1].split("=", 1)[1]
         return (check_sweep_shape(text, wl.GRID_SNR, ["three-hop"], wl.GRID_METHODS, seed, wl.SAMPLES)

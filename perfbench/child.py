@@ -3,8 +3,9 @@
 It imports relaysec from the checkout's ``src``, runs the workload's
 primer commands, prints ``ready`` (the parent times set-up up to that
 line), and then, unless ``--mode setup``, times whole passes of the
-workload's operations through ``relaysec.cli.main``.  It ends by printing
-one JSON object with the timings and every operation's output.
+workload's operations through ``relaysec.cli.main``, runs the workload's
+reference commands once, and ends by printing one JSON object with the
+timings and every operation's output.
 
 Modes: ``setup`` stops after ``ready``; ``measure`` times untraced
 passes; ``trace`` alternates untraced and traced passes, so the tracing
@@ -120,13 +121,7 @@ def main(argv=None) -> int:
             break
     rss = peak_rss_mb()
 
-    extra = {}
-    if args.workload == "scheme-compare":
-        # Worker count must never change results: the same command at one
-        # worker, outside the timed passes.
-        argv1 = workloads.sweep_argv(workloads.TOPOLOGY_1, workloads.COMPARE_SNR,
-                                     workloads.ALL_SCHEMES, ["mc-exact"], args.seed, workers=1)
-        extra["one_worker"] = run_op(cli, argv1)
+    extra = {op.label: run_op(cli, op.argv) for op in wl.reference_ops}
 
     report = {"passes": passes, "outputs": outputs, "peak_rss_mb": rss, "extra": extra}
     if tracer is not None:

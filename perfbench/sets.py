@@ -66,7 +66,6 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--label", required=True)
     p.add_argument("--seeds", type=seeds_arg, default=[])
-    p.add_argument("--workload", action="append", choices=workloads.WORKLOAD_NAMES)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--compare")
     args = p.parse_args()
@@ -75,7 +74,7 @@ def main() -> int:
     out_path = HERE / "results" / f"{args.label}.jsonl"
     out_path.parent.mkdir(exist_ok=True)
     for seed in args.seeds:
-        for name in args.workload or workloads.WORKLOAD_NAMES:
+        for name in workloads.WORKLOAD_NAMES:
             cmd = [sys.executable, str(HERE / "run.py"), "--workload", name, "--seed", str(seed),
                    "--seconds", str(spec["run_seconds"]), "--trace", str(args.trace)]
             t0 = time.perf_counter()

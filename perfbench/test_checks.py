@@ -74,19 +74,6 @@ def test_nan_row_under_exit_zero_fails():
                                         "exception": "ValueError: math domain error"})
 
 
-def test_underflow_layout_fails_today():
-    op = wl.workload("closed-form-grid", SEED).ops[-1]
-    assert op.contract
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        try:
-            result = {"code": cli.main(list(op.argv)), "exception": None}
-        except ValueError as exc:
-            result = {"code": None, "exception": str(exc)}
-    result["stdout"] = out.getvalue()
-    assert checks.op_failure(op, result)
-
-
 def test_asymptote_slope_off_by_five_percent_fails():
     text = run_cli(wl.sweep_argv(wl.ASYMMETRIC, wl.GRID_SNR, ["three-hop"], wl.GRID_METHODS, SEED))
     assert checks.check_asymptote_slope(text) == []

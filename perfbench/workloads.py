@@ -48,6 +48,9 @@ class Workload:
     primer: tuple[tuple[str, ...], ...]
     #: Layers that must record calls in a traced run.
     expected_layers: frozenset[str]
+    #: Commands run once after the timed passes, whose output the checks
+    #: compare with the timed operations' output.
+    reference_ops: tuple[Op, ...] = ()
 
 
 def sweep_argv(topology: str, snr: str, schemes, methods, seed: int,
@@ -71,6 +74,8 @@ ESR_SNR = "0:60:5"
 ESR_METHODS = ("mc-exact", "closed-form-lb", "asymptote")
 COMPARE_SNR = "0:25:5"
 COMPARE_WORKERS = 2
+#: Label of ``scheme-compare``'s one-worker reference command.
+ONE_WORKER = "one_worker"
 GRID_SNR = "0:60:1"
 GRID_METHODS = ("closed-form-lb", "asymptote")
 
@@ -95,6 +100,10 @@ def workload(name: str, seed: int) -> Workload:
             primer=(sweep_argv(TOPOLOGY_1, "10:10:5", ALL_SCHEMES, ["mc-exact"], seed, samples=1000,
                                workers=COMPARE_WORKERS),),
             expected_layers=frozenset(_MC_LAYERS | {"sinr.baseline_sinrs", "model.topology_to_stats"}),
+            # Worker count must never change results: the same command at
+            # one worker.
+            reference_ops=(Op(ONE_WORKER, sweep_argv(TOPOLOGY_1, COMPARE_SNR, ALL_SCHEMES,
+                                                     ["mc-exact"], seed, workers=1)),),
         )
     if name == "closed-form-grid":
         ops = tuple(Op(f"grid{i + 1}", sweep_argv(t, GRID_SNR, ["three-hop"], GRID_METHODS, seed))
