@@ -20,7 +20,7 @@ from scipy import integrate, special
 
 from relaysec.errors import DomainError, NumericError
 from relaysec.model import ChannelStats
-from relaysec.specfun import DEFAULT_SERIES_ORDER, SeriesOrder, bessel_k1, lambda_coeff
+from relaysec.specfun import DEFAULT_SERIES_ORDER, bessel_k1, lambda_coeff
 
 EULER_GAMMA = float(np.euler_gamma)
 LN2 = math.log(2.0)
@@ -91,11 +91,9 @@ def legit_rate_lower_bound(stats: ChannelStats) -> float:
     """Jensen lower bound on the ergodic legitimate rate, bits/s/Hz."""
     _check_positive_means(stats)
     bg, bh, bf = stats.bar_g, stats.bar_h, stats.bar_f
-    exponent = (
-        -3.0 * EULER_GAMMA
-        + math.log(bg * bh * bf)
-        - math.log(3.0 * bh * bf + 2.0 * bf * bg + bg * bh)
-    )
+    # ln[bg bh bf / (3 bh bf + 2 bf bg + bg bh)], divided through so that
+    # neither product can overflow or underflow.
+    exponent = -3.0 * EULER_GAMMA - math.log(3.0 / bg + 2.0 / bh + 1.0 / bf)
     return float(np.logaddexp(0.0, exponent)) / (3.0 * LN2)
 
 
@@ -128,7 +126,7 @@ def prob_r1_dominates_oracle(stats: ChannelStats) -> float:
 
 
 def prob_r1_dominates_series(stats: ChannelStats,
-                             order: SeriesOrder | int = DEFAULT_SERIES_ORDER) -> SeriesProbability:
+                             order: int = DEFAULT_SERIES_ORDER) -> SeriesProbability:
     """Published truncated-series estimate of the dominance probability.
 
     Order 1 reproduces the single-term closed form exactly; higher orders
@@ -137,7 +135,7 @@ def prob_r1_dominates_series(stats: ChannelStats,
     under common scaling of the means, unlike the true probability.
     """
     _check_positive_means(stats)
-    m = order.m if isinstance(order, SeriesOrder) else int(order)
+    m = int(order)
     if m < 1:
         raise DomainError(f"series order must be >= 1, got {m}")
     mx, my, mz = stats.bar_f, stats.bar_h, stats.bar_g
@@ -264,7 +262,7 @@ def high_snr_offset(m_g: float, m_h: float, m_f: float) -> AsymptoteParams:
     """High-SNR power offset (in log2-SNR units) from the physical mean powers."""
     if m_g <= 0 or m_h <= 0 or m_f <= 0:
         raise DomainError("high_snr_offset requires positive mean powers")
-    a = 3.0 * EULER_GAMMA - math.log(m_g * m_h * m_f / (3.0 * m_f * m_h + 2.0 * m_f * m_g + m_g * m_h))
+    a = 3.0 * EULER_GAMMA + math.log(3.0 / m_g + 2.0 / m_h + 1.0 / m_f)
     b = _ratio_log(m_g, m_h)
     c = math.log((m_g * m_h + m_f * m_h + m_g * m_f) / (m_f * (m_g + m_h)))
     l_inf = (m_h / (m_f + m_h) * b + m_f / (m_f + m_h) * c + a) / LN2

@@ -30,6 +30,7 @@ from relaysec.montecarlo import (
     estimate_esr,
     estimate_event_probability,
     sample_channels,
+    sample_means,
 )
 from relaysec.sinr import (
     PRELOG,
@@ -278,7 +279,8 @@ class CheckRow:
         return self.abs_dev <= self.tolerance
 
 
-def _validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
+def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
+    """The closed-form vs oracle check list that ``validate`` prints."""
     rows: list[CheckRow] = []
     n_mc = 10**5 if quick else 10**6
     n_ks = 10**4 if quick else 10**5
@@ -330,25 +332,24 @@ def _validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
                              sp.value, analytics.prob_r1_dominates_oracle(st), math.inf, False,
                              note="clamped" if sp.clamped else ""))
 
-    # T1 closed form vs Monte Carlo.
-    s = sample_channels(stats30, RngStream(spec.seed, 10**6), n_mc, strictly_positive=True)
-    t1_mc = float(np.mean(np.log1p(np.asarray(s.gamma_g) / np.asarray(s.gamma_h))))
+    # T1, E{XY/(X+Y)} and T2 against Monte Carlo means over one draw; the
+    # E{XY/(X+Y)} case with means 1.3 and 0.7 rescales the g and h gains.
+    def t_terms(s):
+        x = 1.3 * (s.gamma_g / stats30.bar_g)
+        y = 0.7 * (s.gamma_h / stats30.bar_h)
+        return (np.log1p(s.gamma_g / s.gamma_h), x * y / (x + y),
+                np.log1p(highsnr_sinrs(s).gamma_r2))
+
+    (t1_mc, _), (ew_mc, _), (t2_mc, _) = sample_means(stats30, t_terms, n_mc, spec.seed,
+                                                      spec.workers, strictly_positive=True)
     t1_cf = analytics.t1_closed(stats30)
     rows.append(CheckRow("T1 closed form vs Monte Carlo", t1_cf, t1_mc, 0.005 * abs(t1_mc), True))
-
-    # E{XY/(X+Y)} quadrature vs Monte Carlo.
-    gen = RngStream(spec.seed, 10**6 + 1).generator()
-    xw = -1.3 * np.log(1.0 - gen.random(n_mc))
-    yw = -0.7 * np.log(1.0 - gen.random(n_mc))
-    ew_mc = float(np.mean(xw * yw / (xw + yw)))
     ew = analytics.expected_harmonic_mean(1.3, 0.7)
     rows.append(CheckRow("E{XY/(X+Y)} quadrature vs Monte Carlo", ew, ew_mc, 0.005 * abs(ew_mc), True))
 
     # T2: the mean-ratio step is a rough approximation (1/gamma_f has no
     # finite mean), so its Monte Carlo deviation is reported, not gated;
     # the exact E{XY/(X+Y)} inside it is gated above.
-    b = highsnr_sinrs(s)
-    t2_mc = float(np.mean(np.log1p(b.gamma_r2)))
     t2_cf = analytics.t2(stats30)
     rows.append(CheckRow("T2 mean-ratio vs Monte Carlo", t2_cf, t2_mc, math.inf, False))
     asym_stats = topology_to_stats(Topology(-3.0, -1.0, 1.5, 3.0, spec.topology.n), db_to_linear(30.0))
@@ -374,9 +375,9 @@ def _validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     # Ratio / harmonic-mean CDFs vs empirical CDFs (KS distance).  The 0.01
     # budget is calibrated for 1e5 samples; quick mode scales it.
     ks_tol = 0.01 if n_ks >= 10**5 else 1.95 / math.sqrt(n_ks)
-    gen = RngStream(spec.seed, 10**6 + 2).generator()
-    x1 = -stats30.bar_g * np.log(1.0 - gen.random(n_ks))
-    y1 = -stats30.bar_h * np.log(1.0 - gen.random(n_ks))
+    # Stream 10**6 + 2 lies apart from the chunk streams (seed, k) above.
+    s_ks = sample_channels(stats30, RngStream(spec.seed, 10**6 + 2), n_ks)
+    x1, y1 = s_ks.gamma_g, s_ks.gamma_h
     ks_z = empirical_cdf_ks(x1 / y1, lambda z: analytics.cdf_ratio(z, stats30.bar_g, stats30.bar_h))
     rows.append(CheckRow("KS distance, ratio CDF", ks_z, 0.0, ks_tol, True))
     ks_w = empirical_cdf_ks(x1 * y1 / (x1 + y1),
@@ -385,18 +386,24 @@ def _validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
 
     # Two-hop idle eavesdropper combining sensitivity (selection vs sum).
     st10 = topology_to_stats(spec.topology, db_to_linear(10.0))
-    s10 = sample_channels(st10, RngStream(spec.seed, 10**6 + 3), n_mc)
-    for combining in ("selection", "sum"):
-        gd, gl = baseline_sinrs(s10, SchemeKind.TWO_HOP_CASE_I, combining=combining)
-        esr = float(np.mean(secrecy_rate_from_pair(gd, gl, PRELOG[SchemeKind.TWO_HOP_CASE_I])))
+    two_hop = SchemeKind.TWO_HOP_CASE_I
+    combinings = ("selection", "sum")
+
+    def two_hop_rates(s):
+        return [secrecy_rate_from_pair(*baseline_sinrs(s, two_hop, c), PRELOG[two_hop])
+                for c in combinings]
+
+    esrs = sample_means(st10, two_hop_rates, n_mc, spec.seed, spec.workers)
+    for combining, (esr, _) in zip(combinings, esrs):
         rows.append(CheckRow(f"two-hop ESR with {combining} combining (10 dB)", esr, esr,
                              math.inf, False))
 
     # Mean-SNR reading cross-check: sampled gain means vs rho * m per link
     # (the corrected reading) on an asymmetric geometry.
-    s_asym = sample_channels(asym_stats, RngStream(spec.seed, 10**6 + 4), n_mc)
-    for name, mean in (("gamma_h", asym_stats.bar_h), ("gamma_f", asym_stats.bar_f)):
-        emp = float(np.mean(np.asarray(getattr(s_asym, name))))
+    links = (("gamma_h", asym_stats.bar_h), ("gamma_f", asym_stats.bar_f))
+    emps = sample_means(asym_stats, lambda s: [getattr(s, name) for name, _ in links], n_mc,
+                        spec.seed, spec.workers)
+    for (name, mean), (emp, _) in zip(links, emps):
         rows.append(CheckRow(f"sample mean of {name} vs rho*m of its own link", emp, mean,
                              4.0 * mean / math.sqrt(n_mc), True))
     return rows
@@ -404,7 +411,7 @@ def _validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
 
 def cmd_validate(spec: SweepSpec, out, quick: bool = False) -> int:
     """Closed-form-vs-oracle report; nonzero exit if a gating check fails."""
-    rows = _validate_checks(spec, quick)
+    rows = validate_checks(spec, quick)
     print("check,closed_form,oracle,abs_dev,rel_dev,tolerance,gating,verdict,note", file=out)
     failed = False
     for r in rows:

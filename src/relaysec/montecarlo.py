@@ -2,7 +2,8 @@
 
 Sampling is chunked with one counter-derived RNG stream per chunk, so the
 result of an estimate depends only on (seed, n) and never on how many
-workers processed the chunks.
+workers processed the chunks.  sample_means is the one chunked engine;
+estimate_esr and estimate_event_probability are thin layers on it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relaysec.errors import DomainError
+from relaysec.errors import DomainError, NumericError
 from relaysec.model import ChannelSample, ChannelStats
 from relaysec.sinr import (
     PRELOG,
@@ -96,64 +97,70 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1,
     return ChannelSample(*draws)
 
 
-def _chunk_layout(n: int) -> list[tuple[int, int]]:
-    """(stream_id, chunk_length) pairs covering n samples."""
-    out = []
-    idx = 0
-    remaining = n
-    while remaining > 0:
-        take = min(CHUNK_SIZE, remaining)
-        out.append((idx, take))
-        idx += 1
-        remaining -= take
-    return out
-
-
-def _chunk_rates(stats: ChannelStats, scheme: SchemeKind, method: SinrMethod,
-                 stream: RngStream, n: int) -> np.ndarray:
-    strictly_positive = method is SinrMethod.HIGH_SNR
-    sample = sample_channels(stats, stream, n, strictly_positive=strictly_positive)
-    if scheme is SchemeKind.THREE_HOP:
-        bundle = exact_sinrs(sample) if method is SinrMethod.EXACT else highsnr_sinrs(sample)
-        return np.asarray(instantaneous_secrecy_rate(bundle, PRELOG[scheme]))
-    if method is not SinrMethod.EXACT:
-        raise DomainError(f"{scheme.value} supports only the exact SINR method")
-    gamma_d, gamma_leak = baseline_sinrs(sample, scheme)
-    return np.asarray(secrecy_rate_from_pair(gamma_d, gamma_leak, PRELOG[scheme]))
-
-
 def _reduce_chunks(partials: list[tuple[float, float]], n: int) -> tuple[float, float]:
     """Combine per-chunk (sum, sum of squares) into mean and standard error."""
     total = math.fsum(p[0] for p in partials)
     total_sq = math.fsum(p[1] for p in partials)
     mean = total / n
+    if not math.isfinite(mean):
+        raise NumericError(f"Monte Carlo mean over {n} samples is {mean}")
     if n < 2:
         return mean, 0.0
     var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
     return mean, math.sqrt(var / n)
 
 
-def _map_chunks(fn, layout, workers: int):
+def _map_chunks(seed: int, n: int, workers: int, fn) -> list:
+    """fn(stream, length) on each CHUNK_SIZE chunk of n samples, in chunk order.
+
+    Chunk k always draws from RngStream(seed, k), whatever the worker count.
+    """
+    if n < 1:
+        raise DomainError(f"sample count must be >= 1, got {n}")
+    starts = range(0, n, CHUNK_SIZE)
+    streams = [RngStream(seed, k) for k in range(len(starts))]
+    lengths = [min(CHUNK_SIZE, n - start) for start in starts]
     if workers <= 1:
-        return [fn(args) for args in layout]
+        return list(map(fn, streams, lengths))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, layout))
+        return list(pool.map(fn, streams, lengths))
+
+
+def sample_means(stats: ChannelStats, fn, n: int, seed: int, workers: int = 1,
+                 strictly_positive: bool = False) -> list[tuple[float, float]]:
+    """Monte Carlo (mean, standard error) of each array fn returns.
+
+    fn maps a ChannelSample of one chunk to a sequence of equally long
+    arrays.  Every array is averaged over the same n realizations, so
+    several quantities share one draw; a non-finite mean raises
+    NumericError.
+    """
+
+    def one_chunk(stream: RngStream, length: int) -> list[tuple[float, float]]:
+        arrays = fn(sample_channels(stats, stream, length, strictly_positive))
+        return [(float(np.sum(a)), float(np.sum(a * a))) for a in map(np.asarray, arrays)]
+
+    chunks = _map_chunks(seed, n, workers, one_chunk)
+    return [_reduce_chunks([c[i] for c in chunks], n) for i in range(len(chunks[0]))]
+
+
+def _three_hop_sinrs(sample: ChannelSample, method: SinrMethod) -> SinrBundle:
+    return exact_sinrs(sample) if method is SinrMethod.EXACT else highsnr_sinrs(sample)
 
 
 def estimate_esr(stats: ChannelStats, scheme: SchemeKind, method: SinrMethod,
                  n: int, seed: int, workers: int = 1) -> EsrEstimate:
     """Unbiased Monte Carlo ESR estimate over n fading realizations."""
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
-    layout = _chunk_layout(n)
+    if scheme is not SchemeKind.THREE_HOP and method is not SinrMethod.EXACT:
+        raise DomainError(f"{scheme.value} supports only the exact SINR method")
 
-    def one_chunk(args: tuple[int, int]) -> tuple[float, float]:
-        stream_id, length = args
-        rates = _chunk_rates(stats, scheme, method, RngStream(seed, stream_id), length)
-        return float(np.sum(rates)), float(np.sum(rates * rates))
+    def rates(sample: ChannelSample):
+        if scheme is SchemeKind.THREE_HOP:
+            return [instantaneous_secrecy_rate(_three_hop_sinrs(sample, method), PRELOG[scheme])]
+        return [secrecy_rate_from_pair(*baseline_sinrs(sample, scheme), PRELOG[scheme])]
 
-    partials = _map_chunks(one_chunk, layout, workers)
-    mean, stderr = _reduce_chunks(partials, n)
+    [(mean, stderr)] = sample_means(stats, rates, n, seed, workers,
+                                    strictly_positive=method is SinrMethod.HIGH_SNR)
     return EsrEstimate(mean=mean, std_error=stderr, n_samples=n, seed=seed,
                        scheme=scheme, method=method)
 
@@ -166,19 +173,8 @@ def estimate_event_probability(stats: ChannelStats, event, n: int, seed: int,
     event maps a SinrBundle (vectorized) to a boolean array.  Returns the
     frequency and its binomial standard error.
     """
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
-    layout = _chunk_layout(n)
-
-    def one_chunk(args: tuple[int, int]) -> int:
-        stream_id, length = args
-        sample = sample_channels(stats, RngStream(seed, stream_id), length,
-                                 strictly_positive=method is SinrMethod.HIGH_SNR)
-        bundle = exact_sinrs(sample) if method is SinrMethod.EXACT else highsnr_sinrs(sample)
-        return int(np.count_nonzero(event(bundle)))
-
-    hits = sum(_map_chunks(one_chunk, layout, workers))
-    p = hits / n
+    [(p, _)] = sample_means(stats, lambda s: [event(_three_hop_sinrs(s, method))], n, seed,
+                            workers, strictly_positive=method is SinrMethod.HIGH_SNR)
     return p, math.sqrt(p * (1.0 - p) / n)
 
 

@@ -7,7 +7,6 @@ and the truncated exponential-series approximation of K1 built from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -17,17 +16,6 @@ from relaysec.errors import DomainError
 #: Default truncation order for the K1 series; chosen empirically, see the
 #: validate report for the error-vs-order table.
 DEFAULT_SERIES_ORDER = 40
-
-
-@dataclass(frozen=True)
-class SeriesOrder:
-    """Truncation order of the double series approximating K1."""
-
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DomainError(f"series order must be >= 1, got {self.m}")
 
 
 def bessel_k1(x):
@@ -106,7 +94,7 @@ def lambda_coeff(nu: float, n: int, i: int) -> float:
     return sign * math.exp(log_mag)
 
 
-def k1_series(beta: float, x: float, order: SeriesOrder | int = DEFAULT_SERIES_ORDER,
+def k1_series(beta: float, x: float, order: int = DEFAULT_SERIES_ORDER,
               include_leading_term: bool = True) -> float:
     """Truncated exponential-series approximation of K1(beta * x).
 
@@ -119,7 +107,7 @@ def k1_series(beta: float, x: float, order: SeriesOrder | int = DEFAULT_SERIES_O
     numerically), so it is on by default.  include_leading_term=False
     recovers the bare n >= 1 double sum for diagnostic comparison.
     """
-    m = order.m if isinstance(order, SeriesOrder) else int(order)
+    m = int(order)
     if m < 1:
         raise DomainError(f"series order must be >= 1, got {m}")
     bx = beta * x

@@ -3,36 +3,20 @@
 Each test prints one PASS/FAIL line (bypassing capture, so the verdicts
 always reach the console) and then asserts, so pytest tracks the same
 outcome.  Monte Carlo runs reuse module-scoped fixtures to stay inside the
-runtime budget.
+runtime budget; criteria 6-8 read the rows of the full ``validate`` check
+list and hold them to their own budgets.
 """
 
 import io
 import math
 
-import numpy as np
 import pytest
 
-from relaysec.analytics import (
-    cdf_harmonic,
-    cdf_ratio,
-    eavesdrop_rate,
-    esr_asymptote,
-    esr_lower_bound,
-    expected_harmonic_mean,
-    prob_r1_dominates_oracle,
-    t1_closed,
-)
-from relaysec.cli import SweepSpec, cmd_sweep
+from relaysec.analytics import esr_asymptote, esr_lower_bound, prob_r1_dominates_oracle
+from relaysec.cli import SweepSpec, cmd_sweep, validate_checks
 from relaysec.model import TOPOLOGY_1, db_to_linear, topology_to_stats
-from relaysec.montecarlo import (
-    RngStream,
-    empirical_cdf_ks,
-    estimate_esr,
-    estimate_event_probability,
-    sample_channels,
-)
+from relaysec.montecarlo import estimate_esr, estimate_event_probability
 from relaysec.sinr import SchemeKind, SinrMethod
-from relaysec.specfun import bessel_k1, bessel_k1_quadrature, k1_series, lah
 
 SEED = 1
 N_SWEEP = 1_000_000
@@ -72,6 +56,12 @@ def baseline_sweep():
             out[(db, kind)] = estimate_esr(stats, kind, SinrMethod.EXACT, N_SWEEP,
                                            seed=SEED, workers=4)
     return out
+
+
+@pytest.fixture(scope="module")
+def validate_rows():
+    """The full validate check list on the reference topology, by row name."""
+    return {r.name: r for r in validate_checks(SweepSpec(seed=SEED, workers=4), quick=False)}
 
 
 def test_criterion_1_bound_ordering(three_hop_sweep, report):
@@ -147,19 +137,15 @@ def test_criterion_5_relay_sinr_ordering(report):
     assert ok, f"relay SINR ordering probability {p:.6f} below 0.99"
 
 
-def test_criterion_6_cdf_ks(report):
-    stats = topology_to_stats(TOPOLOGY_1, db_to_linear(30.0))
-    s = sample_channels(stats, RngStream(SEED, 777), 100_000, strictly_positive=True)
-    d_ratio = empirical_cdf_ks(s.gamma_g / s.gamma_h,
-                               lambda z: cdf_ratio(z, stats.bar_g, stats.bar_h))
-    w = s.gamma_g * s.gamma_h / (s.gamma_g + s.gamma_h)
-    d_harm = empirical_cdf_ks(w, lambda z: cdf_harmonic(z, stats.bar_g, stats.bar_h))
+def test_criterion_6_cdf_ks(validate_rows, report):
+    d_ratio = validate_rows["KS distance, ratio CDF"].closed_form
+    d_harm = validate_rows["KS distance, harmonic-mean CDF"].closed_form
     ok = d_ratio < 0.01 and d_harm < 0.01
     report(6, ok, f"KS distances ratio {d_ratio:.5f}, harmonic {d_harm:.5f} (budget 0.01 each)")
     assert ok, f"KS distance too large: ratio {d_ratio:.5f}, harmonic {d_harm:.5f}"
 
 
-def test_criterion_7_oracle_suite(report):
+def test_criterion_7_oracle_suite(validate_rows, report):
     stats = topology_to_stats(TOPOLOGY_1, db_to_linear(30.0))
 
     p_cf = prob_r1_dominates_oracle(stats)
@@ -167,17 +153,13 @@ def test_criterion_7_oracle_suite(report):
                                             10_000_000, seed=SEED, workers=4)
     p_ok = abs(p_cf - p_mc) <= 3.0 * p_se
 
-    s = sample_channels(stats, RngStream(SEED, 888), 1_000_000, strictly_positive=True)
-    t1_mc = float(np.mean(np.log1p(s.gamma_g / s.gamma_h)))
-    t1_ok = abs(t1_closed(stats) - t1_mc) <= 0.005 * t1_mc
+    t1 = validate_rows["T1 closed form vs Monte Carlo"]
+    t1_ok = abs(t1.closed_form - t1.oracle) <= 0.005 * t1.oracle
 
-    w = s.gamma_g * s.gamma_h / (s.gamma_g + s.gamma_h)
-    ew_mc = float(np.mean(w))
-    ew_ok = abs(expected_harmonic_mean(stats.bar_g, stats.bar_h) - ew_mc) <= 0.005 * ew_mc
+    ew = validate_rows["E{XY/(X+Y)} quadrature vs Monte Carlo"]
+    ew_ok = abs(ew.closed_form - ew.oracle) <= 0.005 * ew.oracle
 
-    base = eavesdrop_rate(stats).r_e
-    inv_dev = max(abs(eavesdrop_rate(stats.with_rho(stats.rho * c)).r_e - base)
-                  for c in (0.01, 1.0, 100.0))
+    inv_dev = validate_rows["eavesdrop rate scale invariance"].closed_form
     inv_ok = inv_dev <= 1e-9
 
     ok = p_ok and t1_ok and ew_ok and inv_ok
@@ -187,22 +169,16 @@ def test_criterion_7_oracle_suite(report):
     assert p_ok and t1_ok and ew_ok and inv_ok
 
 
-def test_criterion_8_special_functions(report):
-    grid = np.logspace(-6, math.log10(50.0), 50)
-    worst = max(abs(bessel_k1(float(x)) - bessel_k1_quadrature(float(x)))
-                / bessel_k1_quadrature(float(x)) for x in grid)
+def test_criterion_8_special_functions(validate_rows, report):
+    worst = validate_rows["bessel_k1 max rel err vs integral oracle"].closed_form
     k1_ok = worst <= 1e-9
 
-    xs = np.linspace(0.5, 5.0, 19)
-    errs = [float(np.mean([abs(k1_series(1.0, x, m) - bessel_k1(x)) / bessel_k1(x)
-                           for x in xs]))
-            for m in (1, 5, 10, 20, 40)]
-    trend_ok = all(b <= a * (1 + 1e-12) for a, b in zip(errs, errs[1:]))
+    # Mean relative error of the K1 series at orders 1, 5, 10, 20 and 40.
+    errs = [r.closed_form for name, r in validate_rows.items()
+            if name.startswith("k1_series mean rel err, order ")]
+    trend_ok = len(errs) == 5 and all(b <= a * (1 + 1e-12) for a, b in zip(errs, errs[1:]))
 
-    lah_ok = all(
-        lah(n + 1, i) == ((n + i) * lah(n, i) if i <= n else 0) + (lah(n, i - 1) if i >= 2 else 0)
-        for n in range(1, 10) for i in range(1, n + 2)
-    )
+    lah_ok = validate_rows["lah recurrence mismatches (n <= 10)"].closed_form == 0
 
     ok = k1_ok and trend_ok and lah_ok
     report(8, ok, f"K1 max rel err {worst:.2e} <= 1e-9: {k1_ok}; "

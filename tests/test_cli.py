@@ -1,8 +1,10 @@
 import io
+import math
 
 import pytest
 
 from relaysec.cli import (
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     SWEEP_HEADER,
@@ -129,6 +131,27 @@ def test_main_usage_errors():
     assert main(["no-such-command"]) == EXIT_USAGE
     # near-coincident nodes: the mean power overflows float64
     assert main(["sweep", "--topology", "0,1e-200,1,2", "--samples", "10"]) == EXIT_USAGE
+
+
+def test_underflowing_layout_gives_finite_bound(tmp_path):
+    # the three hop means multiply to a float64 underflow on this layout
+    out = tmp_path / "u.csv"
+    assert main(["sweep", "--topology=-3e100,-1,1,3e100", "--snr", "0:0:5",
+                 "--method", "closed-form-lb", "--output", str(out)]) == EXIT_OK
+    [row] = out.read_text().strip().split("\n")[1:]
+    bound = float(row.split(",")[3])
+    assert math.isfinite(bound) and bound >= 0.0
+    assert main(["asymptote", "--topology=-3e100,-1,1,3e100", "--snr", "0:0:5",
+                 "--output", str(tmp_path / "a.csv")]) == EXIT_OK
+
+
+def test_extreme_snr_is_numeric_failure(tmp_path):
+    out = tmp_path / "hi.csv"
+    assert main(["sweep", "--snr", "3000:3000:1", "--samples", "1000",
+                 "--output", str(out)]) == EXIT_NUMERIC
+    rows = {r.split(",")[2]: r.split(",") for r in out.read_text().strip().split("\n")[1:]}
+    assert rows["mc-exact"][3] == "nan"
+    assert math.isfinite(float(rows["closed-form-lb"][3]))
 
 
 def test_asymptote_output():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relaysec.analytics import cdf_harmonic, cdf_ratio, esr_lower_bound
-from relaysec.errors import DomainError
+from relaysec.errors import DomainError, NumericError
 from relaysec.model import TOPOLOGY_1, db_to_linear, topology_to_stats
 from relaysec.montecarlo import (
     CHUNK_SIZE,
@@ -11,8 +11,9 @@ from relaysec.montecarlo import (
     estimate_esr,
     estimate_event_probability,
     sample_channels,
+    sample_means,
 )
-from relaysec.sinr import SchemeKind, SinrMethod
+from relaysec.sinr import SchemeKind, SinrMethod, exact_sinrs, instantaneous_secrecy_rate
 
 
 def test_chunk_size_is_power_of_two():
@@ -76,6 +77,32 @@ def test_estimate_worker_independent(stats_30db):
     four = estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 600_000, seed=9, workers=4)
     assert one.mean == four.mean
     assert one.std_error == four.std_error
+
+
+def test_sample_means_worker_independent(stats_30db):
+    def gains(s):
+        return [s.gamma_g, s.gamma_g / (s.gamma_h + 1.0)]
+
+    one = sample_means(stats_30db, gains, 600_000, seed=9, workers=1)
+    three = sample_means(stats_30db, gains, 600_000, seed=9, workers=3)
+    assert one == three
+
+
+def test_sample_means_multi_output_matches_single_calls(stats_30db):
+    both = sample_means(stats_30db, lambda s: [s.gamma_g, s.gamma_sd], 300_000, seed=5)
+    g = sample_means(stats_30db, lambda s: [s.gamma_g], 300_000, seed=5)
+    sd = sample_means(stats_30db, lambda s: [s.gamma_sd], 300_000, seed=5)
+    assert both == g + sd
+    # one chunked pass gives the same estimate as estimate_esr on its rates
+    est = estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 300_000, seed=5)
+    [(mean, stderr)] = sample_means(
+        stats_30db, lambda s: [instantaneous_secrecy_rate(exact_sinrs(s))], 300_000, seed=5)
+    assert (mean, stderr) == (est.mean, est.std_error)
+
+
+def test_sample_means_non_finite_mean_raises(stats_30db):
+    with pytest.raises(NumericError):
+        sample_means(stats_30db, lambda s: [s.gamma_g * np.inf], 1000, seed=1)
 
 
 def test_golden_regression_value():

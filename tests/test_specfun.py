@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from relaysec.errors import DomainError
 from relaysec.specfun import (
     DEFAULT_SERIES_ORDER,
-    SeriesOrder,
     bessel_k1,
     bessel_k1_quadrature,
     k1_series,
@@ -115,9 +114,6 @@ def test_lambda_domain_errors():
 
 
 def test_series_order_validation():
-    assert SeriesOrder(5).m == 5
-    with pytest.raises(DomainError):
-        SeriesOrder(0)
     with pytest.raises(DomainError):
         k1_series(1.0, 1.0, order=0)
 
