@@ -4,10 +4,9 @@ Legitimate-rate lower bound, the eavesdropping-rate decomposition
 (P, T1, T2), the ESR lower bound, high-SNR slope / power offset /
 asymptote, and the CDFs of X/Y and XY/(X+Y) for independent exponentials.
 
-The dominance probability P ships in two forms: a deterministic quadrature
-of its defining double integral (the production path) and the published
-truncated series whose printed coefficients are not scale-invariant; the
-series is kept for the validate report, never for results.
+P and the E{XY/(X+Y)} inside T2 are exact elementary closed forms.  The
+published truncated series for P, whose printed coefficients are not
+scale-invariant, is kept for the validate report, never for results.
 """
 
 from __future__ import annotations
@@ -16,11 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from relaysec.errors import DomainError, NumericError
+from relaysec.errors import DomainError
 from relaysec.model import ChannelStats
-from relaysec.specfun import DEFAULT_SERIES_ORDER, bessel_k1, lambda_coeff
+from relaysec.specfun import DEFAULT_SERIES_ORDER, lambda_coeff
 
 EULER_GAMMA = float(np.euler_gamma)
 LN2 = math.log(2.0)
@@ -29,9 +28,9 @@ LN2 = math.log(2.0)
 #: evaluated by its series expansion.
 _SINGULARITY_EPS = 1e-6
 
-#: Exponential tail cut for quadrature in unit-mean coordinates; exp(-60)
-#: is far below every error target.
-_TAIL = 60.0
+#: P clamps its mean ratios to [1/limit, limit]: P moves by under 1e-75
+#: past it, and every intermediate of its closed form stays finite.
+_P_RATIO_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
@@ -98,31 +97,30 @@ def legit_rate_lower_bound(stats: ChannelStats) -> float:
 
 
 def prob_r1_dominates_oracle(stats: ChannelStats) -> float:
-    """P = Pr{phase-1 SINR at R1 > SINR at R2} by deterministic quadrature.
+    """P = Pr{phase-1 SINR at R1 > SINR at R2}, by an exact elementary form.
 
-    Equivalent event in high-SNR gains: gamma_f > gamma_h^2 / (gamma_g +
-    gamma_h).  The double integral is evaluated in unit-mean exponential
-    coordinates (the event is invariant under common scaling), absolute
-    error target 1e-6.
+    The event is gamma_f > gamma_h^2 / (gamma_g + gamma_h).  With my =
+    bar_h/bar_f, mz = bar_g/bar_f, Y = r t and Z = r (1-t), integrating r
+    out leaves P = integral_0^1 dt / (my mz Q^2), Q = t^2 + beta t + gamma,
+    beta = 1/my - 1/mz, gamma = 1/mz, whose antiderivative is elementary
+    (README, "Numerical notes"): with sigma = 1/my + 1/mz, D = 4 gamma -
+    beta^2 and x = -D/sigma^2 < 1, an atan (D > 0) or atanh (D < 0) of
+    sqrt(|x|), or a series for |x| < 0.1.  atanh(r) is ln((1 + r)/sqrt(1 - x))
+    with 1 - x = 4 gamma (1 + 1/my)/sigma^2, accurate where r rounds to 1.
     """
     _check_positive_means(stats)
-    # Normalize by bar_f: the event depends only on the mean ratios.
-    my = stats.bar_h / stats.bar_f
-    mz = stats.bar_g / stats.bar_f
-
-    def integrand(b: float, a: float) -> float:
-        y = my * a
-        z = mz * b
-        return math.exp(-(y * y) / (y + z) - a - b)
-
-    val, err = integrate.dblquad(integrand, 0.0, _TAIL, 0.0, _TAIL,
-                                 epsabs=1e-9, epsrel=1e-9)
-    if err > 1e-6:
-        raise NumericError(
-            f"dominance-probability quadrature error estimate {err:.3e} exceeds 1e-6 "
-            f"(mean ratios my={my:.6g}, mz={mz:.6g})"
-        )
-    return min(max(val, 0.0), 1.0)
+    p, q = (1.0 / min(max(m / stats.bar_f, 1.0 / _P_RATIO_LIMIT), _P_RATIO_LIMIT)
+            for m in (stats.bar_h, stats.bar_g))
+    sigma = p + q
+    d = 4.0 * q - (p - q) ** 2
+    x = -d / sigma / sigma
+    if abs(x) < 0.1:
+        tail = 4.0 * (q / sigma) / sigma * math.fsum(x**k / (2 * k + 3) for k in range(20))
+    else:
+        r = math.sqrt(abs(x))
+        phi_r = math.atan(r) if x < 0 else math.log((1.0 + r) * sigma / math.sqrt(4.0 * q * (1.0 + p)))
+        tail = 4.0 * q / d * (1.0 - phi_r / r)
+    return min(max(p / sigma * ((1.0 + sigma) / (1.0 + p) - tail), 0.0), 1.0)
 
 
 def prob_r1_dominates_series(stats: ChannelStats,
@@ -190,21 +188,23 @@ def cdf_harmonic(w, m_x: float, m_y: float):
 
 
 def expected_harmonic_mean(m_a: float, m_b: float) -> float:
-    """E{XY/(X+Y)} for independent exponentials, by tail-integral quadrature."""
+    """E{XY/(X+Y)} for independent exponentials with means a, b, exact.
+
+    E = ab [(a^2 - b^2) - 2ab ln(a/b)] / (a - b)^3 (the consistent reading of
+    t2_printed) = ab/(a+b) [s - (2ab/(a+b)^2) ln(a/b)] / s^3, s = (a-b)/(a+b),
+    evaluated in r = min/max so that no product of the means overflows; for
+    |s| < 1/2 the series ab/(a+b) sum_k>=1 2 s^(2k-2) / (4k^2 - 1) (a/3 at a = b).
+    """
     if m_a <= 0 or m_b <= 0:
         raise DomainError("expected_harmonic_mean requires positive means")
-    # Work in units of the larger mean; W scales linearly with the means.
-    c = max(m_a, m_b)
-    ma, mb = m_a / c, m_b / c
-
-    def survival(w: float) -> float:
-        x = 2.0 * w / math.sqrt(ma * mb)
-        return x * math.exp(-w / ma - w / mb) * bessel_k1(x) if w > 0 else 1.0
-
-    val, err = integrate.quad(survival, 0.0, _TAIL, epsabs=1e-10, epsrel=1e-10, limit=200)
-    if err > 1e-8 * (ma + mb):
-        raise NumericError(f"harmonic-mean quadrature error estimate {err:.3e} too large")
-    return c * val
+    lo, hi = min(m_a, m_b), max(m_a, m_b)
+    r = lo / hi
+    s = (1.0 - r) / (1.0 + r)
+    if s < 0.5:
+        return lo / (1.0 + r) * math.fsum(2.0 * s ** (2 * k - 2) / (4 * k * k - 1) for k in range(1, 31))
+    # ln(a/b), not 2 atanh(s), which raises once s rounds to 1.
+    ln_r = math.log(r) if r > 0 else math.log(lo) - math.log(hi)
+    return lo / (1.0 + r) * (s + 2.0 * r / (1.0 + r) ** 2 * ln_r) / s**3
 
 
 def t2(stats: ChannelStats) -> float:
@@ -232,7 +232,7 @@ def t2_printed(stats: ChannelStats) -> float:
 
 
 def eavesdrop_rate(stats: ChannelStats) -> EavesdropDecomposition:
-    """Ergodic eavesdropping rate decomposition; P from the quadrature oracle."""
+    """Ergodic eavesdropping rate decomposition from the exact P, T1 and T2."""
     p = prob_r1_dominates_oracle(stats)
     t1v = t1_closed(stats)
     t2v = t2(stats)

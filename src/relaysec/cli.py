@@ -319,7 +319,7 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
 
     stats30 = topology_to_stats(spec.topology, db_to_linear(30.0))
 
-    # Dominance probability: quadrature oracle vs Monte Carlo (gating) and vs
+    # Dominance probability: exact closed form vs Monte Carlo (gating) and vs
     # the published series (informational; printed form is not scale-invariant).
     p_oracle = analytics.prob_r1_dominates_oracle(stats30)
     p_mc, p_se = estimate_event_probability(stats30, lambda b: b.gamma_r1_p1 > b.gamma_r2,
@@ -360,7 +360,7 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     base = analytics.eavesdrop_rate(stats30).r_e
     worst = max(abs(analytics.eavesdrop_rate(stats30.with_rho(stats30.rho * c)).r_e - base)
                 for c in (0.01, 100.0))
-    rows.append(CheckRow("eavesdrop rate scale invariance", worst, 0.0, 1e-9, True))
+    rows.append(CheckRow("eavesdrop rate scale invariance", worst, 0.0, 1e-12, True))
 
     # ESR lower bound: production reading vs the literal extra pre-factor.
     lb = analytics.esr_lower_bound(stats30)

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from relaysec.analytics import (
     EULER_GAMMA,
@@ -23,11 +25,87 @@ from relaysec.analytics import (
     t2_printed,
 )
 from relaysec.errors import DomainError
-from relaysec.model import TOPOLOGY_1, TOPOLOGY_2, ChannelStats, db_to_linear, topology_to_stats
+from relaysec.model import (
+    TOPOLOGY_1,
+    TOPOLOGY_2,
+    ChannelStats,
+    Topology,
+    db_to_linear,
+    topology_to_stats,
+)
+from relaysec.specfun import bessel_k1
+
+#: Exponential tail cut of the quadrature oracles in unit-mean coordinates.
+_TAIL = 60.0
+
+#: Layout whose g and f means (~5e-272) are far below the h mean (~0.15).
+UNDERFLOW_LAYOUT = Topology(-3e100, -1.0, 1.0, 3e100)
+#: Layout with mz >> my, where the 1-D integrand of P spikes near t = 0.
+TRAP_LAYOUT = Topology(-5.0, -4.9, 2.0, 3.0, 3.5)
 
 
 def stats_with(bar_g, bar_h, bar_f, rho=1.0):
     return ChannelStats(bar_g / rho, bar_h / rho, bar_f / rho, 1.0, 1.0, 1.0, rho=rho)
+
+
+def dblquad_dominance(my, mz):
+    """P by 2-D quadrature of its defining integral, in unit-mean coordinates.
+
+    Its own error estimate passes 1e-6 near my = 0.1, mz = 100, where the
+    value still agrees with the closed form to 1e-10, so it is not gated.
+    """
+
+    def integrand(b, a):
+        y = my * a
+        z = mz * b
+        return math.exp(-(y * y) / (y + z) - a - b)
+
+    return integrate.dblquad(integrand, 0.0, _TAIL, 0.0, _TAIL, epsabs=1e-9, epsrel=1e-9)[0]
+
+
+def tail_integral_harmonic_mean(m_a, m_b):
+    """E{XY/(X+Y)} as the integral of its survival function x K1(x) e^(-w/a-w/b)."""
+    c = max(m_a, m_b)
+    ma, mb = m_a / c, m_b / c
+
+    def survival(w):
+        x = 2.0 * w / math.sqrt(ma * mb)
+        return x * math.exp(-w / ma - w / mb) * bessel_k1(x) if w > 0 else 1.0
+
+    val, err = integrate.quad(survival, 0.0, _TAIL, epsabs=1e-10, epsrel=1e-10, limit=200)
+    assert err <= 1e-8 * (ma + mb)
+    return c * val
+
+
+def mpmath_dominance(my, mz):
+    """P = integral_0^1 dt / (my mz Q(t)^2) at 40 digits.
+
+    Breakpoints at multiples of my/mz and of sqrt(1/mz) follow the spike
+    near t = 0 when mz >> my.
+    """
+    with mpmath.workdps(40):
+        my_, mz_ = mpmath.mpf(my), mpmath.mpf(mz)
+        cuts = [k * my_ / mz_ for k in (1, 10, 100, 1000)] + [k / mpmath.sqrt(mz_) for k in (1, 10, 100)]
+        pts = sorted({mpmath.mpf(0), mpmath.mpf(1)} | {c for c in cuts if c < 1})
+        val = mpmath.quad(lambda t: 1 / (t * t + t / my_ + (1 - t) / mz_) ** 2, pts)
+        return float(val / (my_ * mz_))
+
+
+def mpmath_harmonic_mean(a, b):
+    """E{XY/(X+Y)} = (2/ab) integral_0^1 t(1-t) / (t/a + (1-t)/b)^3 dt at 40 digits.
+
+    X = r t, Y = r (1-t) integrates r out; breakpoints at multiples of
+    min/max from both ends follow the spike of a lopsided pair.
+    """
+    with mpmath.workdps(40):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        r = min(a_, b_) / max(a_, b_)
+        pts = {mpmath.mpf(0), mpmath.mpf(1)}
+        for k in (1, 10, 100, 1000):
+            if k * r < 1:
+                pts |= {k * r, 1 - k * r}
+        val = mpmath.quad(lambda t: t * (1 - t) / (t / a_ + (1 - t) / b_) ** 3, sorted(pts))
+        return float(2 * val / (a_ * b_))
 
 
 def test_euler_gamma_constant():
@@ -65,6 +143,39 @@ def test_dominance_probability_limits():
     # huge gamma_f mean makes the event near-certain; tiny makes it rare
     assert prob_r1_dominates_oracle(stats_with(1.0, 1.0, 1e4)) > 0.99
     assert prob_r1_dominates_oracle(stats_with(1.0, 1.0, 1e-4)) < 0.01
+
+
+# dblquad warns of roundoff near my = 0.01, mz = 100; the comparison is the check.
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@settings(max_examples=25, deadline=None)
+@given(log_my=st.floats(min_value=-2.0, max_value=2.0), log_mz=st.floats(min_value=-2.0, max_value=2.0))
+def test_dominance_probability_matches_dblquad(log_my, log_mz):
+    my, mz = 10.0**log_my, 10.0**log_mz
+    exact = prob_r1_dominates_oracle(stats_with(mz, my, 1.0))
+    assert exact == pytest.approx(dblquad_dominance(my, mz), abs=1e-8)
+
+
+def _near_zero_discriminant(q, sign, eps):
+    """(my, mz) with 1/mz = q and 1/my = (q + sign 2 sqrt(q)) (1 + eps), so D ~ 0."""
+    return 1.0 / ((q + sign * 2.0 * math.sqrt(q)) * (1.0 + eps)), 1.0 / q
+
+
+_TRAP = topology_to_stats(TRAP_LAYOUT, 1.0)
+
+
+@pytest.mark.parametrize("my, mz", [
+    (1.0, 1.0),                                  # D > 0
+    (1.0 / 3.0, 2.0),                            # D < 0
+    _near_zero_discriminant(1.0, 1.0, 1e-6),     # beta > 0, D just below 0
+    _near_zero_discriminant(1.0, 1.0, -1e-6),    # beta > 0, D just above 0
+    _near_zero_discriminant(9.0, -1.0, 1e-6),    # beta < 0
+    _near_zero_discriminant(9.0, -1.0, -1e-6),
+    (_TRAP.bar_h / _TRAP.bar_f, _TRAP.bar_g / _TRAP.bar_f),
+    (1e-4, 1.0), (1e4, 1.0), (1.0, 1e-4), (1.0, 1e4),
+])
+def test_dominance_probability_matches_mpmath(my, mz):
+    exact = prob_r1_dominates_oracle(stats_with(mz, my, 1.0))
+    assert exact == pytest.approx(mpmath_dominance(my, mz), rel=1e-12)
 
 
 def test_dominance_series_order_one_closed_form():
@@ -145,6 +256,26 @@ def test_expected_harmonic_mean_below_smaller_mean():
     assert expected_harmonic_mean(3.0, 0.7) < 0.7
 
 
+@pytest.mark.parametrize("ratio", [
+    1.0, 1.0 + 1e-3, 1.0 - 1e-3, 1.0 + 1e-8, 1.0 - 1e-8,
+    3.0 * (1.0 + 1e-6), 3.0 * (1.0 - 1e-6), 1.0 / (3.0 * (1.0 + 1e-6)),  # |s| = 1/2 at 3 and 1/3
+    1e-6, 1e6,
+])
+def test_expected_harmonic_mean_matches_mpmath(ratio):
+    assert expected_harmonic_mean(0.7 * ratio, 0.7) == pytest.approx(
+        mpmath_harmonic_mean(0.7 * ratio, 0.7), rel=1e-12)
+
+
+# The tail-integral oracle itself collapses to ~0 past a mean ratio of
+# about 300 (quad misses the short survival function), hence 1e-2..1e2.
+@settings(max_examples=40, deadline=None)
+@given(log_ratio=st.floats(min_value=-2.0, max_value=2.0))
+def test_expected_harmonic_mean_matches_tail_integral(log_ratio):
+    a = 2.0 * 10.0**log_ratio
+    assert expected_harmonic_mean(a, 2.0) == pytest.approx(tail_integral_harmonic_mean(a, 2.0),
+                                                          rel=1e-9)
+
+
 def test_t2_equal_means():
     # E{W} = bar/3 with bar_f = bar gives ln(1 + 1/3)
     s = stats_with(6.0, 6.0, 6.0)
@@ -171,6 +302,15 @@ def test_eavesdrop_rate_scale_invariant():
     for rho_db in (10.0, 50.0):
         other = eavesdrop_rate(topology_to_stats(TOPOLOGY_1, db_to_linear(rho_db))).r_e
         assert other == pytest.approx(base, abs=1e-6)
+
+
+def test_underflow_layout_eavesdrop_rate():
+    # E{gh/(g+h)} is about bar_g = bar_f there, so T2 = ln 2 and R_E = 1/3
+    # bit, above the legitimate rate: the bound is 0.
+    stats = topology_to_stats(UNDERFLOW_LAYOUT, 1.0)
+    assert expected_harmonic_mean(stats.bar_g, stats.bar_h) == pytest.approx(stats.bar_g, rel=1e-12)
+    assert eavesdrop_rate(stats).r_e == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert esr_lower_bound(stats) == 0.0
 
 
 def test_esr_lower_bound_clamps_at_low_snr():

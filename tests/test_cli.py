@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +183,12 @@ def test_validate_quick_passes(tmp_path):
         gating, verdict = fields[1], fields[2]
         if gating == "yes":
             assert verdict == "pass"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate alone adds about 0.35 s to every command's start-up.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, relaysec.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
