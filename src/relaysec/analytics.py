@@ -72,11 +72,6 @@ class SeriesProbability:
     clamped: bool
 
 
-def _check_positive_means(stats: ChannelStats) -> None:
-    if stats.bar_g <= 0 or stats.bar_h <= 0 or stats.bar_f <= 0:
-        raise DomainError("all mean received SNRs must be > 0")
-
-
 def _ratio_log(a: float, b: float) -> float:
     """a * ln(a/b) / (a - b) with the removable a = b singularity handled."""
     if a <= 0 or b <= 0:
@@ -88,7 +83,6 @@ def _ratio_log(a: float, b: float) -> float:
 
 def legit_rate_lower_bound(stats: ChannelStats) -> float:
     """Jensen lower bound on the ergodic legitimate rate, bits/s/Hz."""
-    _check_positive_means(stats)
     bg, bh, bf = stats.bar_g, stats.bar_h, stats.bar_f
     # ln[bg bh bf / (3 bh bf + 2 bf bg + bg bh)], divided through so that
     # neither product can overflow or underflow.
@@ -108,7 +102,6 @@ def prob_r1_dominates_oracle(stats: ChannelStats) -> float:
     sqrt(|x|), or a series for |x| < 0.1.  atanh(r) is ln((1 + r)/sqrt(1 - x))
     with 1 - x = 4 gamma (1 + 1/my)/sigma^2, accurate where r rounds to 1.
     """
-    _check_positive_means(stats)
     p, q = (1.0 / min(max(m / stats.bar_f, 1.0 / _P_RATIO_LIMIT), _P_RATIO_LIMIT)
             for m in (stats.bar_h, stats.bar_g))
     sigma = p + q
@@ -132,7 +125,6 @@ def prob_r1_dominates_series(stats: ChannelStats,
     for the validate report only: the printed expressions are not invariant
     under common scaling of the means, unlike the true probability.
     """
-    _check_positive_means(stats)
     m = int(order)
     if m < 1:
         raise DomainError(f"series order must be >= 1, got {m}")
@@ -154,7 +146,6 @@ def prob_r1_dominates_series(stats: ChannelStats,
 
 def t1_closed(stats: ChannelStats) -> float:
     """E{ln(1 + gamma_g / gamma_h)} in nats, exact for exponential gains."""
-    _check_positive_means(stats)
     return _ratio_log(stats.bar_g, stats.bar_h)
 
 
@@ -212,7 +203,6 @@ def t2(stats: ChannelStats) -> float:
 
     Mean-ratio approximation with the exact E{XY/(X+Y)} numerator.
     """
-    _check_positive_means(stats)
     return math.log1p(expected_harmonic_mean(stats.bar_g, stats.bar_h) / stats.bar_f)
 
 
@@ -223,7 +213,6 @@ def t2_printed(stats: ChannelStats) -> float:
     logarithm); reported by validate for transparency, never used in
     results.  Returns nan at the m_g = m_h singularity.
     """
-    _check_positive_means(stats)
     bg, bh, bf = stats.bar_g, stats.bar_h, stats.bar_f
     if abs(bg - bh) < _SINGULARITY_EPS * bg:
         return float("nan")

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from relaysec import analytics
-from relaysec.errors import NumericError, RelaysecError
+from relaysec.errors import RelaysecError
 from relaysec.model import (
     TOPOLOGY_1,
     Topology,
@@ -60,6 +61,14 @@ class UsageError(RelaysecError):
     """Bad flags or config file content."""
 
 
+#: Failures of a computation on valid input: reported as exit 3, and in a
+#: sweep as a ``nan`` row for the point that failed.
+NUMERIC_FAILURES = (RelaysecError, ArithmeticError)
+
+#: A sweep grid longer than this is refused rather than built in memory.
+MAX_SNR_POINTS = 10**6
+
+
 def fmt(x: float) -> str:
     """Fixed 9-significant-digit float formatting for stable CSV."""
     return f"{x:.9g}"
@@ -67,7 +76,7 @@ def fmt(x: float) -> str:
 
 @dataclass
 class SweepSpec:
-    """Everything one CLI invocation needs."""
+    """Everything one CLI invocation needs; the one home of defaults and checks."""
 
     topology: Topology = TOPOLOGY_1
     snr_start_db: float = 0.0
@@ -81,14 +90,23 @@ class SweepSpec:
     output: str | None = None
 
     def __post_init__(self) -> None:
+        snr = (self.snr_start_db, self.snr_stop_db, self.snr_step_db)
+        if not all(map(math.isfinite, snr)):
+            raise UsageError(f"SNR start, stop and step must be finite, got {snr}")
         if self.snr_step_db <= 0:
             raise UsageError(f"SNR step must be > 0 dB, got {self.snr_step_db}")
         if self.snr_start_db > self.snr_stop_db:
             raise UsageError("SNR start must not exceed SNR stop")
+        if (self.snr_stop_db - self.snr_start_db) / self.snr_step_db >= MAX_SNR_POINTS:
+            raise UsageError(f"SNR range has more than {MAX_SNR_POINTS} points")
         if self.n_samples < 1:
             raise UsageError(f"sample count must be >= 1, got {self.n_samples}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise UsageError(f"worker count must be >= 1, got {self.workers}")
+        if not self.schemes or not self.methods:
+            raise UsageError("at least one scheme and one method are needed")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise UsageError(f"unknown method {m!r}; choose from {ALL_METHODS}")
@@ -99,11 +117,22 @@ class SweepSpec:
 
 
 # ---------------------------------------------------------------------------
-# Config file: one "key = value" per line, '#' starts a comment.  Keys match
-# the long flag names (topology, pathloss, snr, samples, seed, scheme,
-# method, workers, output); scheme and method take comma-separated lists.
-# Flags override file values.
+# Settings.  Each subcommand reads the keys KEYS names, as flags and as
+# config-file keys alike; both arrive as text and go through one conversion
+# into a SweepSpec, flags overriding file values.  A config file holds one
+# "key = value" per line, '#' starts a comment, and scheme and method take
+# comma-separated lists there (repeated flags on the command line).
 # ---------------------------------------------------------------------------
+
+#: The settings each subcommand reads.
+KEYS = {
+    "sweep": ("topology", "pathloss", "snr", "scheme", "method", "samples", "seed", "workers",
+              "output"),
+    "validate": ("topology", "pathloss", "seed", "workers", "output"),
+    "asymptote": ("topology", "pathloss", "snr", "output"),
+}
+LIST_KEYS = ("scheme", "method")
+
 
 def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -122,78 +151,57 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_topology(text: str, pathloss: float) -> Topology:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise UsageError(f"topology must be 'xS,xR1,xR2,xD', got {text!r}")
+#: Per key: help text, the SweepSpec fields its value gives (Topology
+#: fields for topology and pathloss) and the type of each element.
+SETTINGS = {
+    "topology": ("node positions 'xS,xR1,xR2,xD'", ("x_s", "x_r1", "x_r2", "x_d"), float),
+    "pathloss": ("path-loss exponent n", ("n",), float),
+    "snr": ("SNR range 'start:stop:step' in dB", ("snr_start_db", "snr_stop_db", "snr_step_db"), float),
+    "scheme": ("scheme, repeatable: " + ", ".join(SCHEME_BY_NAME), "schemes",
+               SCHEME_BY_NAME.__getitem__),
+    "method": ("method, repeatable: " + ", ".join(ALL_METHODS), "methods", str),
+    "samples": ("Monte Carlo samples per sweep point", ("n_samples",), int),
+    "seed": ("RNG seed, >= 0", ("seed",), int),
+    "workers": ("worker threads; never changes results", ("workers",), int),
+    "output": ("write CSV here instead of stdout", ("output",), str),
+}
+
+
+def _convert(key: str, value: str | list[str]) -> dict:
+    """The fields one setting gives; value is flag or config-file text."""
+    help_text, names, kind = SETTINGS[key]
     try:
-        xs = [float(p) for p in parts]
-    except ValueError as exc:
-        raise UsageError(f"bad topology coordinate in {text!r}") from exc
-    return Topology(*xs, n=pathloss)
-
-
-def _parse_snr(text: str) -> tuple[float, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"SNR range must be 'start:stop:step' in dB, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"bad SNR range {text!r}") from exc
-
-
-def _parse_schemes(names: list[str]) -> list[SchemeKind]:
-    out = []
-    for name in names:
-        if name not in SCHEME_BY_NAME:
-            raise UsageError(f"unknown scheme {name!r}; choose from {sorted(SCHEME_BY_NAME)}")
-        out.append(SCHEME_BY_NAME[name])
-    return out
+        if key in LIST_KEYS:  # a list of flags, or comma-separated file text
+            items = value.split(",") if isinstance(value, str) else value
+            return {names: [kind(v.strip()) for v in items if v.strip()]}
+        parts = [value] if len(names) == 1 else value.split(":" if key == "snr" else ",")
+        if len(parts) == len(names):
+            return dict(zip(names, map(kind, parts)))
+    except (KeyError, ValueError):
+        pass
+    raise UsageError(f"bad {key} {value!r}; expected {help_text}")
 
 
 def build_spec(args: argparse.Namespace) -> SweepSpec:
-    """Merge config-file values and flags (flags win) into a SweepSpec."""
-    cfg = parse_config_file(args.config) if args.config else {}
+    """Config-file values overlaid by flags, converted once into a SweepSpec.
 
-    def pick(flag_value, key: str, default):
-        if flag_value is not None:
-            return flag_value
-        if key in cfg:
-            return cfg[key]
-        return default
-
-    pathloss = float(pick(args.pathloss, "pathloss", TOPOLOGY_1.n))
-    topo_text = pick(args.topology, "topology", None)
-    if topo_text is None:
-        topology = Topology(TOPOLOGY_1.x_s, TOPOLOGY_1.x_r1, TOPOLOGY_1.x_r2, TOPOLOGY_1.x_d, pathloss)
-    else:
-        topology = _parse_topology(topo_text, pathloss)
-
-    start, stop, step = _parse_snr(str(pick(args.snr, "snr", "0:60:5")))
-
-    schemes = args.scheme if args.scheme else None
-    if schemes is None and "scheme" in cfg:
-        schemes = [s.strip() for s in cfg["scheme"].split(",") if s.strip()]
-    methods = args.method if args.method else None
-    if methods is None and "method" in cfg:
-        methods = [m.strip() for m in cfg["method"].split(",") if m.strip()]
-
-    try:
-        return SweepSpec(
-            topology=topology,
-            snr_start_db=start,
-            snr_stop_db=stop,
-            snr_step_db=step,
-            schemes=_parse_schemes(schemes) if schemes else [SchemeKind.THREE_HOP],
-            methods=list(methods) if methods else ["mc-exact", "closed-form-lb"],
-            n_samples=int(pick(args.samples, "samples", 1_000_000)),
-            seed=int(pick(args.seed, "seed", 1)),
-            workers=int(pick(args.workers, "workers", 1)),
-            output=pick(args.output, "output", None),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    A config key the subcommand does not read is an error; a key set
+    nowhere keeps SweepSpec's default.
+    """
+    keys = KEYS[args.command]
+    values: dict = parse_config_file(args.config) if args.config else {}
+    unread = [k for k in values if k not in keys]
+    if unread:
+        raise UsageError(f"{args.config}: {args.command} reads no key {unread[0]!r}; "
+                         f"its keys are {', '.join(keys)}")
+    values.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
+    kw: dict = {}
+    for key, value in values.items():
+        kw.update(_convert(key, value))
+    layout = {f.name: kw.pop(f.name) for f in dataclasses.fields(Topology) if f.name in kw}
+    if layout:
+        kw["topology"] = dataclasses.replace(SweepSpec.topology, **layout)
+    return SweepSpec(**kw)
 
 
 def _method_applies(scheme: SchemeKind, method: str) -> bool:
@@ -208,13 +216,17 @@ def cmd_sweep(spec: SweepSpec, out) -> int:
     print(SWEEP_HEADER, file=out)
     m_hops = topology_to_stats(spec.topology, 1.0)
     for snr_db in spec.snr_points_db():
-        rho = db_to_linear(snr_db)
-        stats = topology_to_stats(spec.topology, rho)
+        try:
+            stats = topology_to_stats(spec.topology, db_to_linear(snr_db))
+        except NUMERIC_FAILURES as exc:
+            stats = exc  # every row of this point reports it
         for scheme in spec.schemes:
             for method in spec.methods:
                 if not _method_applies(scheme, method):
                     continue
                 try:
+                    if isinstance(stats, Exception):
+                        raise stats
                     if method in MC_METHODS:
                         est = estimate_esr(stats, scheme, MC_METHODS[method],
                                            spec.n_samples, spec.seed, spec.workers)
@@ -224,9 +236,9 @@ def cmd_sweep(spec: SweepSpec, out) -> int:
                         val = analytics.esr_lower_bound(stats)
                         row = (fmt(snr_db), scheme.value, method, fmt(val), fmt(0.0), "0", str(spec.seed))
                     else:  # asymptote
-                        val = analytics.esr_asymptote(rho, m_hops.m_g, m_hops.m_h, m_hops.m_f)
+                        val = analytics.esr_asymptote(stats.rho, m_hops.m_g, m_hops.m_h, m_hops.m_f)
                         row = (fmt(snr_db), scheme.value, method, fmt(val), fmt(0.0), "0", str(spec.seed))
-                except NumericError as exc:
+                except NUMERIC_FAILURES as exc:
                     print(f"numeric failure at {snr_db} dB / {scheme.value} / {method}: {exc}",
                           file=sys.stderr)
                     row = (fmt(snr_db), scheme.value, method, "nan", "nan", "0", str(spec.seed))
@@ -246,10 +258,15 @@ def cmd_asymptote(spec: SweepSpec, out) -> int:
     print(f"a_term,,{fmt(p.a_term)}", file=out)
     print(f"b_term,,{fmt(p.b_term)}", file=out)
     print(f"c_term,,{fmt(p.c_term)}", file=out)
+    status = EXIT_OK
     for snr_db in spec.snr_points_db():
-        val = analytics.esr_asymptote(db_to_linear(snr_db), stats.m_g, stats.m_h, stats.m_f)
-        print(f"esr_asymptote,{fmt(snr_db)},{fmt(val)}", file=out)
-    return EXIT_OK
+        try:
+            val = fmt(analytics.esr_asymptote(db_to_linear(snr_db), stats.m_g, stats.m_h, stats.m_f))
+        except NUMERIC_FAILURES as exc:
+            print(f"numeric failure at {snr_db} dB: {exc}", file=sys.stderr)
+            val, status = "nan", EXIT_NUMERIC
+        print(f"esr_asymptote,{fmt(snr_db)},{val}", file=out)
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +358,7 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
                 np.log1p(highsnr_sinrs(s).gamma_r2))
 
     (t1_mc, _), (ew_mc, _), (t2_mc, _) = sample_means(stats30, t_terms, n_mc, spec.seed,
-                                                      spec.workers, strictly_positive=True)
+                                                      spec.workers)
     t1_cf = analytics.t1_closed(stats30)
     rows.append(CheckRow("T1 closed form vs Monte Carlo", t1_cf, t1_mc, 0.005 * abs(t1_mc), True))
     ew = analytics.expected_harmonic_mean(1.3, 0.7)
@@ -358,8 +375,8 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
 
     # Eavesdropping rate scale invariance.
     base = analytics.eavesdrop_rate(stats30).r_e
-    worst = max(abs(analytics.eavesdrop_rate(stats30.with_rho(stats30.rho * c)).r_e - base)
-                for c in (0.01, 100.0))
+    rescaled = (dataclasses.replace(stats30, rho=stats30.rho * c) for c in (0.01, 100.0))
+    worst = max(abs(analytics.eavesdrop_rate(s).r_e - base) for s in rescaled)
     rows.append(CheckRow("eavesdrop rate scale invariance", worst, 0.0, 1e-12, True))
 
     # ESR lower bound: production reading vs the literal extra pre-factor.
@@ -431,22 +448,7 @@ def cmd_validate(spec: SweepSpec, out, quick: bool = False) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors must exit 2 with a message
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--topology", help="node positions 'xS,xR1,xR2,xD' (default -3,-1,1,3)")
-    p.add_argument("--pathloss", type=float, help="path-loss exponent n (default 2.7)")
-    p.add_argument("--snr", help="SNR sweep 'start:stop:step' in dB (default 0:60:5)")
-    p.add_argument("--scheme", action="append",
-                   help="scheme name, repeatable: " + ", ".join(SCHEME_BY_NAME))
-    p.add_argument("--method", action="append",
-                   help="method name, repeatable: " + ", ".join(ALL_METHODS))
-    p.add_argument("--samples", type=int, help="Monte Carlo samples per sweep point (default 1e6)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 1)")
-    p.add_argument("--workers", type=int, help="worker threads (default 1; does not change results)")
-    p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--output", help="write CSV here instead of stdout")
+        self.exit(EXIT_USAGE, f"relaysec: error: {message}\n")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -457,7 +459,10 @@ def make_parser() -> argparse.ArgumentParser:
                         ("validate", "closed-form vs oracle report"),
                         ("asymptote", "high-SNR slope/offset and asymptote line (CSV)")):
         p = sub.add_parser(name, help=descr)
-        _add_common_flags(p)
+        for key in KEYS[name]:
+            p.add_argument(f"--{key}", action="append" if key in LIST_KEYS else "store",
+                           help=SETTINGS[key][0])
+        p.add_argument("--config", help="'key = value' file of the settings above; flags override it")
         if name == "validate":
             p.add_argument("--quick", action="store_true",
                            help="smaller sample sizes for fast smoke runs")
@@ -465,26 +470,29 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
+        spec = build_spec(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        spec = build_spec(args)
-    except (UsageError, RelaysecError) as exc:
+    except RelaysecError as exc:
         print(f"relaysec: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     runner = {"sweep": cmd_sweep,
               "asymptote": cmd_asymptote,
-              "validate": lambda s, o: cmd_validate(s, o, quick=getattr(args, "quick", False))}[args.command]
+              "validate": lambda s, o: cmd_validate(s, o, quick=args.quick)}[args.command]
     try:
         if spec.output:
             with open(spec.output, "w", encoding="utf-8", newline="\n") as fh:
                 return runner(spec, fh)
-        return runner(spec, sys.stdout)
-    except NumericError as exc:
+        status = runner(spec, sys.stdout)
+        sys.stdout.flush()
+        return status
+    except OSError as exc:  # unwritable --output, closed stdout
+        print(f"relaysec: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except NUMERIC_FAILURES as exc:
         print(f"relaysec: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

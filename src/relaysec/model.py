@@ -98,8 +98,8 @@ class ChannelStats:
 
     m_g, m_h, m_f are the three hops S-R1, R1-R2, R2-D.  The remaining
     fields are the auxiliary links needed by the two-hop and direct
-    baselines; m_sr1, m_r1r2 and m_dr2 duplicate m_g, m_h, m_f by
-    reciprocity and exist for explicit naming at baseline call sites.
+    baselines.  Every mean received SNR rho * m must be finite and > 0 in
+    float64, which also makes every mean power m finite and > 0.
     """
 
     m_g: float
@@ -111,25 +111,13 @@ class ChannelStats:
     rho: float
 
     def __post_init__(self) -> None:
-        for name in ("m_g", "m_h", "m_f", "m_sr2", "m_sd", "m_dr1"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise DomainError(f"mean power {name} must be finite and > 0, got {v}")
         if not (self.rho > 0 and math.isfinite(self.rho)):
             raise DomainError(f"transmit SNR rho must be finite and > 0, got {self.rho}")
-
-    # Link aliases (reciprocity).
-    @property
-    def m_sr1(self) -> float:
-        return self.m_g
-
-    @property
-    def m_r1r2(self) -> float:
-        return self.m_h
-
-    @property
-    def m_dr2(self) -> float:
-        return self.m_f
+        for name in ("m_g", "m_h", "m_f", "m_sr2", "m_sd", "m_dr1"):
+            v = getattr(self, name)
+            if not 0.0 < self.rho * v < math.inf:
+                raise DomainError(f"mean received SNR rho * {name} = {self.rho} * {v} "
+                                  "must be finite and > 0")
 
     # Average received SNRs (exponential means of the fading gains).
     @property
@@ -144,15 +132,9 @@ class ChannelStats:
     def bar_f(self) -> float:
         return self.rho * self.m_f
 
-    def with_rho(self, rho: float) -> "ChannelStats":
-        """Same geometry at a different transmit SNR."""
-        return ChannelStats(self.m_g, self.m_h, self.m_f, self.m_sr2, self.m_sd, self.m_dr1, rho)
-
 
 def topology_to_stats(t: Topology, rho: float) -> ChannelStats:
     """Fill every mean channel power of a topology at transmit SNR rho (linear)."""
-    if rho <= 0:
-        raise DomainError(f"transmit SNR rho must be > 0, got {rho}")
     return ChannelStats(
         m_g=mean_power(t.x_s, t.x_r1, t.n),
         m_h=mean_power(t.x_r1, t.x_r2, t.n),

@@ -56,27 +56,22 @@ class EsrEstimate:
     method: SinrMethod
 
 
-def _draw_exponential(gen: np.random.Generator, mean: float, n: int,
-                      strictly_positive: bool = False) -> np.ndarray:
+def _draw_exponential(gen: np.random.Generator, mean: float, n: int) -> np.ndarray:
     """Inverse-CDF exponential draws: -mean * ln(U) with U in (0, 1].
 
     The explicit transform keeps golden values portable.  U = 1 - random()
-    avoids log(0); with strictly_positive the (astronomically rare) exact
-    zeros are redrawn.
+    avoids log(0).  Exact zeros, astronomically rare unless the mean is
+    subnormal, are redrawn, so every gain is > 0; the redraw ends only for
+    mean > 0, which ChannelStats guarantees.
     """
-    u = 1.0 - gen.random(n)
-    x = -mean * np.log(u)
-    if strictly_positive:
-        while True:
-            zero = x == 0.0
-            if not zero.any():
-                break
-            x[zero] = -mean * np.log(1.0 - gen.random(int(zero.sum())))
+    x = -mean * np.log(1.0 - gen.random(n))
+    while x.min() == 0.0:  # x >= 0, and min is the cheapest test for a zero
+        zero = x == 0.0
+        x[zero] = -mean * np.log(1.0 - gen.random(int(zero.sum())))
     return x
 
 
-def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1,
-                    strictly_positive: bool = False) -> ChannelSample:
+def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1) -> ChannelSample:
     """Draw n independent fading realizations for every link.
 
     Each gain is exponential with mean rho * m of its link; the draw order
@@ -93,7 +88,7 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1,
         stats.rho * stats.m_sd,
         stats.rho * stats.m_dr1,
     )
-    draws = [_draw_exponential(gen, m, n, strictly_positive) for m in means]
+    draws = [_draw_exponential(gen, m, n) for m in means]
     return ChannelSample(*draws)
 
 
@@ -126,8 +121,8 @@ def _map_chunks(seed: int, n: int, workers: int, fn) -> list:
         return list(pool.map(fn, streams, lengths))
 
 
-def sample_means(stats: ChannelStats, fn, n: int, seed: int, workers: int = 1,
-                 strictly_positive: bool = False) -> list[tuple[float, float]]:
+def sample_means(stats: ChannelStats, fn, n: int, seed: int,
+                 workers: int = 1) -> list[tuple[float, float]]:
     """Monte Carlo (mean, standard error) of each array fn returns.
 
     fn maps a ChannelSample of one chunk to a sequence of equally long
@@ -137,7 +132,7 @@ def sample_means(stats: ChannelStats, fn, n: int, seed: int, workers: int = 1,
     """
 
     def one_chunk(stream: RngStream, length: int) -> list[tuple[float, float]]:
-        arrays = fn(sample_channels(stats, stream, length, strictly_positive))
+        arrays = fn(sample_channels(stats, stream, length))
         return [(float(np.sum(a)), float(np.sum(a * a))) for a in map(np.asarray, arrays)]
 
     chunks = _map_chunks(seed, n, workers, one_chunk)
@@ -159,8 +154,7 @@ def estimate_esr(stats: ChannelStats, scheme: SchemeKind, method: SinrMethod,
             return [instantaneous_secrecy_rate(_three_hop_sinrs(sample, method), PRELOG[scheme])]
         return [secrecy_rate_from_pair(*baseline_sinrs(sample, scheme), PRELOG[scheme])]
 
-    [(mean, stderr)] = sample_means(stats, rates, n, seed, workers,
-                                    strictly_positive=method is SinrMethod.HIGH_SNR)
+    [(mean, stderr)] = sample_means(stats, rates, n, seed, workers)
     return EsrEstimate(mean=mean, std_error=stderr, n_samples=n, seed=seed,
                        scheme=scheme, method=method)
 
@@ -174,7 +168,7 @@ def estimate_event_probability(stats: ChannelStats, event, n: int, seed: int,
     frequency and its binomial standard error.
     """
     [(p, _)] = sample_means(stats, lambda s: [event(_three_hop_sinrs(s, method))], n, seed,
-                            workers, strictly_positive=method is SinrMethod.HIGH_SNR)
+                            workers)
     return p, math.sqrt(p * (1.0 - p) / n)
 
 

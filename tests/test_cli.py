@@ -1,3 +1,4 @@
+import contextlib
 import io
 import math
 import os
@@ -6,11 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relaysec.cli import (
+    ALL_METHODS,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    KEYS,
     SWEEP_HEADER,
     SweepSpec,
     UsageError,
@@ -18,9 +22,12 @@ from relaysec.cli import (
     cmd_sweep,
     fmt,
     main,
+    make_parser,
     parse_config_file,
 )
 from relaysec.sinr import SchemeKind
+
+PRESETS = sorted((Path(__file__).resolve().parents[1] / "presets").glob("*.cfg"))
 
 
 def run_sweep(**kw):
@@ -158,6 +165,20 @@ def test_extreme_snr_is_numeric_failure(tmp_path):
     assert math.isfinite(float(rows["closed-form-lb"][3]))
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--snr=4000:4000:1", "--samples", "100", "--method", "mc-exact", "--method", "asymptote"],
+    ["sweep", "--snr=-4000:-4000:1", "--samples", "100"],
+    ["sweep", "--snr=-800:-800:1", "--samples", "100", "--topology=-3e100,-1,1,3e100"],
+    ["asymptote", "--snr=-4000:-4000:1"],
+])
+def test_snr_outside_float_range_gives_nan_rows(argv, tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--output", str(out)]) == EXIT_NUMERIC
+    # skip asymptote's parameter rows, the ones with an empty second field
+    rows = [r for r in out.read_text().strip().split("\n")[1:] if r.split(",")[1]]
+    assert rows and all(",nan" in r for r in rows)
+
+
 def test_asymptote_output():
     spec = SweepSpec(snr_start_db=40.0, snr_stop_db=60.0, snr_step_db=10.0)
     buf = io.StringIO()
@@ -192,3 +213,154 @@ def test_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.name)
+def test_preset_runs(preset, tmp_path):
+    out = tmp_path / "preset.csv"
+    assert main(["sweep", "--config", str(preset), "--samples", "1000", "--snr", "10:10:5",
+                 "--output", str(out)]) == EXIT_OK
+    assert out.read_text().startswith(SWEEP_HEADER + "\n")
+
+
+def test_presets_exist():
+    assert {p.name for p in PRESETS} >= {"esr-sweep.cfg", "scheme-comparison.cfg"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--snr", "nan:nan:1"],
+    ["sweep", "--snr", "0:inf:5"],
+    ["sweep", "--seed", "-1"],
+    ["sweep", "--samples", "10", "--output", "/nonexistent/dir/x.csv"],
+    ["validate", "--samples", "5"],
+    ["asymptote", "--seed", "3"],
+    ["sweep", "--snr", "0:1e10:1e-3"],
+    ["sweep", "--samples", "1.5"],
+    ["sweep", "--config", "/nonexistent/dir/run.cfg"],
+])
+def test_bad_argument_is_one_error_line(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("relaysec: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    ("sweep", "sample = 10\n"),
+    ("sweep", "sed = 4\n"),
+    ("validate", "samples = 10\n"),
+    ("asymptote", "seed = 3\n"),
+])
+def test_config_key_not_read_is_usage_error(subcommand, text, tmp_path, capsys):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text(text)
+    assert main([subcommand, "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("relaysec: error: ") and err.count("\n") == 1
+
+
+def test_settable_values_per_subcommand():
+    sub = next(a for a in make_parser()._actions if a.choices)
+    counts = {name: sum(1 for a in p._actions if a.dest != "help") for name, p in sub.choices.items()}
+    assert counts == {"sweep": 10, "validate": 7, "asymptote": 5}
+    for name, p in sub.choices.items():
+        assert {a.dest for a in p._actions} - {"help", "config", "quick"} == set(KEYS[name])
+
+
+def test_repeated_flag_replaces_config_list(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scheme = three-hop, direct\nmethod = mc-exact, closed-form-lb\nsamples = 1000\n")
+    out = tmp_path / "a.csv"
+    assert main(["sweep", "--config", str(cfg), "--snr", "10:10:5", "--scheme", "direct",
+                 "--scheme", "two-hop-1", "--output", str(out)]) == EXIT_OK
+    rows = [r.split(",")[1:3] for r in out.read_text().strip().split("\n")[1:]]
+    assert rows == [["direct", "mc-exact"], ["two-hop-1", "mc-exact"]]
+
+
+def test_pathloss_alone_keeps_default_layout(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["sweep", "--pathloss", "3.5", "--snr", "20:20:5", "--method", "closed-form-lb",
+                 "--output", str(a)]) == EXIT_OK
+    assert main(["sweep", "--topology=-3,-1,1,3", "--pathloss", "3.5", "--snr", "20:20:5",
+                 "--method", "closed-form-lb", "--output", str(b)]) == EXIT_OK
+    assert a.read_text() == b.read_text()
+
+
+def test_closed_stdout_is_usage_error(monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["asymptote", "--snr", "30:60:5"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("relaysec: error: ") and err.count("\n") == 1
+
+
+# Layouts: the references, coincident nodes, near-coincident nodes whose
+# mean power overflows, hop powers that multiply to an underflow, and a
+# malformed one; or four drawn coordinates.
+LAYOUTS = ("-3,-1,1,3", "-3,-1,1.5,3", "0,0,1,2", "0,1e-200,1,2", "-3e100,-1,1,3e100", "1,2,3")
+SNR_TEXTS = ("nan:nan:1", "0:inf:5", "-inf:0:5", "20:10:5", "10:20:0", "0:10:-5",
+             "3000:3000:1", "banana")
+#: A flag each subcommand does not read.
+UNREAD_FLAGS = {"sweep": ["--quick"],
+                "validate": ["--snr", "0:10:5"],
+                "asymptote": ["--samples", "5"]}
+
+
+@st.composite
+def snr_texts(draw):
+    """SNR ranges of at most 5 points, or one of the malformed ones."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(SNR_TEXTS))
+    start = draw(st.floats(-4000, 4000))
+    step = draw(st.floats(0.01, 1000))
+    points = draw(st.integers(1, 5))
+    return f"{start!r}:{start + (points - 1) * step!r}:{step!r}"
+
+
+@st.composite
+def argvs(draw):
+    # validate runs its quick check list (about 0.7 s), so it is drawn less often.
+    command = draw(st.sampled_from(("sweep", "asymptote", "sweep", "asymptote", "validate")))
+    coords = st.lists(st.floats(-10, 10), min_size=4, max_size=4).map(lambda xs: ",".join(map(repr, xs)))
+    values = {
+        "topology": st.sampled_from(LAYOUTS) | coords,
+        "pathloss": st.sampled_from(("2", "2.7", "4", "0", "-1", "nan", "1000")),
+        "snr": snr_texts(),
+        "seed": st.integers(-3, 2**64).map(str),
+        "samples": st.integers(-1, 1000).map(str),
+        "workers": st.integers(1, 2).map(str),
+    }
+    argv = [command]
+    for key in KEYS[command]:
+        # a sweep always gets --samples, never the 1e6 default
+        if key in values and (key == "samples" or draw(st.booleans())):
+            argv.append(f"--{key}={draw(values[key])}")
+    if command == "sweep":
+        for key, names in (("scheme", [k.value for k in SchemeKind]), ("method", ALL_METHODS)):
+            argv += [f"--{key}={name}" for name in draw(st.lists(st.sampled_from(names), max_size=3))]
+    if command == "validate":
+        argv.append("--quick")
+    unread = draw(st.booleans()) and draw(st.booleans())
+    if unread:
+        argv += UNREAD_FLAGS[command]
+    return argv, unread
+
+
+# Extreme SNRs overflow numpy arrays on their way to a nan row (exit 3).
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_cli_property_exit_contract(case):
+    argv, unread = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if unread:
+        assert status == EXIT_USAGE
+    if status == EXIT_OK:
+        assert "nan" not in out.getvalue(), (argv, out.getvalue())

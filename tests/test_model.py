@@ -103,13 +103,6 @@ def test_bar_gamma_identity():
     assert s.bar_f == 37.25 * s.m_f
 
 
-def test_link_aliases():
-    s = topology_to_stats(TOPOLOGY_1, 2.0)
-    assert s.m_sr1 == s.m_g
-    assert s.m_r1r2 == s.m_h
-    assert s.m_dr2 == s.m_f
-
-
 def test_db_round_trip():
     for db in (-10.0, 0.0, 25.0, 60.0):
         assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
@@ -120,6 +113,11 @@ def test_invalid_stats_rejected():
         ChannelStats(1.0, 1.0, 0.0, 1.0, 1.0, 1.0, rho=1.0)
     with pytest.raises(DomainError):
         topology_to_stats(TOPOLOGY_1, 0.0)
+    # a mean received SNR rho * m that underflows to 0 or overflows
+    with pytest.raises(DomainError):
+        ChannelStats(1e-300, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1e-30)
+    with pytest.raises(DomainError):
+        ChannelStats(1.0, 1.0, 1e300, 1.0, 1.0, 1.0, rho=1e10)
 
 
 def test_negative_sample_rejected():
