@@ -5,7 +5,7 @@ Legitimate-rate lower bound, the eavesdropping-rate decomposition
 asymptote, and the CDFs of X/Y and XY/(X+Y) for independent exponentials.
 
 P and the E{XY/(X+Y)} inside T2 are exact elementary closed forms.  The
-published truncated series for P, whose printed coefficients are not
+first term of the published truncated series for P, which is not
 scale-invariant, is kept for the validate report, never for results.
 """
 
@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from relaysec.errors import DomainError
 from relaysec.model import ChannelStats
-from relaysec.specfun import DEFAULT_SERIES_ORDER, lambda_coeff
+from relaysec.specfun import bessel_k1
 
 EULER_GAMMA = float(np.euler_gamma)
 LN2 = math.log(2.0)
@@ -116,30 +115,18 @@ def prob_r1_dominates_oracle(stats: ChannelStats) -> float:
     return min(max(p / sigma * ((1.0 + sigma) / (1.0 + p) - tail), 0.0), 1.0)
 
 
-def prob_r1_dominates_series(stats: ChannelStats,
-                             order: int = DEFAULT_SERIES_ORDER) -> SeriesProbability:
-    """Published truncated-series estimate of the dominance probability.
+def prob_r1_dominates_series(stats: ChannelStats) -> SeriesProbability:
+    """First term of the published truncated series for the dominance probability.
 
-    Order 1 reproduces the single-term closed form exactly; higher orders
-    evaluate the double sum with the Lambda coefficients as printed.  Kept
-    for the validate report only: the printed expressions are not invariant
-    under common scaling of the means, unlike the true probability.
+    8 sqrt(mx) mz^2.5 my / (3 (mz - my sqrt(mx mz) + 2 mz my)^2), evaluated
+    divided through by mz^2 so that the squared denominator cannot
+    underflow.  Kept for the validate report only: the printed expression
+    is not invariant under common scaling of the means, unlike the true
+    probability.
     """
-    m = int(order)
-    if m < 1:
-        raise DomainError(f"series order must be >= 1, got {m}")
     mx, my, mz = stats.bar_f, stats.bar_h, stats.bar_g
-    denom = mz - my * math.sqrt(mx) * math.sqrt(mz) + 2.0 * mz * my
-    if m == 1:
-        raw = 8.0 * math.sqrt(mx) * mz**2.5 * my / (3.0 * denom**2)
-    else:
-        prefac = math.sqrt(mx) * mz**1.5 / denom
-        ratio = 2.0 * mz * my / denom
-        raw = prefac * math.fsum(
-            lambda_coeff(1.0, n, i) * math.factorial(i) * ratio**i
-            for n in range(1, m + 1)
-            for i in range(1, n + 1)
-        )
+    q = 1.0 - my * math.sqrt(mx / mz) + 2.0 * my
+    raw = 8.0 * math.sqrt(mx) * math.sqrt(mz) * my / (3.0 * q * q)
     value = min(max(raw, 0.0), 1.0)
     return SeriesProbability(value=value, raw=raw, clamped=(value != raw))
 
@@ -172,7 +159,7 @@ def cdf_harmonic(w, m_x: float, m_y: float):
     out = np.zeros_like(w)
     pos = w > 0
     x = 2.0 * w[pos] / math.sqrt(m_x * m_y)
-    out[pos] = 1.0 - x * np.exp(-w[pos] / m_x - w[pos] / m_y) * special.k1(x)
+    out[pos] = 1.0 - x * np.exp(-w[pos] / m_x - w[pos] / m_y) * bessel_k1(x)
     # w = 0 stays 0 via the x*K1(x) -> 1 limit.
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
@@ -251,7 +238,10 @@ def high_snr_offset(m_g: float, m_h: float, m_f: float) -> AsymptoteParams:
     """High-SNR power offset (in log2-SNR units) from the physical mean powers."""
     if m_g <= 0 or m_h <= 0 or m_f <= 0:
         raise DomainError("high_snr_offset requires positive mean powers")
-    a = 3.0 * EULER_GAMMA + math.log(3.0 / m_g + 2.0 / m_h + 1.0 / m_f)
+    # ln(3/m_g + 2/m_h + 1/m_f) with the sum divided through by the smallest
+    # power, so that subnormal powers cannot overflow it.
+    lo = min(m_g, m_h, m_f)
+    a = 3.0 * EULER_GAMMA - math.log(lo) + math.log(3.0 * lo / m_g + 2.0 * lo / m_h + lo / m_f)
     b = _ratio_log(m_g, m_h)
     c = math.log((m_g * m_h + m_f * m_h + m_g * m_f) / (m_f * (m_g + m_h)))
     l_inf = (m_h / (m_f + m_h) * b + m_f / (m_f + m_h) * c + a) / LN2

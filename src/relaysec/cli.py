@@ -325,8 +325,8 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     prev = math.inf
     trend_ok = True
     for m in (1, 5, 10, 20, 40):
-        err = float(np.mean([abs(k1_series(1.0, x, m) - bessel_k1(x)) / bessel_k1(x) for x in xs]))
-        bare = float(np.mean([abs(k1_series(1.0, x, m, include_leading_term=False) - bessel_k1(x))
+        err = float(np.mean([abs(k1_series(x, m) - bessel_k1(x)) / bessel_k1(x) for x in xs]))
+        bare = float(np.mean([abs(k1_series(x, m, include_leading_term=False) - bessel_k1(x))
                               / bessel_k1(x) for x in xs]))
         trend_ok = trend_ok and err <= prev * 1.05
         prev = err
@@ -344,7 +344,7 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     rows.append(CheckRow("P quadrature vs Monte Carlo", p_oracle, p_mc, 3.0 * p_se, True))
     for db in (10.0, 30.0, 50.0):
         st = topology_to_stats(spec.topology, db_to_linear(db))
-        sp = analytics.prob_r1_dominates_series(st, 1)
+        sp = analytics.prob_r1_dominates_series(st)
         rows.append(CheckRow(f"P first-term series vs quadrature at {db:.0f} dB",
                              sp.value, analytics.prob_r1_dominates_oracle(st), math.inf, False,
                              note="clamped" if sp.clamped else ""))

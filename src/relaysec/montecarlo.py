@@ -52,8 +52,6 @@ class EsrEstimate:
     std_error: float
     n_samples: int
     seed: int
-    scheme: SchemeKind
-    method: SinrMethod
 
 
 def _draw_exponential(gen: np.random.Generator, mean: float, n: int) -> np.ndarray:
@@ -155,8 +153,7 @@ def estimate_esr(stats: ChannelStats, scheme: SchemeKind, method: SinrMethod,
         return [secrecy_rate_from_pair(*baseline_sinrs(sample, scheme), PRELOG[scheme])]
 
     [(mean, stderr)] = sample_means(stats, rates, n, seed, workers)
-    return EsrEstimate(mean=mean, std_error=stderr, n_samples=n, seed=seed,
-                       scheme=scheme, method=method)
+    return EsrEstimate(mean=mean, std_error=stderr, n_samples=n, seed=seed)
 
 
 def estimate_event_probability(stats: ChannelStats, event, n: int, seed: int,

@@ -1,6 +1,6 @@
 """Special functions backing the closed-form analysis.
 
-Modified Bessel function K1, Lah numbers, the Lambda(nu, n, i) coefficients
+Modified Bessel function K1, Lah numbers, the Lambda(n, i) coefficients
 and the truncated exponential-series approximation of K1 built from them.
 """
 
@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from relaysec.errors import DomainError
 
@@ -21,8 +20,11 @@ DEFAULT_SERIES_ORDER = 40
 def bessel_k1(x):
     """Modified Bessel function of the second kind, order 1, for x > 0.
 
-    Accepts scalars or numpy arrays; scalars come back as float.
+    Accepts scalars or numpy arrays; scalars come back as float.  scipy is
+    imported here, on first use, so that importing relaysec loads none of it.
     """
+    from scipy import special
+
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise DomainError("bessel_k1 requires x > 0")
@@ -58,66 +60,44 @@ def lah(n: int, i: int) -> int:
     return math.comb(n - 1, i - 1) * math.factorial(n) // math.factorial(i)
 
 
-def lambda_coeff(nu: float, n: int, i: int) -> float:
-    """Coefficient Lambda(nu, n, i) of the exponential K-series.
+def lambda_coeff(n: int, i: int) -> float:
+    """Coefficient Lambda(n, i) of the exponential K1-series.
 
-    Lambda = (-1)^i sqrt(pi) Gamma(2 nu) Gamma(n - nu + 1/2) L(n, i)
-             / (2^(nu - i) Gamma(1/2 - nu) Gamma(n + nu + 1/2) n!)
-
-    Evaluated in log space so large n stays finite.
+    The published Lambda(nu, n, i) =
+    (-1)^i sqrt(pi) Gamma(2 nu) Gamma(n - nu + 1/2) L(n, i)
+    / (2^(nu - i) Gamma(1/2 - nu) Gamma(n + nu + 1/2) n!)
+    at nu = 1, where Gamma(-1/2) = -2 sqrt(pi) and
+    Gamma(n - 1/2) / Gamma(n + 3/2) = 4 / (4 n^2 - 1), is the rational
+    (-1)^(i+1) 2^i L(n, i) / ((4 n^2 - 1) n!), divided here as exact
+    integers and so correctly rounded.
     """
-    if nu <= 0:
-        raise DomainError(f"lambda_coeff requires nu > 0, got {nu}")
     if i < 1 or i > n:
         raise DomainError(f"lambda_coeff requires 1 <= i <= n, got n={n}, i={i}")
-    a1 = 2.0 * nu
-    a2 = n - nu + 0.5
-    a3 = 0.5 - nu  # negative for nu > 1/2; gammaln/gammasgn handle the sign
-    a4 = n + nu + 0.5
-    for a in (a1, a2, a3, a4):
-        if a <= 0 and a == round(a):
-            raise DomainError(f"gamma pole at argument {a} in lambda_coeff({nu}, {n}, {i})")
-    log_l = math.lgamma(n) - math.lgamma(i) - math.lgamma(n - i + 1) \
-        + math.lgamma(n + 1) - math.lgamma(i + 1)  # log L(n, i)
-    log_mag = (
-        0.5 * math.log(math.pi)
-        + special.gammaln(a1)
-        + special.gammaln(a2)
-        + log_l
-        - (nu - i) * math.log(2.0)
-        - special.gammaln(a3)
-        - special.gammaln(a4)
-        - math.lgamma(n + 1)
-    )
-    sign = (-1.0) ** i * special.gammasgn(a1) * special.gammasgn(a2) \
-        * special.gammasgn(a3) * special.gammasgn(a4)
-    return sign * math.exp(log_mag)
+    return (-1) ** (i + 1) * (2**i * lah(n, i)) / ((4 * n * n - 1) * math.factorial(n))
 
 
-def k1_series(beta: float, x: float, order: int = DEFAULT_SERIES_ORDER,
+def k1_series(x: float, order: int = DEFAULT_SERIES_ORDER,
               include_leading_term: bool = True) -> float:
-    """Truncated exponential-series approximation of K1(beta * x).
+    """Truncated exponential-series approximation of K1(x).
 
-    exp(-beta x) * [1/(beta x) + sum_{n=1..M} sum_{i=1..n}
-    Lambda(1, n, i) (beta x)^(i-1)].
+    exp(-x) * [1/x + sum_{n=1..M} sum_{i=1..n} Lambda(n, i) x^(i-1)].
 
-    The 1/(beta x) piece is the (n=0, i=0) term of the generic series,
-    which for order nu reduces to (beta x)^(-nu); without it the sum
-    converges to K1(beta x) - exp(-beta x)/(beta x) instead of K1 (checked
-    numerically), so it is on by default.  include_leading_term=False
-    recovers the bare n >= 1 double sum for diagnostic comparison.
+    The 1/x piece is the (n=0, i=0) term of the generic series, which for
+    order nu reduces to x^(-nu); without it the sum converges to
+    K1(x) - exp(-x)/x instead of K1 (checked numerically), so it is on by
+    default.  include_leading_term=False recovers the bare n >= 1 double
+    sum for diagnostic comparison.
     """
     m = int(order)
     if m < 1:
         raise DomainError(f"series order must be >= 1, got {m}")
-    bx = beta * x
-    if bx <= 0:
-        raise DomainError(f"k1_series requires beta * x > 0, got {bx}")
+    if x <= 0:
+        raise DomainError(f"k1_series requires x > 0, got {x}")
     terms = [
-        lambda_coeff(1.0, n, i) * bx ** (i - 1)
+        lambda_coeff(n, i) * x ** (i - 1)
         for n in range(1, m + 1)
         for i in range(1, n + 1)
     ]
     if include_leading_term:
-        terms.append(1.0 / bx)
-    return math.exp(-bx) * math.fsum(terms)
+        terms.append(1.0 / x)
+    return math.exp(-x) * math.fsum(terms)

@@ -183,13 +183,13 @@ def test_dominance_series_order_one_closed_form():
     mx, my, mz = s.bar_f, s.bar_h, s.bar_g
     denom = mz - my * math.sqrt(mx * mz) + 2.0 * mz * my
     expected = 8.0 * math.sqrt(mx) * mz**2.5 * my / (3.0 * denom**2)
-    out = prob_r1_dominates_series(s, order=1)
+    out = prob_r1_dominates_series(s)
     assert out.raw == pytest.approx(expected, rel=1e-12)
     assert out.value == min(max(out.raw, 0.0), 1.0)
 
 
 def test_dominance_series_clamping():
-    out = prob_r1_dominates_series(topology_to_stats(TOPOLOGY_1, db_to_linear(30.0)), order=1)
+    out = prob_r1_dominates_series(topology_to_stats(TOPOLOGY_1, db_to_linear(30.0)))
     assert 0.0 <= out.value <= 1.0
     assert out.clamped == (out.raw != out.value)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,7 +80,14 @@ def test_lah_domain_errors():
 
 
 def test_lambda_first_coefficient():
-    assert lambda_coeff(1.0, 1, 1) == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert lambda_coeff(1, 1) == 2.0 / 3.0
+
+
+def test_lambda_is_the_correctly_rounded_rational():
+    for n in range(1, 41):
+        for i in range(1, n + 1):
+            exact = Fraction((-1) ** (i + 1) * 2**i * lah(n, i), (4 * n * n - 1) * math.factorial(n))
+            assert lambda_coeff(n, i) == float(exact)
 
 
 def test_lambda_matches_direct_gamma_evaluation():
@@ -95,7 +103,7 @@ def test_lambda_matches_direct_gamma_evaluation():
             * lah(n, i)
             / (2.0 ** (nu - i) * gamma(0.5 - nu) * gamma(n + nu + 0.5) * math.factorial(n))
         )
-        assert lambda_coeff(nu, n, i) == pytest.approx(direct, rel=1e-10)
+        assert lambda_coeff(n, i) == pytest.approx(direct, rel=1e-10)
 
 
 def test_lambda_sign_alternates_in_i():
@@ -103,37 +111,52 @@ def test_lambda_sign_alternates_in_i():
     # denominator, so odd i is positive
     for n in range(1, 6):
         for i in range(1, n + 1):
-            assert math.copysign(1.0, lambda_coeff(1.0, n, i)) == (-1.0) ** (i + 1)
+            assert math.copysign(1.0, lambda_coeff(n, i)) == (-1.0) ** (i + 1)
 
 
 def test_lambda_domain_errors():
     with pytest.raises(DomainError):
-        lambda_coeff(0.0, 1, 1)
+        lambda_coeff(2, 3)
     with pytest.raises(DomainError):
-        lambda_coeff(1.0, 2, 3)
+        lambda_coeff(2, 0)
 
 
 def test_series_order_validation():
     with pytest.raises(DomainError):
-        k1_series(1.0, 1.0, order=0)
+        k1_series(1.0, order=0)
 
 
 def test_k1_series_order_one_closed_form():
-    # bare sum at order 1 is Lambda(1,1,1) * exp(-beta x) = (2/3) exp(-beta x)
-    for bx in (0.5, 1.0, 3.0):
-        bare = k1_series(1.0, bx, order=1, include_leading_term=False)
-        assert bare == pytest.approx((2.0 / 3.0) * math.exp(-bx), rel=1e-12)
-        full = k1_series(1.0, bx, order=1)
-        assert full == pytest.approx(math.exp(-bx) * (1.0 / bx + 2.0 / 3.0), rel=1e-12)
+    # bare sum at order 1 is Lambda(1, 1) * exp(-x) = (2/3) exp(-x)
+    for x in (0.5, 1.0, 3.0):
+        bare = k1_series(x, order=1, include_leading_term=False)
+        assert bare == pytest.approx((2.0 / 3.0) * math.exp(-x), rel=1e-12)
+        full = k1_series(x, order=1)
+        assert full == pytest.approx(math.exp(-x) * (1.0 / x + 2.0 / 3.0), rel=1e-12)
 
 
-def test_k1_series_beta_x_product_only():
-    assert k1_series(2.0, 1.5, order=10) == pytest.approx(k1_series(3.0, 1.0, order=10), rel=1e-12)
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 3.5, 5.0])
+def test_k1_series_matches_high_precision_truncated_series(x):
+    # the same order-40 truncated series, summed in 50-digit arithmetic;
+    # its terms reach about 3.8e8 and cancel, so coefficient rounding shows
+    import mpmath
+
+    m = DEFAULT_SERIES_ORDER
+    with mpmath.workdps(50):
+        xm = mpmath.mpf(x)
+        total = 1 / xm + mpmath.fsum(
+            mpmath.mpf((-1) ** (i + 1) * 2**i * lah(n, i)) / ((4 * n * n - 1) * math.factorial(n))
+            * xm ** (i - 1)
+            for n in range(1, m + 1)
+            for i in range(1, n + 1)
+        )
+        ref = float(mpmath.exp(-xm) * total)
+    assert k1_series(x, m) == pytest.approx(ref, rel=1e-6)
 
 
 def test_k1_series_accuracy_at_default_order():
     grid = np.linspace(0.5, 5.0, 40)
-    errs = [abs(k1_series(1.0, x, DEFAULT_SERIES_ORDER) - bessel_k1(x)) / bessel_k1(x) for x in grid]
+    errs = [abs(k1_series(x, DEFAULT_SERIES_ORDER) - bessel_k1(x)) / bessel_k1(x) for x in grid]
     assert max(errs) < 1e-3
 
 
@@ -141,7 +164,7 @@ def test_k1_series_error_decreases_with_order():
     grid = np.linspace(0.5, 5.0, 25)
 
     def mean_err(order):
-        return np.mean([abs(k1_series(1.0, x, order) - bessel_k1(x)) / bessel_k1(x) for x in grid])
+        return np.mean([abs(k1_series(x, order) - bessel_k1(x)) / bessel_k1(x) for x in grid])
 
     errors = [mean_err(m) for m in (1, 5, 10, 20, 40)]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(errors, errors[1:]))
@@ -151,13 +174,13 @@ def test_k1_series_error_decreases_with_order():
 @given(x=st.floats(min_value=0.3, max_value=6.0))
 def test_k1_series_leading_term_identity(x):
     # the full series minus the bare double sum is exactly exp(-x)/x
-    full = k1_series(1.0, x, order=15)
-    bare = k1_series(1.0, x, order=15, include_leading_term=False)
+    full = k1_series(x, order=15)
+    bare = k1_series(x, order=15, include_leading_term=False)
     assert full - bare == pytest.approx(math.exp(-x) / x, rel=1e-9)
 
 
 def test_k1_series_domain_error():
     with pytest.raises(DomainError):
-        k1_series(1.0, 0.0)
+        k1_series(0.0)
     with pytest.raises(DomainError):
-        k1_series(-1.0, 2.0)
+        k1_series(-2.0)
