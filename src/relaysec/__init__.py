@@ -10,7 +10,6 @@ from relaysec.model import (
     mean_power,
     topology_to_stats,
     db_to_linear,
-    linear_to_db,
 )
 from relaysec.sinr import SchemeKind, SinrMethod, SinrBundle
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from relaysec.errors import DomainError
 from relaysec.model import ChannelStats
+from relaysec.sinr import PRELOG, SchemeKind
 from relaysec.specfun import bessel_k1
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -49,7 +50,7 @@ class EavesdropDecomposition:
 
 @dataclass(frozen=True)
 class AsymptoteParams:
-    """High-SNR slope and power offset with the offset's three building blocks."""
+    """High-SNR slope (the pre-log) and power offset with the offset's three building blocks."""
 
     s_infinity: float
     l_infinity: float
@@ -158,7 +159,7 @@ def cdf_harmonic(w, m_x: float, m_y: float):
     w = np.atleast_1d(w)
     out = np.zeros_like(w)
     pos = w > 0
-    x = 2.0 * w[pos] / math.sqrt(m_x * m_y)
+    x = 2.0 * w[pos] / (math.sqrt(m_x) * math.sqrt(m_y))  # m_x * m_y may overflow
     out[pos] = 1.0 - x * np.exp(-w[pos] / m_x - w[pos] / m_y) * bessel_k1(x)
     # w = 0 stays 0 via the x*K1(x) -> 1 limit.
     out = np.clip(out, 0.0, 1.0)
@@ -225,15 +226,6 @@ def esr_lower_bound(stats: ChannelStats) -> float:
     return max(0.0, legit_rate_lower_bound(stats) - eavesdrop_rate(stats).r_e)
 
 
-def high_snr_slope() -> float:
-    """High-SNR ESR slope of the three-hop scheme: exactly 1/3."""
-    return 1.0 / 3.0
-
-
-#: Two-hop comparison slope, exposed for baseline plots.
-TWO_HOP_HIGH_SNR_SLOPE = 0.5
-
-
 def high_snr_offset(m_g: float, m_h: float, m_f: float) -> AsymptoteParams:
     """High-SNR power offset (in log2-SNR units) from the physical mean powers."""
     if m_g <= 0 or m_h <= 0 or m_f <= 0:
@@ -245,7 +237,7 @@ def high_snr_offset(m_g: float, m_h: float, m_f: float) -> AsymptoteParams:
     b = _ratio_log(m_g, m_h)
     c = math.log((m_g * m_h + m_f * m_h + m_g * m_f) / (m_f * (m_g + m_h)))
     l_inf = (m_h / (m_f + m_h) * b + m_f / (m_f + m_h) * c + a) / LN2
-    return AsymptoteParams(s_infinity=1.0 / 3.0, l_infinity=l_inf,
+    return AsymptoteParams(s_infinity=PRELOG[SchemeKind.THREE_HOP], l_infinity=l_inf,
                            a_term=a, b_term=b, c_term=c)
 
 

@@ -18,4 +18,4 @@ class DegenerateSampleError(RelaysecError, ValueError):
 
 
 class NumericError(RelaysecError, RuntimeError):
-    """Quadrature or other numerical procedure failed to reach its target."""
+    """A numerical procedure failed to reach its target, e.g. a non-finite mean."""

@@ -20,13 +20,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(lin: float) -> float:
-    """Convert a linear power ratio to dB."""
-    if lin <= 0:
-        raise DomainError(f"linear value must be > 0, got {lin}")
-    return 10.0 * math.log10(lin)
-
-
 def mean_power(pos_a: float, pos_b: float, n: float) -> float:
     """Mean channel power of the link between two node positions.
 
@@ -151,8 +144,7 @@ class ChannelSample:
     """One fading realization (or a vector of realizations) per link.
 
     Fields hold instantaneous received SNRs, i.e. rho * |channel gain|^2,
-    and may be scalars or equally shaped numpy arrays.  gamma_sr1,
-    gamma_r1r2 and gamma_dr2 alias the three hop gains by reciprocity.
+    and may be scalars or equally shaped numpy arrays.
     """
 
     gamma_g: np.ndarray | float
@@ -167,15 +159,3 @@ class ChannelSample:
             v = np.asarray(getattr(self, name))
             if not (np.all(v >= 0) and np.all(np.isfinite(v))):
                 raise DomainError(f"channel gain {name} must be finite and >= 0")
-
-    @property
-    def gamma_sr1(self) -> np.ndarray | float:
-        return self.gamma_g
-
-    @property
-    def gamma_r1r2(self) -> np.ndarray | float:
-        return self.gamma_h
-
-    @property
-    def gamma_dr2(self) -> np.ndarray | float:
-        return self.gamma_f

@@ -16,17 +16,7 @@ import numpy as np
 
 from relaysec.errors import DomainError, NumericError
 from relaysec.model import ChannelSample, ChannelStats
-from relaysec.sinr import (
-    PRELOG,
-    SchemeKind,
-    SinrBundle,
-    SinrMethod,
-    baseline_sinrs,
-    exact_sinrs,
-    highsnr_sinrs,
-    instantaneous_secrecy_rate,
-    secrecy_rate_from_pair,
-)
+from relaysec.sinr import SchemeKind, SinrMethod, secrecy_rate, three_hop_sinrs
 
 #: Fixed chunk size; part of the determinism contract (results are chunked
 #: identically no matter how many workers run).
@@ -51,7 +41,6 @@ class EsrEstimate:
     mean: float
     std_error: float
     n_samples: int
-    seed: int
 
 
 def _draw_exponential(gen: np.random.Generator, mean: float, n: int) -> np.ndarray:
@@ -78,16 +67,9 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1) -> Chann
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     gen = stream.generator()
-    means = (
-        stats.bar_g,
-        stats.bar_h,
-        stats.bar_f,
-        stats.rho * stats.m_sr2,
-        stats.rho * stats.m_sd,
-        stats.rho * stats.m_dr1,
-    )
-    draws = [_draw_exponential(gen, m, n) for m in means]
-    return ChannelSample(*draws)
+    means = (stats.bar_g, stats.bar_h, stats.bar_f,
+             stats.rho * stats.m_sr2, stats.rho * stats.m_sd, stats.rho * stats.m_dr1)
+    return ChannelSample(*[_draw_exponential(gen, m, n) for m in means])
 
 
 def _reduce_chunks(partials: list[tuple[float, float]], n: int) -> tuple[float, float]:
@@ -137,23 +119,15 @@ def sample_means(stats: ChannelStats, fn, n: int, seed: int,
     return [_reduce_chunks([c[i] for c in chunks], n) for i in range(len(chunks[0]))]
 
 
-def _three_hop_sinrs(sample: ChannelSample, method: SinrMethod) -> SinrBundle:
-    return exact_sinrs(sample) if method is SinrMethod.EXACT else highsnr_sinrs(sample)
-
-
 def estimate_esr(stats: ChannelStats, scheme: SchemeKind, method: SinrMethod,
                  n: int, seed: int, workers: int = 1) -> EsrEstimate:
-    """Unbiased Monte Carlo ESR estimate over n fading realizations."""
-    if scheme is not SchemeKind.THREE_HOP and method is not SinrMethod.EXACT:
-        raise DomainError(f"{scheme.value} supports only the exact SINR method")
+    """Unbiased Monte Carlo ESR estimate over n fading realizations.
 
-    def rates(sample: ChannelSample):
-        if scheme is SchemeKind.THREE_HOP:
-            return [instantaneous_secrecy_rate(_three_hop_sinrs(sample, method), PRELOG[scheme])]
-        return [secrecy_rate_from_pair(*baseline_sinrs(sample, scheme), PRELOG[scheme])]
-
-    [(mean, stderr)] = sample_means(stats, rates, n, seed, workers)
-    return EsrEstimate(mean=mean, std_error=stderr, n_samples=n, seed=seed)
+    A (scheme, method) pair that sinr.has_method refuses raises DomainError.
+    """
+    [(mean, stderr)] = sample_means(stats, lambda s: [secrecy_rate(s, scheme, method)], n, seed,
+                                    workers)
+    return EsrEstimate(mean=mean, std_error=stderr, n_samples=n)
 
 
 def estimate_event_probability(stats: ChannelStats, event, n: int, seed: int,
@@ -164,7 +138,7 @@ def estimate_event_probability(stats: ChannelStats, event, n: int, seed: int,
     event maps a SinrBundle (vectorized) to a boolean array.  Returns the
     frequency and its binomial standard error.
     """
-    [(p, _)] = sample_means(stats, lambda s: [event(_three_hop_sinrs(s, method))], n, seed,
+    [(p, _)] = sample_means(stats, lambda s: [event(three_hop_sinrs(s, method))], n, seed,
                             workers)
     return p, math.sqrt(p * (1.0 - p) / n)
 

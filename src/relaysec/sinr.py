@@ -1,8 +1,9 @@
-"""Per-realization SINRs and instantaneous secrecy rates.
+"""The scheme rules: per-realization SINRs, pre-logs and secrecy rates.
 
 Covers the three-hop scheme (exact and high-SNR forms) and the two-hop /
-direct baselines.  All functions are elementwise over numpy arrays, so a
-whole Monte Carlo chunk evaluates in one call.
+direct baselines; secrecy_rate gives the rate of any (scheme, method) and
+has_method says which pairs exist.  All functions are elementwise over
+numpy arrays, so a whole Monte Carlo chunk evaluates in one call.
 """
 
 from __future__ import annotations
@@ -60,39 +61,74 @@ class SinrBundle:
 
 
 def exact_sinrs(s: ChannelSample) -> SinrBundle:
-    """Exact SINRs of the three-hop scheme (every denominator is >= 1)."""
-    g, h, f = s.gamma_g, s.gamma_h, s.gamma_f
-    r1_p1 = g / (h + 1.0)
-    r2 = g * h / (g * f + h * f + 2.0 * h + g + f + 1.0)
-    r1_p3 = g * h**2 / (h**2 + h * (g + 1.0) ** 2 + (g + h + 1.0) ** 2 * (f + 1.0))
-    d = g * h * f / (3.0 * h * f + 2.0 * f * g + g * h + 2.0 * f + 2.0 * h + g + 1.0)
+    """Exact SINRs of the three-hop scheme, e.g. g h f / (3hf + 2fg + gh + 2f + 2h + g + 1).
+
+    Each is divided through by its numerator, so no product of gains can
+    overflow.  A reciprocal gain only multiplies factors >= 1 such as f + 2,
+    so a zero gain gives SINR 0, not 0 * inf = nan.
+    """
+    # As arrays, scalar gains too divide by zero to inf instead of raising.
+    g, h, f = (np.asarray(x, dtype=float) for x in (s.gamma_g, s.gamma_h, s.gamma_f))
+    with np.errstate(divide="ignore", over="ignore"):
+        ig = 1.0 / g
+        t = (1.0 + ig) / h  # (g + 1) / (g h)
+        r1_p1 = g / (h + 1.0)
+        r2 = 1.0 / (ig * (f + 2.0) + t * (f + 1.0))
+        r1_p3 = 1.0 / (ig + (g + 1.0) * t + ((g + h + 1.0) / h) ** 2 * ((f + 1.0) * ig))
+        d = 1.0 / (3.0 * ig + 2.0 * t + (1.0 + 2.0 * ig + t) / f)
     return SinrBundle(r1_p1, r2, r1_p3, d)
 
 
 def highsnr_sinrs(s: ChannelSample) -> SinrBundle:
-    """High-SNR SINR approximations; every gain must be strictly positive."""
+    """High-SNR SINRs, divided through like exact_sinrs; every gain must be > 0.
+
+    The phase-3 R1 SINR g h^2 / ((g + h)^2 f + 2 h g^2) has twice the h g^2
+    of exact_sinrs' leading term (README, "Numerical notes").
+    """
     g, h, f = s.gamma_g, s.gamma_h, s.gamma_f
     if np.any(np.asarray(g) == 0) or np.any(np.asarray(h) == 0) or np.any(np.asarray(f) == 0):
         raise DegenerateSampleError("high-SNR SINRs need strictly positive gains")
-    r1_p1 = g / h
-    r2 = g * h / (f * (g + h))
-    r1_p3 = g * h**2 / ((g + h) ** 2 * f + 2.0 * h * g**2)
-    d = g * h * f / (3.0 * h * f + 2.0 * f * g + g * h)
+    with np.errstate(over="ignore"):
+        ig = 1.0 / g
+        r1_p1 = g / h
+        r2 = 1.0 / (f * (ig + 1.0 / h))
+        r1_p3 = 1.0 / ((r1_p1 + 1.0) ** 2 * (f * ig) + 2.0 * r1_p1)
+        d = 1.0 / (3.0 * ig + 2.0 / h + 1.0 / f)
     return SinrBundle(r1_p1, r2, r1_p3, d)
 
 
-def instantaneous_secrecy_rate(b: SinrBundle, prelog: float = PRELOG[SchemeKind.THREE_HOP]):
-    """Secrecy rate in bits/s/Hz for one (or a vector of) realizations.
+def three_hop_sinrs(s: ChannelSample, method: SinrMethod) -> SinrBundle:
+    """The three-hop SINR bundle that ``method`` reads."""
+    return exact_sinrs(s) if method is SinrMethod.EXACT else highsnr_sinrs(s)
 
-    prelog * [log2(1 + gamma_d) - log2(1 + max relay SINR)], clamped at 0.
-    """
-    return secrecy_rate_from_pair(b.gamma_d, b.max_leakage(), prelog)
+
+def instantaneous_secrecy_rate(b: SinrBundle):
+    """Three-hop rate (1/3) [log2(1 + gamma_d) - log2(1 + max relay SINR)]^+."""
+    return secrecy_rate_from_pair(b.gamma_d, b.max_leakage(), PRELOG[SchemeKind.THREE_HOP])
 
 
 def secrecy_rate_from_pair(gamma_d, gamma_leak, prelog: float):
     """Clamped secrecy rate from a destination SINR and a leakage SINR."""
     rate = prelog * (np.log1p(gamma_d) - np.log1p(gamma_leak)) / np.log(2.0)
     return np.maximum(rate, 0.0)
+
+
+def has_method(scheme: SchemeKind, method: str) -> bool:
+    """Whether a scheme has a method: three-hop has every one, a baseline only mc-exact."""
+    return scheme is SchemeKind.THREE_HOP or method == SinrMethod.EXACT.value
+
+
+def secrecy_rate(s: ChannelSample, scheme: SchemeKind, method: SinrMethod,
+                 combining: str = "selection"):
+    """Instantaneous secrecy rate of any (scheme, method), bits/s/Hz.
+
+    ``combining`` is the two-hop idle eavesdropper's rule (baseline_sinrs).
+    """
+    if not has_method(scheme, method.value):
+        raise DomainError(f"{scheme.value} supports only the exact SINR method")
+    if scheme is SchemeKind.THREE_HOP:
+        return instantaneous_secrecy_rate(three_hop_sinrs(s, method))
+    return secrecy_rate_from_pair(*baseline_sinrs(s, scheme, combining), PRELOG[scheme])
 
 
 def baseline_sinrs(s: ChannelSample, kind: SchemeKind, combining: str = "selection"):
@@ -110,17 +146,17 @@ def baseline_sinrs(s: ChannelSample, kind: SchemeKind, combining: str = "selecti
     if combining not in ("selection", "sum"):
         raise DomainError(f"unknown combining rule {combining!r}")
 
+    # By reciprocity g, h and f are also the links R1-S, R2-R1 and D-R2.
     if kind is SchemeKind.DIRECT:
-        gamma_d = s.gamma_sd
-        gamma_leak = np.maximum(s.gamma_sr1, s.gamma_sr2)
-        return gamma_d, gamma_leak
+        return s.gamma_sd, np.maximum(s.gamma_g, s.gamma_sr2)
 
     if kind is SchemeKind.TWO_HOP_CASE_I:
-        a, b = s.gamma_sr1, s.gamma_dr1  # helper R1
-        u, v, w = s.gamma_sr2, s.gamma_dr2, s.gamma_r1r2  # idle eavesdropper R2
+        a, b = s.gamma_g, s.gamma_dr1  # helper R1
+        u, v = s.gamma_sr2, s.gamma_f  # idle eavesdropper R2
     else:  # TWO_HOP_CASE_II, helper R2
-        a, b = s.gamma_sr2, s.gamma_dr2
-        u, v, w = s.gamma_sr1, s.gamma_dr1, s.gamma_r1r2
+        a, b = s.gamma_sr2, s.gamma_f
+        u, v = s.gamma_g, s.gamma_dr1
+    w = s.gamma_h  # R1-R2, the idle relay's view of the helper
 
     gamma_d = a * b / (a + 2.0 * b + 1.0)
     gamma_helper = a / (b + 1.0)

@@ -32,18 +32,18 @@ def bessel_k1(x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def bessel_k1_quadrature(x: float, dps: int = 30) -> float:
+def bessel_k1_quadrature(x: float) -> float:
     """Reference K1 by high-precision quadrature of its integral form.
 
     K1(x) = integral_0^inf exp(-x cosh t) cosh t dt, evaluated with mpmath
-    on a split finite interval (the integrand is below exp(-2000) past the
+    at 30 digits on a split finite interval (the integrand is below exp(-2000) past the
     cut).  Slow; exists as an independent oracle for bessel_k1.
     """
     if x <= 0:
         raise DomainError("bessel_k1_quadrature requires x > 0")
     import mpmath
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(30):
         xm = mpmath.mpf(x)
         tmax = mpmath.log(2 * mpmath.mpf(2000) / xm)
         val = mpmath.quad(

@@ -1,3 +1,4 @@
+import io
 import math
 
 import mpmath
@@ -8,7 +9,6 @@ from scipy import integrate
 
 from relaysec.analytics import (
     EULER_GAMMA,
-    TWO_HOP_HIGH_SNR_SLOPE,
     cdf_harmonic,
     cdf_ratio,
     eavesdrop_rate,
@@ -16,7 +16,6 @@ from relaysec.analytics import (
     esr_lower_bound,
     expected_harmonic_mean,
     high_snr_offset,
-    high_snr_slope,
     legit_rate_lower_bound,
     prob_r1_dominates_oracle,
     prob_r1_dominates_series,
@@ -24,6 +23,7 @@ from relaysec.analytics import (
     t2,
     t2_printed,
 )
+from relaysec.cli import SweepSpec, cmd_asymptote
 from relaysec.errors import DomainError
 from relaysec.model import (
     TOPOLOGY_1,
@@ -33,6 +33,7 @@ from relaysec.model import (
     db_to_linear,
     topology_to_stats,
 )
+from relaysec.sinr import PRELOG, SchemeKind
 from relaysec.specfun import bessel_k1
 
 #: Exponential tail cut of the quadrature oracles in unit-mean coordinates.
@@ -233,6 +234,12 @@ def test_cdf_harmonic_values():
     assert cdf_harmonic(50.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_cdf_harmonic_huge_means():
+    # the product of the two means, 1e400, is past float64
+    p = cdf_harmonic(np.array([1.0]), 1e200, 1e200)
+    assert np.all(np.isfinite(p)) and np.all((p >= 0) & (p <= 1))
+
+
 @settings(max_examples=40)
 @given(mx=st.floats(min_value=0.01, max_value=100), my=st.floats(min_value=0.01, max_value=100))
 def test_cdf_harmonic_monotone_and_bounded(mx, my):
@@ -324,8 +331,11 @@ def test_esr_lower_bound_nondecreasing():
 
 
 def test_slopes():
-    assert high_snr_slope() == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert TWO_HOP_HIGH_SNR_SLOPE == 0.5
+    # each high-SNR slope is its scheme's pre-log
+    assert high_snr_offset(0.3, 0.7, 1.1).s_infinity == PRELOG[SchemeKind.THREE_HOP]
+    buf = io.StringIO()
+    assert cmd_asymptote(SweepSpec(), buf) == 0
+    assert "\ns_infinity_two_hop,,0.5\n" in buf.getvalue()
 
 
 def test_offset_symmetric_components():

@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,10 @@ from relaysec.cli import (
     make_parser,
     parse_config_file,
 )
-from relaysec.sinr import SchemeKind
+from relaysec import analytics
+from relaysec.errors import DomainError, NumericError
+from relaysec.montecarlo import estimate_esr
+from relaysec.sinr import SchemeKind, SinrMethod
 
 PRESETS = sorted((Path(__file__).resolve().parents[1] / "presets").glob("*.cfg"))
 
@@ -77,6 +82,24 @@ def test_sweep_closed_form_methods_skip_baselines():
     direct = [r for r in rows if r[1] == "direct"]
     assert {r[2] for r in three} == {"mc-exact", "closed-form-lb", "asymptote"}
     assert {r[2] for r in direct} == {"mc-exact"}
+
+
+@pytest.mark.parametrize("method", ["mc-exact", "mc-highsnr", "closed-form-lb", "asymptote"])
+@pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda k: k.value)
+def test_scheme_method_pairs(scheme, method, stats_30db):
+    # three-hop has every method, each baseline only mc-exact
+    exists = scheme is SchemeKind.THREE_HOP or method == "mc-exact"
+    status, text = run_sweep(snr_start_db=30.0, snr_stop_db=30.0, schemes=[scheme],
+                             methods=[method], n_samples=1000)
+    assert status == EXIT_OK
+    assert len(text.strip().split("\n")) == 1 + exists
+    if method.startswith("mc-"):
+        estimate = lambda: estimate_esr(stats_30db, scheme, SinrMethod(method), 1000, seed=1)
+        if exists:
+            assert estimate().n_samples == 1000
+        else:
+            with pytest.raises(DomainError):
+                estimate()
 
 
 def test_spec_validation_errors():
@@ -162,13 +185,16 @@ def test_underflowing_layout_gives_finite_bound(tmp_path):
         assert all(math.isfinite(v) for v in values), topology
 
 
-def test_extreme_snr_is_numeric_failure(tmp_path):
+def test_extreme_snr_is_finite(tmp_path):
+    # at 3000 dB every product of two gains overflows float64, the SINRs do not
     out = tmp_path / "hi.csv"
-    assert main(["sweep", "--snr", "3000:3000:1", "--samples", "1000",
-                 "--output", str(out)]) == EXIT_NUMERIC
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--snr", "3000:3000:1", "--samples", "1000",
+                     "--output", str(out)]) == EXIT_OK
     rows = {r.split(",")[2]: r.split(",") for r in out.read_text().strip().split("\n")[1:]}
-    assert rows["mc-exact"][3] == "nan"
-    assert math.isfinite(float(rows["closed-form-lb"][3]))
+    assert rows["mc-exact"][3] == "329.327741"
+    assert rows["closed-form-lb"][3] == "329.239905"
 
 
 @pytest.mark.parametrize("argv", [
@@ -225,6 +251,46 @@ def test_validate_on_underflowing_layout_prints_every_row(tmp_path, capsys):
     assert [r[0] for r in rows] == [r[0] for r in default_rows]
     failed = any(gating == "yes" and verdict != "pass" for _, gating, verdict in rows)
     assert status == (EXIT_NUMERIC if failed else EXIT_OK)
+
+
+@pytest.mark.parametrize("dependency, failing_rows", [
+    # T1 also enters the eavesdropping rate, and so the lower bound
+    ("t1_closed", {"T1 closed form vs Monte Carlo", "eavesdrop rate scale invariance",
+                   "ESR lower bound vs Monte Carlo exact ESR (30 dB)",
+                   "literal extra 1/(3 ln 2) reading vs Monte Carlo"}),
+    ("t2_printed", {"T2 printed closed form vs mean-ratio (asymmetric case)"}),  # informational
+])
+def test_validate_failing_check_keeps_other_rows(dependency, failing_rows, tmp_path, monkeypatch,
+                                                 capsys):
+    _, default_rows = quick_validate(tmp_path)
+
+    def broken(*args):
+        raise NumericError("forced failure")
+
+    monkeypatch.setattr(analytics, dependency, broken)
+    out = tmp_path / "broken.csv"
+    assert main(["validate", "--quick", "--output", str(out)]) == EXIT_NUMERIC
+    rows = {r["check"]: r for r in csv.DictReader(out.read_text().strip().split("\n"))}
+    assert list(rows) == [name for name, _, _ in default_rows]
+    for name, r in rows.items():
+        if name in failing_rows:
+            assert (r["closed_form"], r["oracle"], r["verdict"]) == ("nan", "nan", "FAIL")
+        else:
+            assert r["verdict"] != "FAIL" and r["closed_form"] != "nan", name
+    assert "forced failure" in capsys.readouterr().err
+
+
+def test_perfbench_targets_exist(monkeypatch):
+    # the benchmark traces these functions by name; a rename would fail only there
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, layers)  # its dataclasses look it up
+    spec.loader.exec_module(layers)
+    assert layers.TARGETS
+    for module, function, *_ in layers.TARGETS:
+        assert callable(getattr(importlib.import_module(f"relaysec.{module}"), function, None)), \
+            f"relaysec.{module}.{function}"
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -40,6 +40,40 @@ def test_exact_sinrs_zero_source_gain():
     assert b.gamma_d == 0.0
 
 
+def test_exact_sinrs_zero_relay_gain():
+    # h = 0: R1 cannot reach R2, so nothing gets past R1
+    b = exact_sinrs(sample(1.0, 0.0, 1.0))
+    assert b.gamma_r1_p1 == 1.0
+    assert (b.gamma_r2, b.gamma_r1_p3, b.gamma_d) == (0.0, 0.0, 0.0)
+
+
+def test_exact_sinrs_zero_destination_gain():
+    # f = 0: D receives nothing; the relay SINRs keep their f -> 0 limits
+    b = exact_sinrs(sample(1.0, 1.0, 0.0))
+    assert b.gamma_d == 0.0
+    assert b.gamma_r1_p1 == pytest.approx(1.0 / 2.0, rel=1e-15)
+    assert b.gamma_r2 == pytest.approx(1.0 / 4.0, rel=1e-15)
+    assert b.gamma_r1_p3 == pytest.approx(1.0 / 14.0, rel=1e-15)
+    for h, f in ((0.0, 0.0), (2.0, 0.0)):  # h = f = 0 would give 0 * inf naively
+        b = exact_sinrs(sample(0.5, h, f))
+        assert all(math.isfinite(v) for v in vars(b).values())
+        assert b.gamma_d == 0.0
+
+
+@pytest.mark.parametrize("c", [1e100, 1e200, 1e300])
+def test_exact_sinrs_huge_gains(c):
+    # products of the gains overflow float64 here; the SINRs do not, and
+    # the scale-free ones equal their values at unit scale
+    with np.errstate(invalid="raise"):
+        b = exact_sinrs(sample(1.3 * c, 0.7 * c, 2.1 * c))
+        hs = highsnr_sinrs(sample(1.3 * c, 0.7 * c, 2.1 * c))
+    unit = highsnr_sinrs(sample(1.3, 0.7, 2.1))
+    assert b.gamma_d == pytest.approx(c * unit.gamma_d, rel=1e-12)
+    assert b.gamma_r2 == pytest.approx(unit.gamma_r2, rel=1e-12)
+    assert hs.gamma_r1_p3 == pytest.approx(unit.gamma_r1_p3, rel=1e-12)
+    assert hs.gamma_d == pytest.approx(c * unit.gamma_d, rel=1e-12)
+
+
 def test_highsnr_sinrs_unit_gains():
     b = highsnr_sinrs(sample(1.0, 1.0, 1.0))
     assert b.gamma_r1_p1 == pytest.approx(1.0, rel=1e-12)
@@ -84,7 +118,8 @@ def test_highsnr_homogeneity(g, h, f, c):
 def test_exact_converges_to_highsnr():
     # scaling all gains up drives the exact forms to the high-SNR
     # approximations evaluated at the same gains, for the phase-1, R2 and
-    # destination SINRs
+    # destination SINRs; the phase-3 R1 forms keep apart (README,
+    # "Numerical notes")
     g0, h0, f0 = 1.3, 0.7, 2.1
     for c, tol in ((1e3, 2e-2), (1e6, 2e-5)):
         hs = highsnr_sinrs(sample(c * g0, c * h0, c * f0))
