@@ -235,7 +235,12 @@ def high_snr_offset(m_g: float, m_h: float, m_f: float) -> AsymptoteParams:
     lo = min(m_g, m_h, m_f)
     a = 3.0 * EULER_GAMMA - math.log(lo) + math.log(3.0 * lo / m_g + 2.0 * lo / m_h + lo / m_f)
     b = _ratio_log(m_g, m_h)
-    c = math.log((m_g * m_h + m_f * m_h + m_g * m_f) / (m_f * (m_g + m_h)))
+    # c is a ratio of pairwise products, so scaling every power by one power
+    # of two changes no bit; centring the largest and smallest on 1 keeps
+    # the products from underflowing or overflowing.
+    k = (math.frexp(max(m_g, m_h, m_f))[1] + math.frexp(lo)[1]) // 2
+    g, h, f = math.ldexp(m_g, -k), math.ldexp(m_h, -k), math.ldexp(m_f, -k)
+    c = math.log((g * h + f * h + g * f) / (f * (g + h)))
     l_inf = (m_h / (m_f + m_h) * b + m_f / (m_f + m_h) * c + a) / LN2
     return AsymptoteParams(s_infinity=PRELOG[SchemeKind.THREE_HOP], l_infinity=l_inf,
                            a_term=a, b_term=b, c_term=c)

@@ -29,7 +29,8 @@ from relaysec.montecarlo import (
     sample_channels,
     sample_means,
 )
-from relaysec.sinr import PRELOG, SchemeKind, SinrMethod, has_method, highsnr_sinrs, secrecy_rate
+from relaysec.sinr import (LINKS, PRELOG, SchemeKind, SinrMethod, has_method, highsnr_sinrs,
+                           secrecy_rate)
 from relaysec.specfun import bessel_k1, bessel_k1_quadrature, k1_series, lah
 
 EXIT_OK = 0
@@ -360,8 +361,9 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
         return (np.log1p(s.gamma_g / s.gamma_h), x * y / (x + y),
                 np.log1p(highsnr_sinrs(s).gamma_r2))
 
+    hops = LINKS[SchemeKind.THREE_HOP]  # g, h and f: all the T-term, KS and link-mean draws read
     t_mc = functools.cache(lambda: [m for m, _ in sample_means(stats_at(30.0), t_terms, n_mc,
-                                                               spec.seed, spec.workers)])
+                                                               spec.seed, spec.workers, hops)])
     check("T1 closed form vs Monte Carlo", True,
           lambda: (analytics.t1_closed(stats_at(30.0)), t_mc()[0], 0.005 * abs(t_mc()[0])))
     check("E{XY/(X+Y)} quadrature vs Monte Carlo", True,
@@ -398,7 +400,7 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     ks_tol = 0.01 if n_ks >= 10**5 else 1.95 / math.sqrt(n_ks)
     # Stream 10**6 + 2 lies apart from the chunk streams (seed, k) above.
     ks_sample = functools.cache(lambda: sample_channels(stats_at(30.0), RngStream(spec.seed, 10**6 + 2),
-                                                        n_ks))
+                                                        n_ks, hops))
 
     def ks(stat, cdf):
         x, y, st = ks_sample().gamma_g, ks_sample().gamma_h, stats_at(30.0)
@@ -421,7 +423,7 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     # (the corrected reading) on an asymmetric geometry.
     links = ("gamma_h", "bar_h"), ("gamma_f", "bar_f")
     emps = functools.cache(lambda: sample_means(asym(), lambda s: [getattr(s, g) for g, _ in links],
-                                                n_mc, spec.seed, spec.workers))
+                                                n_mc, spec.seed, spec.workers, hops))
     for i, (name, bar) in enumerate(links):
         check(f"sample mean of {name} vs rho*m of its own link", True,
               lambda: (emps()[i][0], getattr(asym(), bar), 4.0 * getattr(asym(), bar) / math.sqrt(n_mc)))

@@ -144,18 +144,33 @@ class ChannelSample:
     """One fading realization (or a vector of realizations) per link.
 
     Fields hold instantaneous received SNRs, i.e. rho * |channel gain|^2,
-    and may be scalars or equally shaped numpy arrays.
+    and may be scalars or equally shaped numpy arrays.  The field order is
+    the draw order.  A link that was not drawn is None, so a scheme that
+    reads it raises; a zero-length array would broadcast silently at n = 1.
     """
 
     gamma_g: np.ndarray | float
     gamma_h: np.ndarray | float
     gamma_f: np.ndarray | float
-    gamma_sr2: np.ndarray | float
-    gamma_sd: np.ndarray | float
-    gamma_dr1: np.ndarray | float
+    gamma_sr2: np.ndarray | float | None = None
+    gamma_sd: np.ndarray | float | None = None
+    gamma_dr1: np.ndarray | float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("gamma_g", "gamma_h", "gamma_f", "gamma_sr2", "gamma_sd", "gamma_dr1"):
-            v = np.asarray(getattr(self, name))
+        for name, v in vars(self).items():
+            if v is None:
+                continue
+            v = np.asarray(v)
             if not (np.all(v >= 0) and np.all(np.isfinite(v))):
                 raise DomainError(f"channel gain {name} must be finite and >= 0")
+
+    def block(self, start: int, stop: int) -> "ChannelSample":
+        """Realizations start:stop of every drawn link, as views.
+
+        A slice of checked gains needs no new check, so __post_init__, about
+        a tenth of the secrecy rate's time on a block, is skipped.
+        """
+        b = object.__new__(ChannelSample)
+        for name, v in vars(self).items():
+            object.__setattr__(b, name, None if v is None else v[start:stop])
+        return b

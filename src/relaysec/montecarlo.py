@@ -16,7 +16,7 @@ import numpy as np
 
 from relaysec.errors import DomainError, NumericError
 from relaysec.model import ChannelSample, ChannelStats
-from relaysec.sinr import SchemeKind, SinrMethod, secrecy_rate, three_hop_sinrs
+from relaysec.sinr import LINKS, SchemeKind, SinrMethod, secrecy_rate, three_hop_sinrs
 
 #: Fixed chunk size; part of the determinism contract (results are chunked
 #: identically no matter how many workers run).
@@ -46,30 +46,39 @@ class EsrEstimate:
 def _draw_exponential(gen: np.random.Generator, mean: float, n: int) -> np.ndarray:
     """Inverse-CDF exponential draws: -mean * ln(U) with U in (0, 1].
 
-    The explicit transform keeps golden values portable.  U = 1 - random()
+    The explicit transform keeps golden values portable; it runs in place
+    on one buffer, and x * -mean equals -mean * x exactly.  U = 1 - random()
     avoids log(0).  Exact zeros, astronomically rare unless the mean is
     subnormal, are redrawn, so every gain is > 0; the redraw ends only for
-    mean > 0, which ChannelStats guarantees.
+    mean > 0, which ChannelStats guarantees.  A mean near the float64
+    maximum can overflow to an infinite gain, which ChannelSample refuses.
     """
-    x = -mean * np.log(1.0 - gen.random(n))
-    while x.min() == 0.0:  # x >= 0, and min is the cheapest test for a zero
-        zero = x == 0.0
-        x[zero] = -mean * np.log(1.0 - gen.random(int(zero.sum())))
+    x = gen.random(n)
+    np.subtract(1.0, x, out=x)
+    np.log(x, out=x)
+    with np.errstate(over="ignore"):
+        x *= -mean
+        while x.min() == 0.0:  # x >= 0, and min is the cheapest test for a zero
+            zero = x == 0.0
+            x[zero] = -mean * np.log(1.0 - gen.random(int(zero.sum())))
     return x
 
 
-def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1) -> ChannelSample:
-    """Draw n independent fading realizations for every link.
+def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1,
+                    links: int = 6) -> ChannelSample:
+    """Draw n independent fading realizations of the first ``links`` links.
 
     Each gain is exponential with mean rho * m of its link; the draw order
-    over links is fixed (g, h, f, sr2, sd, dr1).
+    over links is fixed (g, h, f, sr2, sd, dr1), and the links not drawn
+    are None.  A link's uniforms follow those of the links before it, so a
+    shorter prefix gives the same leading links bit for bit.
     """
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     gen = stream.generator()
     means = (stats.bar_g, stats.bar_h, stats.bar_f,
              stats.rho * stats.m_sr2, stats.rho * stats.m_sd, stats.rho * stats.m_dr1)
-    return ChannelSample(*[_draw_exponential(gen, m, n) for m in means])
+    return ChannelSample(*[_draw_exponential(gen, m, n) for m in means[:links]])
 
 
 def _reduce_chunks(partials: list[tuple[float, float]], n: int) -> tuple[float, float]:
@@ -101,18 +110,18 @@ def _map_chunks(seed: int, n: int, workers: int, fn) -> list:
         return list(pool.map(fn, streams, lengths))
 
 
-def sample_means(stats: ChannelStats, fn, n: int, seed: int,
-                 workers: int = 1) -> list[tuple[float, float]]:
+def sample_means(stats: ChannelStats, fn, n: int, seed: int, workers: int = 1,
+                 links: int = 6) -> list[tuple[float, float]]:
     """Monte Carlo (mean, standard error) of each array fn returns.
 
-    fn maps a ChannelSample of one chunk to a sequence of equally long
-    arrays.  Every array is averaged over the same n realizations, so
-    several quantities share one draw; a non-finite mean raises
-    NumericError.
+    fn maps a ChannelSample of one chunk, holding the first ``links``
+    links, to a sequence of equally long arrays.  Every array is averaged
+    over the same n realizations, so several quantities share one draw; a
+    non-finite mean raises NumericError.
     """
 
     def one_chunk(stream: RngStream, length: int) -> list[tuple[float, float]]:
-        arrays = fn(sample_channels(stats, stream, length))
+        arrays = fn(sample_channels(stats, stream, length, links))
         return [(float(np.sum(a)), float(np.sum(a * a))) for a in map(np.asarray, arrays)]
 
     chunks = _map_chunks(seed, n, workers, one_chunk)
@@ -126,7 +135,7 @@ def estimate_esr(stats: ChannelStats, scheme: SchemeKind, method: SinrMethod,
     A (scheme, method) pair that sinr.has_method refuses raises DomainError.
     """
     [(mean, stderr)] = sample_means(stats, lambda s: [secrecy_rate(s, scheme, method)], n, seed,
-                                    workers)
+                                    workers, LINKS[scheme])
     return EsrEstimate(mean=mean, std_error=stderr, n_samples=n)
 
 
@@ -139,7 +148,7 @@ def estimate_event_probability(stats: ChannelStats, event, n: int, seed: int,
     frequency and its binomial standard error.
     """
     [(p, _)] = sample_means(stats, lambda s: [event(three_hop_sinrs(s, method))], n, seed,
-                            workers)
+                            workers, LINKS[SchemeKind.THREE_HOP])
     return p, math.sqrt(p * (1.0 - p) / n)
 
 

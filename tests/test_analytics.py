@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from relaysec.analytics import (
@@ -339,13 +339,25 @@ def test_slopes():
 
 
 def test_offset_symmetric_components():
-    m = 0.25
-    p = high_snr_offset(m, m, m)
-    assert p.b_term == pytest.approx(1.0, rel=1e-9)
-    assert p.c_term == pytest.approx(math.log(1.5), rel=1e-12)
-    assert p.a_term == pytest.approx(3.0 * EULER_GAMMA - math.log(m / 6.0), rel=1e-12)
-    expected_l = (0.5 * p.b_term + 0.5 * p.c_term + p.a_term) / math.log(2.0)
-    assert p.l_infinity == pytest.approx(expected_l, rel=1e-12)
+    # at 2e-200 every product of two powers underflows to 0, at 1e200 it overflows
+    for m in (0.25, 2e-200, 1e200):
+        p = high_snr_offset(m, m, m)
+        assert p.b_term == pytest.approx(1.0, rel=1e-9)
+        assert p.c_term == pytest.approx(math.log(1.5), rel=1e-12)
+        assert p.a_term == pytest.approx(3.0 * EULER_GAMMA - math.log(m / 6.0), rel=1e-12)
+        expected_l = (0.5 * p.b_term + 0.5 * p.c_term + p.a_term) / math.log(2.0)
+        assert p.l_infinity == pytest.approx(expected_l, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.floats(min_value=1e-100, max_value=1e100)] * 3))
+@example((1e300, 1.0, 1e-25))  # scaled to put 1e300 near 1, 1e-25 would underflow
+def test_offset_c_term_matches_unscaled_form(powers):
+    # where no product of two powers leaves the normal float range, the
+    # power-of-two scaling changes no bit of c
+    g, h, f = powers
+    c = math.log((g * h + f * h + g * f) / (f * (g + h)))
+    assert high_snr_offset(g, h, f).c_term == c
 
 
 def test_offset_reference_value():

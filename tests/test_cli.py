@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import importlib.util
 import io
 import math
@@ -176,13 +177,20 @@ def test_underflowing_layout_gives_finite_bound(tmp_path):
     [row] = out.read_text().strip().split("\n")[1:]
     bound = float(row.split(",")[3])
     assert math.isfinite(bound) and bound >= 0.0
-    # on the -1e119 layout the g and f powers themselves are subnormal
-    for topology in ("-3e100,-1,1,3e100", "-1e119,-1,1,1e119"):
+    # on the -1e119 layout the g and f powers themselves are subnormal; on
+    # the 1e74 one every pairwise product of hop powers underflows, on the
+    # 1e-74 one it overflows
+    for topology in ("-3e100,-1,1,3e100", "-1e119,-1,1,1e119", "0,1e74,2e74,3e74",
+                     "0,1e-74,2e-74,3e-74"):
         out = tmp_path / "a.csv"
         assert main(["asymptote", f"--topology={topology}", "--snr", "0:0:5",
                      "--output", str(out)]) == EXIT_OK
         values = [float(r.split(",")[2]) for r in out.read_text().strip().split("\n")[1:]]
         assert all(math.isfinite(v) for v in values), topology
+        assert main(["sweep", f"--topology={topology}", "--snr", "0:0:5", "--method", "asymptote",
+                     "--output", str(out)]) == EXIT_OK
+        [row] = out.read_text().strip().split("\n")[1:]
+        assert math.isfinite(float(row.split(",")[3])), topology
 
 
 def test_extreme_snr_is_finite(tmp_path):
@@ -209,6 +217,38 @@ def test_snr_outside_float_range_gives_nan_rows(argv, tmp_path):
     # skip asymptote's parameter rows, the ones with an empty second field
     rows = [r for r in out.read_text().strip().split("\n")[1:] if r.split(",")[1]]
     assert rows and all(",nan" in r for r in rows)
+
+
+def test_draw_overflow_gives_nan_row_without_warning(tmp_path, capsys):
+    # rho * m_g is about 1e308, so -m ln(U) overflows to an infinite gain,
+    # which ChannelSample refuses
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--topology=0,1e-113,1,2", "--snr", "30:30:5", "--samples", "100",
+                     "--method", "mc-highsnr", "--output", str(out)]) == EXIT_NUMERIC
+    [row] = out.read_text().strip().split("\n")[1:]
+    assert row == "30,three-hop,mc-highsnr,nan,nan,0,1"
+    [line] = capsys.readouterr().err.strip().split("\n")
+    assert line.startswith("numeric failure at 30.0 dB / three-hop / mc-highsnr:")
+
+
+#: SHA-256 of two sweeps' CSV: no change to the Monte Carlo kernel may move
+#: a byte.  300001 samples span two chunks and end in partial blocks.
+SWEEP_SHA256 = [
+    (["--method", "mc-exact", "--method", "mc-highsnr", "--snr", "0:60:5"],
+     "2744a6f4fbdcb0490bcd10f416321de92fca058b7a4f22339e65ac3bd792f0cb"),
+    (["--scheme", "three-hop", "--scheme", "two-hop-1", "--scheme", "two-hop-2", "--scheme", "direct",
+      "--method", "mc-exact", "--snr", "0:25:5", "--workers", "2"],
+     "99f8c0999e25f030aab248a753feb370b97f5b4551f4df96ff4b2ae8e2d2a4b0"),
+]
+
+
+@pytest.mark.parametrize("flags, sha256", SWEEP_SHA256, ids=["three-hop", "four-schemes"])
+def test_sweep_bytes_pinned(flags, sha256, tmp_path):
+    out = tmp_path / "pinned.csv"
+    assert main(["sweep", *flags, "--samples", "300001", "--output", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_asymptote_output():

@@ -7,13 +7,14 @@ from relaysec.model import TOPOLOGY_1, ChannelStats, db_to_linear, topology_to_s
 from relaysec.montecarlo import (
     CHUNK_SIZE,
     RngStream,
+    _draw_exponential,
     empirical_cdf_ks,
     estimate_esr,
     estimate_event_probability,
     sample_channels,
     sample_means,
 )
-from relaysec.sinr import SchemeKind, SinrMethod, exact_sinrs, instantaneous_secrecy_rate
+from relaysec.sinr import LINKS, SchemeKind, SinrMethod, exact_sinrs, instantaneous_secrecy_rate
 
 
 def test_chunk_size_is_power_of_two():
@@ -51,6 +52,29 @@ def test_subnormal_mean_redraws_zeros():
     stats = ChannelStats(5e-324, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1.0)
     s = sample_channels(stats, RngStream(3), n=1000)
     assert np.all(s.gamma_g > 0)
+
+
+@pytest.mark.parametrize("stats", [
+    topology_to_stats(TOPOLOGY_1, db_to_linear(30.0)),
+    # subnormal g and sr2 means: their zero redraws take extra uniforms
+    ChannelStats(5e-324, 1.0, 1.0, 5e-324, 1.0, 1.0, rho=1.0),
+], ids=["30dB", "redraws"])
+def test_link_prefix_matches_full_draw(stats):
+    full = sample_channels(stats, RngStream(4, 2), n=5000)
+    for links in sorted(set(LINKS.values())):
+        part = sample_channels(stats, RngStream(4, 2), n=5000, links=links)
+        for k, (name, v) in enumerate(vars(part).items()):
+            if k < links:
+                assert np.array_equal(v, getattr(full, name)), (links, name)
+            else:
+                assert v is None, (links, name)
+
+
+def test_draw_matches_reference_transform():
+    # the in-place draw against the out-of-place -mean * ln(1 - U)
+    for mean in (1e-3, 1.0, 1e300):
+        ref = -mean * np.log(1.0 - RngStream(6).generator().random(10_000))
+        assert np.array_equal(_draw_exponential(RngStream(6).generator(), mean, 10_000), ref)
 
 
 def test_ratio_distribution_ks(stats_30db):

@@ -7,14 +7,19 @@ from hypothesis import given, settings, strategies as st
 from relaysec.errors import DegenerateSampleError, DomainError
 from relaysec.model import ChannelSample
 from relaysec.sinr import (
+    BLOCK_SIZE,
+    LINKS,
     PRELOG,
     SchemeKind,
     SinrMethod,
     baseline_sinrs,
     exact_sinrs,
+    has_method,
     highsnr_sinrs,
     instantaneous_secrecy_rate,
+    secrecy_rate,
     secrecy_rate_from_pair,
+    three_hop_sinrs,
 )
 
 pos_gain = st.floats(min_value=1e-3, max_value=1e6)
@@ -210,3 +215,45 @@ def test_baseline_rejects_three_hop_and_bad_combining():
         baseline_sinrs(s, SchemeKind.THREE_HOP)
     with pytest.raises(DomainError):
         baseline_sinrs(s, SchemeKind.DIRECT, combining="mrc")
+
+
+#: Exponential gains of all six links, 2^18 realizations each, with means
+#: that give a positive secrecy rate in a good share of realizations.
+GAINS = np.random.default_rng(3).exponential(
+    np.array([[300.0], [100.0], [300.0], [30.0], [10.0], [100.0]]), size=(6, 1 << 18))
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 7,
+                               1 << 18])
+def test_blocked_secrecy_rate_matches_one_pass(n):
+    # the unblocked reference evaluates the whole sample in one pass
+    s = ChannelSample(*GAINS[:, :n])
+    for scheme in SchemeKind:
+        for method in SinrMethod:
+            if not has_method(scheme, method.value):
+                continue
+            for combining in ("selection", "sum"):
+                if scheme is SchemeKind.THREE_HOP:
+                    ref = instantaneous_secrecy_rate(three_hop_sinrs(s, method))
+                else:
+                    ref = secrecy_rate_from_pair(*baseline_sinrs(s, scheme, combining),
+                                                 PRELOG[scheme])
+                got = secrecy_rate(s, scheme, method, combining)
+                assert got.shape == (n,)
+                assert np.array_equal(got, ref), (scheme, method, combining)
+                assert n == 1 or np.any(got > 0)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_SIZE + 1])
+def test_rate_reading_an_undrawn_link_raises(n):
+    s = ChannelSample(*GAINS[:LINKS[SchemeKind.THREE_HOP], :n])
+    assert s.gamma_sr2 is None and s.gamma_sd is None and s.gamma_dr1 is None
+    secrecy_rate(s, SchemeKind.THREE_HOP, SinrMethod.EXACT)
+    for scheme in (SchemeKind.TWO_HOP_CASE_I, SchemeKind.TWO_HOP_CASE_II, SchemeKind.DIRECT):
+        with pytest.raises(TypeError):
+            secrecy_rate(s, scheme, SinrMethod.EXACT)
+    # direct reads the first five links, a two-hop scheme all six
+    five = ChannelSample(*GAINS[:LINKS[SchemeKind.DIRECT], :n])
+    secrecy_rate(five, SchemeKind.DIRECT, SinrMethod.EXACT)
+    with pytest.raises(TypeError):
+        secrecy_rate(five, SchemeKind.TWO_HOP_CASE_I, SinrMethod.EXACT)
