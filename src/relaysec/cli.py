@@ -22,6 +22,7 @@ from relaysec import analytics
 from relaysec.errors import RelaysecError
 from relaysec.model import TOPOLOGY_1, ChannelStats, Topology, db_to_linear, topology_to_stats
 from relaysec.montecarlo import (
+    EsrPass,
     RngStream,
     empirical_cdf_ks,
     estimate_esr,
@@ -197,11 +198,19 @@ def cmd_sweep(spec: SweepSpec, out) -> int:
     status = EXIT_OK
     print(SWEEP_HEADER, file=out)
     m_hops = topology_to_stats(spec.topology, 1.0)
-    for snr_db in spec.snr_points_db():
-        try:
-            stats = topology_to_stats(spec.topology, db_to_linear(snr_db))
-        except NUMERIC_FAILURES as exc:
-            stats = exc  # every row of this point reports it
+    snrs = spec.snr_points_db()
+    # Lazy, so a closed-form grid of up to MAX_SNR_POINTS holds no list of stats.
+    points = (_point_stats(spec.topology, snr_db) for snr_db in snrs)
+    mc_rows = [(scheme, MC_METHODS[m]) for scheme in spec.schemes for m in spec.methods
+               if m in MC_METHODS and has_method(scheme, m)]
+    esr_pass = None
+    if mc_rows:
+        # One pass draws each chunk once for every Monte Carlo row; it runs
+        # on the first row read.
+        points = list(points)
+        esr_pass = EsrPass([(stats, *row) for stats in points if isinstance(stats, ChannelStats)
+                            for row in mc_rows], spec.n_samples, spec.seed, spec.workers)
+    for snr_db, stats in zip(snrs, points):
         for scheme in spec.schemes:
             for method in spec.methods:
                 if not has_method(scheme, method):
@@ -211,8 +220,8 @@ def cmd_sweep(spec: SweepSpec, out) -> int:
                         raise stats
                     std_error, n = 0.0, 0  # closed forms have no sampling error
                     if method in MC_METHODS:
-                        est = estimate_esr(stats, scheme, MC_METHODS[method],
-                                           spec.n_samples, spec.seed, spec.workers)
+                        est = estimate_esr(stats, scheme, MC_METHODS[method], spec.n_samples,
+                                           spec.seed, spec.workers, esr_pass)
                         esr, std_error, n = est.mean, est.std_error, est.n_samples
                     elif method == "closed-form-lb":
                         esr = analytics.esr_lower_bound(stats)
@@ -225,6 +234,14 @@ def cmd_sweep(spec: SweepSpec, out) -> int:
                 print(",".join((fmt(snr_db), scheme.value, method, fmt(esr), fmt(std_error), str(n),
                                 str(spec.seed))), file=out)
     return status
+
+
+def _point_stats(topology: Topology, snr_db: float) -> ChannelStats | Exception:
+    """The point's channel statistics, or the failure every row of the point reports."""
+    try:
+        return topology_to_stats(topology, db_to_linear(snr_db))
+    except NUMERIC_FAILURES as exc:
+        return exc
 
 
 def cmd_asymptote(spec: SweepSpec, out) -> int:

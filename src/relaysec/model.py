@@ -161,7 +161,9 @@ class ChannelSample:
             if v is None:
                 continue
             v = np.asarray(v)
-            if not (np.all(v >= 0) and np.all(np.isfinite(v))):
+            # min and max: two passes and no temporaries; nan fails the
+            # first test, and an empty array has nothing to check.
+            if v.size and not (0.0 <= v.min() and v.max() < math.inf):
                 raise DomainError(f"channel gain {name} must be finite and >= 0")
 
     def block(self, start: int, stop: int) -> "ChannelSample":

@@ -2,8 +2,10 @@
 
 Sampling is chunked with one counter-derived RNG stream per chunk, so the
 result of an estimate depends only on (seed, n) and never on how many
-workers processed the chunks.  sample_means is the one chunked engine;
-estimate_esr and estimate_event_probability are thin layers on it.
+workers processed the chunks.  EsrPass estimates the ESR of many
+(SNR point, scheme, method) rows from one draw per chunk, and estimate_esr
+reads one row of it; sample_means averages any other function of the
+fading, such as estimate_event_probability's event.
 """
 
 from __future__ import annotations
@@ -14,13 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relaysec.errors import DomainError, NumericError
+from relaysec.errors import DomainError, NumericError, RelaysecError
 from relaysec.model import ChannelSample, ChannelStats
-from relaysec.sinr import LINKS, SchemeKind, SinrMethod, secrecy_rate, three_hop_sinrs
+from relaysec.sinr import (BLOCK_SIZE, LINKS, SchemeKind, SinrMethod, has_method, secrecy_rate,
+                           three_hop_sinrs)
 
 #: Fixed chunk size; part of the determinism contract (results are chunked
 #: identically no matter how many workers run).
 CHUNK_SIZE = 1 << 18
+
+#: Every mean 1: EsrPass draws these gains once per chunk and scales them
+#: by each SNR point's rho * m.
+UNIT = ChannelStats(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1.0)
 
 
 @dataclass(frozen=True)
@@ -76,9 +83,13 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1,
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     gen = stream.generator()
-    means = (stats.bar_g, stats.bar_h, stats.bar_f,
-             stats.rho * stats.m_sr2, stats.rho * stats.m_sd, stats.rho * stats.m_dr1)
-    return ChannelSample(*[_draw_exponential(gen, m, n) for m in means[:links]])
+    return ChannelSample(*[_draw_exponential(gen, m, n) for m in _link_means(stats)[:links]])
+
+
+def _link_means(stats: ChannelStats) -> tuple[float, ...]:
+    """Exponential mean rho * m of every link, in draw order."""
+    return (stats.bar_g, stats.bar_h, stats.bar_f,
+            stats.rho * stats.m_sr2, stats.rho * stats.m_sd, stats.rho * stats.m_dr1)
 
 
 def _reduce_chunks(partials: list[tuple[float, float]], n: int) -> tuple[float, float]:
@@ -110,6 +121,14 @@ def _map_chunks(seed: int, n: int, workers: int, fn) -> list:
         return list(pool.map(fn, streams, lengths))
 
 
+def _moments(a: np.ndarray, out: np.ndarray | None = None) -> tuple[float, float]:
+    """(sum, sum of squares) of one chunk's array, each summed whole.
+
+    The squares go to ``out``, which may be ``a`` itself.
+    """
+    return float(np.sum(a)), float(np.sum(np.multiply(a, a, out=out)))
+
+
 def sample_means(stats: ChannelStats, fn, n: int, seed: int, workers: int = 1,
                  links: int = 6) -> list[tuple[float, float]]:
     """Monte Carlo (mean, standard error) of each array fn returns.
@@ -121,22 +140,123 @@ def sample_means(stats: ChannelStats, fn, n: int, seed: int, workers: int = 1,
     """
 
     def one_chunk(stream: RngStream, length: int) -> list[tuple[float, float]]:
-        arrays = fn(sample_channels(stats, stream, length, links))
-        return [(float(np.sum(a)), float(np.sum(a * a))) for a in map(np.asarray, arrays)]
+        return [_moments(np.asarray(a)) for a in fn(sample_channels(stats, stream, length, links))]
 
     chunks = _map_chunks(seed, n, workers, one_chunk)
     return [_reduce_chunks([c[i] for c in chunks], n) for i in range(len(chunks[0]))]
 
 
+class EsrPass:
+    """Monte Carlo ESR of many (stats, scheme, method) rows over one draw per chunk.
+
+    Each chunk draws unit-mean gains once, for the longest sinr.LINKS prefix
+    any row reads, and a row scales them by its point's rho * m.  As
+    ln(1 - U) * -1 * m equals ln(1 - U) * -m exactly, every row gets the
+    bits that sample_channels(stats, ...) gives it.  Scaling is monotone, so
+    the unit gains' extremes tell in advance where a scaled gain is 0 or
+    infinite.  A 0 (from a tiny rho * m) is redrawn by sample_channels, which
+    shifts the later uniforms, so that (point, chunk) draws its own sample.
+    An infinite gain fails, with DomainError, only the rows that read its
+    link.  The pass runs on the first estimate read.
+    """
+
+    def __init__(self, rows, n: int, seed: int, workers: int = 1) -> None:
+        if n < 1:
+            raise DomainError(f"sample count must be >= 1, got {n}")
+        self.n, self.seed, self.workers = n, seed, workers
+        #: stats -> its (scheme, method) rows, each once, in first-seen order
+        self._points: dict[ChannelStats, dict[tuple[SchemeKind, SinrMethod], None]] = {}
+        for stats, scheme, method in rows:
+            if not has_method(scheme, method.value):
+                raise DomainError(f"{scheme.value} supports only the exact SINR method")
+            self._points.setdefault(stats, {})[scheme, method] = None
+        self._results: dict | None = None
+
+    def estimate(self, stats: ChannelStats, scheme: SchemeKind, method: SinrMethod) -> EsrEstimate:
+        """The row's estimate; raises the row's failure, if it had one."""
+        if self._results is None:
+            self._results = self._run()
+        result = self._results[stats, scheme, method]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def _run(self) -> dict:
+        keys = [(stats, *row) for stats, rows in self._points.items() for row in rows]
+        links = max(LINKS[scheme] for _, scheme, _ in keys)
+        chunks = _map_chunks(self.seed, self.n, self.workers,
+                             lambda stream, length: self._chunk(stream, length, links))
+        results: dict = {}
+        for i, key in enumerate(keys):
+            parts = [c[i] for c in chunks]
+            # a row that failed keeps its first failure, in chunk order
+            failed = next((p for p in parts if isinstance(p, Exception)), None)
+            try:
+                results[key] = failed or EsrEstimate(*_reduce_chunks(parts, self.n), self.n)
+            except NumericError as exc:
+                results[key] = exc
+        return results
+
+    def _chunk(self, stream: RngStream, length: int, links: int) -> list:
+        """Each row's (sum, sum of squares) over one chunk, or its failure."""
+        unit = sample_channels(UNIT, stream, length, links)
+        names, gains = zip(*list(vars(unit).items())[:links])
+        lows = [float(v.min()) for v in gains]
+        highs = [float(v.max()) for v in gains]
+        buf = np.zeros((links, min(length, BLOCK_SIZE)))
+        rate = np.empty(length)
+        out: list = []
+        for stats, rows in self._points.items():
+            means = _link_means(stats)
+            read = max(LINKS[scheme] for scheme, _ in rows)
+            redraw = any(lo * m == 0.0 for lo, m in zip(lows[:read], means))
+            for scheme, method in rows:
+                k = LINKS[scheme]
+                try:
+                    if redraw:
+                        rate_k = secrecy_rate(sample_channels(stats, stream, length, k), scheme,
+                                              method)
+                    else:
+                        for name, hi, m in zip(names[:k], highs, means):
+                            if hi * m == math.inf:
+                                raise DomainError(f"channel gain {name} must be finite and >= 0")
+                        rate_k = _scaled_rate(unit, means[:k], scheme, method, buf[:k], rate)
+                    out.append(_moments(rate_k, out=rate_k))  # squared in place: read no more
+                except RelaysecError as exc:
+                    out.append(exc)
+        return out
+
+
+def _scaled_rate(unit: ChannelSample, means, scheme: SchemeKind, method: SinrMethod,
+                 buf: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Fill rate with the secrecy rate on the unit gains times means (all finite).
+
+    Each BLOCK_SIZE block of every link is scaled into that link's row of buf.
+    """
+    view = ChannelSample(*buf)  # checked once; every block below rewrites buf in place
+    for start in range(0, rate.size, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, rate.size)
+        for u, m, b in zip(vars(unit).values(), means, buf):
+            np.multiply(u[start:stop], m, out=b[:stop - start])
+        rate[start:stop] = secrecy_rate(view.block(0, stop - start), scheme, method)
+    return rate
+
+
 def estimate_esr(stats: ChannelStats, scheme: SchemeKind, method: SinrMethod,
-                 n: int, seed: int, workers: int = 1) -> EsrEstimate:
+                 n: int, seed: int, workers: int = 1,
+                 esr_pass: EsrPass | None = None) -> EsrEstimate:
     """Unbiased Monte Carlo ESR estimate over n fading realizations.
 
-    A (scheme, method) pair that sinr.has_method refuses raises DomainError.
+    The row is read from ``esr_pass``, a pass over the same n and seed that
+    holds it; without one, a pass of this row alone runs.  A (scheme,
+    method) pair that sinr.has_method refuses raises DomainError.
     """
-    [(mean, stderr)] = sample_means(stats, lambda s: [secrecy_rate(s, scheme, method)], n, seed,
-                                    workers, LINKS[scheme])
-    return EsrEstimate(mean=mean, std_error=stderr, n_samples=n)
+    if esr_pass is None:
+        esr_pass = EsrPass([(stats, scheme, method)], n, seed, workers)
+    elif (n, seed) != (esr_pass.n, esr_pass.seed):
+        raise DomainError(f"pass over n = {esr_pass.n}, seed = {esr_pass.seed} asked for "
+                          f"n = {n}, seed = {seed}")
+    return esr_pass.estimate(stats, scheme, method)
 
 
 def estimate_event_probability(stats: ChannelStats, event, n: int, seed: int,

@@ -15,7 +15,7 @@ import pytest
 from relaysec.analytics import esr_asymptote, esr_lower_bound, prob_r1_dominates_oracle
 from relaysec.cli import SweepSpec, cmd_sweep, validate_checks
 from relaysec.model import TOPOLOGY_1, db_to_linear, topology_to_stats
-from relaysec.montecarlo import estimate_esr, estimate_event_probability
+from relaysec.montecarlo import EsrPass, estimate_esr, estimate_event_probability
 from relaysec.sinr import SchemeKind, SinrMethod
 
 SEED = 1
@@ -34,28 +34,27 @@ def report(capsys):
     return _report
 
 
+def mc_exact_sweep(dbs, schemes):
+    """(db, scheme) -> (stats, mc-exact estimate), every point read from one shared pass."""
+    stats = {db: topology_to_stats(TOPOLOGY_1, db_to_linear(float(db))) for db in dbs}
+    shared = EsrPass([(stats[db], kind, SinrMethod.EXACT) for db in dbs for kind in schemes],
+                     N_SWEEP, seed=SEED, workers=4)
+    return {(db, kind): (stats[db], estimate_esr(stats[db], kind, SinrMethod.EXACT, N_SWEEP,
+                                                 seed=SEED, workers=4, esr_pass=shared))
+            for db in dbs for kind in schemes}
+
+
 @pytest.fixture(scope="module")
 def three_hop_sweep():
     """db -> (closed-form lower bound, mc-exact estimate) on the reference topology."""
-    out = {}
-    for db in SWEEP_DBS:
-        stats = topology_to_stats(TOPOLOGY_1, db_to_linear(float(db)))
-        est = estimate_esr(stats, SchemeKind.THREE_HOP, SinrMethod.EXACT, N_SWEEP,
-                           seed=SEED, workers=4)
-        out[db] = (esr_lower_bound(stats), est)
-    return out
+    return {db: (esr_lower_bound(stats), est)
+            for (db, _), (stats, est) in mc_exact_sweep(SWEEP_DBS, [SchemeKind.THREE_HOP]).items()}
 
 
 @pytest.fixture(scope="module")
 def baseline_sweep():
     """(db, scheme) -> mc-exact estimate for the comparison schemes at low SNR."""
-    out = {}
-    for db in LOW_DBS:
-        stats = topology_to_stats(TOPOLOGY_1, db_to_linear(float(db)))
-        for kind in BASELINES:
-            out[(db, kind)] = estimate_esr(stats, kind, SinrMethod.EXACT, N_SWEEP,
-                                           seed=SEED, workers=4)
-    return out
+    return {key: est for key, (_, est) in mc_exact_sweep(LOW_DBS, BASELINES).items()}
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -233,6 +235,32 @@ def test_draw_overflow_gives_nan_row_without_warning(tmp_path, capsys):
     assert line.startswith("numeric failure at 30.0 dB / three-hop / mc-highsnr:")
 
 
+def test_overflowing_point_fails_only_its_rows(tmp_path, capsys):
+    # at 30 dB rho * m_g is about 1.3e308, so g overflows and every row of
+    # that point (all read g) fails; the pass shares its draw with the
+    # other points, whose rows must not change
+    argv = ["sweep", "--topology=0,1e-113,1,2", "--method", "mc-highsnr", "--method", "mc-exact",
+            "--scheme", "three-hop", "--scheme", "direct", "--samples", "1000"]
+
+    def sweep(snr):
+        out = tmp_path / "iso.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main(argv + [f"--snr={snr}", "--output", str(out)])
+        return status, out.read_text().strip().split("\n")[1:], capsys.readouterr().err
+
+    status, rows, err = sweep("-30:30:30")
+    assert status == EXIT_NUMERIC
+    nan_rows = [r for r in rows if ",nan," in r]
+    assert nan_rows == [r for r in rows if r.startswith("30,")] and len(nan_rows) == 3
+    assert len([l for l in err.split("\n") if l.startswith("numeric failure at 30.0 dB")]) == 3
+    assert len(err.strip().split("\n")) == 3
+    for snr in ("-30", "0"):
+        single_status, single, _ = sweep(f"{snr}:{snr}:30")
+        assert single_status == EXIT_OK
+        assert single == [r for r in rows if r.split(",")[0] == snr]
+
+
 #: SHA-256 of two sweeps' CSV: no change to the Monte Carlo kernel may move
 #: a byte.  300001 samples span two chunks and end in partial blocks.
 SWEEP_SHA256 = [
@@ -320,17 +348,46 @@ def test_validate_failing_check_keeps_other_rows(dependency, failing_rows, tmp_p
     assert "forced failure" in capsys.readouterr().err
 
 
+def load_perfbench(name, monkeypatch):
+    """The benchmark's module ``perfbench/<name>.py``, loaded without changing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_perfbench_targets_exist(monkeypatch):
     # the benchmark traces these functions by name; a rename would fail only there
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
-    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
-    layers = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, layers)  # its dataclasses look it up
-    spec.loader.exec_module(layers)
+    layers = load_perfbench("layers", monkeypatch)
     assert layers.TARGETS
     for module, function, *_ in layers.TARGETS:
         assert callable(getattr(importlib.import_module(f"relaysec.{module}"), function, None)), \
             f"relaysec.{module}.{function}"
+
+
+@pytest.mark.parametrize("workload", ["esr-sweep", "scheme-compare"])
+def test_perfbench_traced_sweep_records_expected_layers(workload, monkeypatch, tmp_path):
+    # a traced benchmark run exits 1 when a layer it expects records no call,
+    # so run the workload's sweeps, at fewer samples, under its tracer
+    layers = load_perfbench("layers", monkeypatch)
+    work = load_perfbench("workloads", monkeypatch).workload(workload, 1)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        t0 = time.perf_counter()
+        for op in work.ops:
+            argv = list(op.argv)
+            argv[argv.index("--samples") + 1] = "3000"
+            assert main(argv + ["--output", str(tmp_path / "out.csv")]) == EXIT_OK
+        wall = time.perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    spans = tracer.take()
+    assert work.expected_layers <= {sp.layer for sp in spans}
+    metrics = layers.pass_metrics(spans, wall, threading.get_ident())
+    assert metrics["montecarlo.estimate_esr.calls"] > 0
 
 
 def test_import_leaves_scipy_integrate_unloaded():

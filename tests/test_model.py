@@ -1,6 +1,7 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -124,3 +125,18 @@ def test_negative_sample_rejected():
         ChannelSample(1.0, -0.5, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         ChannelSample(1.0, math.inf, 1.0, 1.0, 1.0, 1.0)
+
+
+def test_gain_check_edge_cases():
+    # an empty array has nothing to check and passes, as it did under np.all
+    empty = np.array([])
+    ChannelSample(empty, empty, empty)
+    # scalars are 0-d arrays to the check
+    ChannelSample(0.0, 1.0, 2.0, 3.0)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ChannelSample(1.0, bad, 1.0)
+    # nan anywhere in an array fails, first or last
+    for gains in ([math.nan, 1.0, 2.0], [1.0, 2.0, math.nan], [0.0, math.inf]):
+        with pytest.raises(DomainError):
+            ChannelSample(np.ones(len(gains)), np.ones(len(gains)), np.array(gains))

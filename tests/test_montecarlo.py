@@ -1,20 +1,27 @@
+import functools
+
 import numpy as np
 import pytest
 
 from relaysec.analytics import cdf_harmonic, cdf_ratio, esr_lower_bound
 from relaysec.errors import DomainError, NumericError
 from relaysec.model import TOPOLOGY_1, ChannelStats, db_to_linear, topology_to_stats
+import relaysec.montecarlo as montecarlo
 from relaysec.montecarlo import (
     CHUNK_SIZE,
+    UNIT,
+    EsrPass,
     RngStream,
     _draw_exponential,
+    _reduce_chunks,
     empirical_cdf_ks,
     estimate_esr,
     estimate_event_probability,
     sample_channels,
     sample_means,
 )
-from relaysec.sinr import LINKS, SchemeKind, SinrMethod, exact_sinrs, instantaneous_secrecy_rate
+from relaysec.sinr import (LINKS, SchemeKind, SinrMethod, exact_sinrs, has_method,
+                           instantaneous_secrecy_rate, secrecy_rate)
 
 
 def test_chunk_size_is_power_of_two():
@@ -209,3 +216,92 @@ def test_invalid_sample_counts(stats_30db):
         sample_channels(stats_30db, RngStream(1), n=0)
     with pytest.raises(DomainError):
         empirical_cdf_ks(np.array([]), lambda x: x)
+
+
+#: Every (scheme, method) pair that exists.
+PAIRS = [(scheme, method) for scheme in SchemeKind for method in SinrMethod
+         if has_method(scheme, method.value)]
+#: Subnormal means that never round a gain to 0, and the smallest one, which
+#: rounds about 40% of gains to 0 and so forces the point's own draw: on the
+#: first link, and on the fifth, which only direct and two-hop read.
+SUBNORMAL = ChannelStats(1e-310, 1.0, 1.0, 1e-310, 1.0, 2.0, rho=1.0)
+REDRAWN = (ChannelStats(5e-324, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1.0),
+           ChannelStats(1.0, 1.0, 1.0, 1.0, 5e-324, 1.0, rho=1.0))
+POINTS = [topology_to_stats(TOPOLOGY_1, db_to_linear(10.0)), SUBNORMAL, *REDRAWN]
+
+
+@functools.cache
+def reference_esr(stats, n, seed):
+    """(scheme, method) -> (mean, std_error) of every pair, each chunk from the
+    point's own draw: sample_channels(stats, ...) and secrecy_rate."""
+    parts = {pair: [] for pair in PAIRS}
+    for k, start in enumerate(range(0, n, CHUNK_SIZE)):
+        # all six links: each scheme reads its prefix, the same bits as a shorter draw
+        s = sample_channels(stats, RngStream(seed, k), min(CHUNK_SIZE, n - start))
+        for pair, p in parts.items():
+            a = secrecy_rate(s, *pair)
+            p.append((float(np.sum(a)), float(np.sum(a * a))))
+    return {pair: _reduce_chunks(p, n) for pair, p in parts.items()}
+
+
+def spy_on_draws(monkeypatch):
+    """Record the stats of every sample_channels call the pass makes."""
+    calls = []
+
+    def spy(stats, *args, **kwargs):
+        calls.append(stats)
+        return sample_channels(stats, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "sample_channels", spy)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n", [1, CHUNK_SIZE - 1, CHUNK_SIZE + 1, 300_001])
+def test_pass_matches_per_point_draws(n, workers, monkeypatch):
+    rows = [(stats, scheme, method) for stats in POINTS for scheme, method in PAIRS]
+    calls = spy_on_draws(monkeypatch)
+    shared = EsrPass(rows, n, seed=7, workers=workers)
+    for stats, scheme, method in rows:
+        est = estimate_esr(stats, scheme, method, n, 7, workers, shared)
+        assert (est.mean, est.std_error) == reference_esr(stats, n, 7)[scheme, method], \
+            (stats, scheme, method)
+        assert est.n_samples == n
+    chunks = -(-n // CHUNK_SIZE)
+    assert calls.count(UNIT) == chunks
+    # only the points whose gains round to 0 draw again, for every row of a
+    # chunk where one does (the first chunk holds at least 2^18 - 1 gains)
+    assert set(calls) <= {UNIT, *REDRAWN}
+    for stats in REDRAWN:
+        assert calls.count(stats) % len(PAIRS) == 0
+        assert calls.count(stats) >= (len(PAIRS) if n > 1 else 0)
+
+
+def test_pass_runs_on_first_read(monkeypatch):
+    calls = spy_on_draws(monkeypatch)
+    shared = EsrPass([(POINTS[0], SchemeKind.THREE_HOP, SinrMethod.EXACT)], 1000, seed=1)
+    assert calls == []
+    shared.estimate(POINTS[0], SchemeKind.THREE_HOP, SinrMethod.EXACT)
+    shared.estimate(POINTS[0], SchemeKind.THREE_HOP, SinrMethod.EXACT)
+    assert calls == [UNIT]
+
+
+def test_pass_infinite_gain_fails_only_rows_reading_it():
+    # rho * m_sd near the float64 maximum: the direct scheme's sd gains
+    # overflow, while three-hop reads g, h and f only
+    stats = ChannelStats(1.0, 1.0, 1.0, 1.0, 1e308, 1.0, rho=1.0)
+    shared = EsrPass([(stats, SchemeKind.THREE_HOP, SinrMethod.EXACT),
+                      (stats, SchemeKind.DIRECT, SinrMethod.EXACT)], 1000, seed=3)
+    with pytest.raises(DomainError, match="gamma_sd"):
+        estimate_esr(stats, SchemeKind.DIRECT, SinrMethod.EXACT, 1000, 3, esr_pass=shared)
+    est = estimate_esr(stats, SchemeKind.THREE_HOP, SinrMethod.EXACT, 1000, 3, esr_pass=shared)
+    a = secrecy_rate(sample_channels(stats, RngStream(3, 0), 1000, links=3), SchemeKind.THREE_HOP,
+                     SinrMethod.EXACT)
+    assert (est.mean, est.std_error) == _reduce_chunks([(np.sum(a), np.sum(a * a))], 1000)
+
+
+def test_pass_refuses_other_sample_count_or_seed(stats_30db):
+    shared = EsrPass([(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT)], 1000, seed=1)
+    for n, seed in ((999, 1), (1000, 2)):
+        with pytest.raises(DomainError):
+            estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, n, seed, esr_pass=shared)
