@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -22,13 +23,13 @@ from relaysec import analytics
 from relaysec.errors import RelaysecError
 from relaysec.model import TOPOLOGY_1, ChannelStats, Topology, db_to_linear, topology_to_stats
 from relaysec.montecarlo import (
-    EsrPass,
+    MeanPass,
     RngStream,
     empirical_cdf_ks,
+    esr_rows,
     estimate_esr,
     estimate_event_probability,
     sample_channels,
-    sample_means,
 )
 from relaysec.sinr import (LINKS, PRELOG, SchemeKind, SinrMethod, has_method, highsnr_sinrs,
                            secrecy_rate)
@@ -203,13 +204,14 @@ def cmd_sweep(spec: SweepSpec, out) -> int:
     points = (_point_stats(spec.topology, snr_db) for snr_db in snrs)
     mc_rows = [(scheme, MC_METHODS[m]) for scheme in spec.schemes for m in spec.methods
                if m in MC_METHODS and has_method(scheme, m)]
-    esr_pass = None
+    mc_pass = None
     if mc_rows:
         # One pass draws each chunk once for every Monte Carlo row; it runs
         # on the first row read.
         points = list(points)
-        esr_pass = EsrPass([(stats, *row) for stats in points if isinstance(stats, ChannelStats)
-                            for row in mc_rows], spec.n_samples, spec.seed, spec.workers)
+        mc_pass = MeanPass(esr_rows((stats, *row) for stats in points
+                                    if isinstance(stats, ChannelStats) for row in mc_rows),
+                           spec.n_samples, spec.seed, spec.workers)
     for snr_db, stats in zip(snrs, points):
         for scheme in spec.schemes:
             for method in spec.methods:
@@ -221,7 +223,7 @@ def cmd_sweep(spec: SweepSpec, out) -> int:
                     std_error, n = 0.0, 0  # closed forms have no sampling error
                     if method in MC_METHODS:
                         est = estimate_esr(stats, scheme, MC_METHODS[method], spec.n_samples,
-                                           spec.seed, spec.workers, esr_pass)
+                                           spec.seed, spec.workers, mc_pass)
                         esr, std_error, n = est.mean, est.std_error, est.n_samples
                     elif method == "closed-form-lb":
                         esr = analytics.esr_lower_bound(stats)
@@ -354,6 +356,11 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     def stats_at(db: float) -> ChannelStats:
         return topology_to_stats(spec.topology, db_to_linear(db))
 
+    def sampled(rows):
+        """key -> Monte Carlo mean of the rows() MeanPass row; one pass serves every key."""
+        shared = functools.cache(lambda: MeanPass(rows(), n_mc, spec.seed, spec.workers))
+        return lambda key: shared().mean(key)[0]
+
     # Dominance probability: exact closed form vs Monte Carlo (gating) and vs
     # the published series (informational; printed form is not scale-invariant).
     def p_vs_mc():
@@ -372,24 +379,25 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
 
     # T1, E{XY/(X+Y)} and T2 against Monte Carlo means over one draw; the
     # E{XY/(X+Y)} case with means 1.3 and 0.7 rescales the g and h gains.
-    def t_terms(s):
+    def harmonic(s):
         x = 1.3 * (s.gamma_g / stats_at(30.0).bar_g)
         y = 0.7 * (s.gamma_h / stats_at(30.0).bar_h)
-        return (np.log1p(s.gamma_g / s.gamma_h), x * y / (x + y),
-                np.log1p(highsnr_sinrs(s).gamma_r2))
+        return x * y / (x + y)
 
+    t_terms = {"T1": lambda s: np.log1p(s.gamma_g / s.gamma_h), "XY/(X+Y)": harmonic,
+               "T2": lambda s: np.log1p(highsnr_sinrs(s).gamma_r2)}
     hops = LINKS[SchemeKind.THREE_HOP]  # g, h and f: all the T-term, KS and link-mean draws read
-    t_mc = functools.cache(lambda: [m for m, _ in sample_means(stats_at(30.0), t_terms, n_mc,
-                                                               spec.seed, spec.workers, hops)])
+    t_mc = sampled(lambda: {term: (stats_at(30.0), fn, hops) for term, fn in t_terms.items()})
     check("T1 closed form vs Monte Carlo", True,
-          lambda: (analytics.t1_closed(stats_at(30.0)), t_mc()[0], 0.005 * abs(t_mc()[0])))
+          lambda: (analytics.t1_closed(stats_at(30.0)), t_mc("T1"), 0.005 * abs(t_mc("T1"))))
     check("E{XY/(X+Y)} quadrature vs Monte Carlo", True,
-          lambda: (analytics.expected_harmonic_mean(1.3, 0.7), t_mc()[1], 0.005 * abs(t_mc()[1])))
+          lambda: (analytics.expected_harmonic_mean(1.3, 0.7), t_mc("XY/(X+Y)"),
+                   0.005 * abs(t_mc("XY/(X+Y)"))))
     # T2: the mean-ratio step is a rough approximation (1/gamma_f has no
     # finite mean), so its Monte Carlo deviation is reported, not gated;
     # the exact E{XY/(X+Y)} inside it is gated above.
     check("T2 mean-ratio vs Monte Carlo", False,
-          lambda: (analytics.t2(stats_at(30.0)), t_mc()[2], math.inf))
+          lambda: (analytics.t2(stats_at(30.0)), t_mc("T2"), math.inf))
     asym = functools.cache(lambda: topology_to_stats(Topology(-3.0, -1.0, 1.5, 3.0, spec.topology.n),
                                                      db_to_linear(30.0)))
     check("T2 printed closed form vs mean-ratio (asymmetric case)", False,
@@ -429,21 +437,20 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
 
     # Two-hop idle eavesdropper combining sensitivity (selection vs sum).
     combinings = ("selection", "sum")
-    two_hop = functools.cache(lambda: sample_means(
-        stats_at(10.0), lambda s: [secrecy_rate(s, SchemeKind.TWO_HOP_CASE_I, SinrMethod.EXACT, c)
-                                   for c in combinings], n_mc, spec.seed, spec.workers))
-    for i, combining in enumerate(combinings):
+    two_hop = sampled(lambda: {c: (stats_at(10.0), functools.partial(
+        secrecy_rate, scheme=SchemeKind.TWO_HOP_CASE_I, method=SinrMethod.EXACT, combining=c),
+        LINKS[SchemeKind.TWO_HOP_CASE_I]) for c in combinings})
+    for combining in combinings:
         check(f"two-hop ESR with {combining} combining (10 dB)", False,
-              lambda: (two_hop()[i][0], two_hop()[i][0], math.inf))
+              lambda: (two_hop(combining), two_hop(combining), math.inf))
 
     # Mean-SNR reading cross-check: sampled gain means vs rho * m per link
     # (the corrected reading) on an asymmetric geometry.
     links = ("gamma_h", "bar_h"), ("gamma_f", "bar_f")
-    emps = functools.cache(lambda: sample_means(asym(), lambda s: [getattr(s, g) for g, _ in links],
-                                                n_mc, spec.seed, spec.workers, hops))
-    for i, (name, bar) in enumerate(links):
+    emps = sampled(lambda: {name: (asym(), operator.attrgetter(name), hops) for name, _ in links})
+    for name, bar in links:
         check(f"sample mean of {name} vs rho*m of its own link", True,
-              lambda: (emps()[i][0], getattr(asym(), bar), 4.0 * getattr(asym(), bar) / math.sqrt(n_mc)))
+              lambda: (emps(name), getattr(asym(), bar), 4.0 * getattr(asym(), bar) / math.sqrt(n_mc)))
     return rows
 
 

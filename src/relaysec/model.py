@@ -165,14 +165,3 @@ class ChannelSample:
             # first test, and an empty array has nothing to check.
             if v.size and not (0.0 <= v.min() and v.max() < math.inf):
                 raise DomainError(f"channel gain {name} must be finite and >= 0")
-
-    def block(self, start: int, stop: int) -> "ChannelSample":
-        """Realizations start:stop of every drawn link, as views.
-
-        A slice of checked gains needs no new check, so __post_init__, about
-        a tenth of the secrecy rate's time on a block, is skipped.
-        """
-        b = object.__new__(ChannelSample)
-        for name, v in vars(self).items():
-            object.__setattr__(b, name, None if v is None else v[start:stop])
-        return b

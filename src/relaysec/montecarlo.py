@@ -2,14 +2,15 @@
 
 Sampling is chunked with one counter-derived RNG stream per chunk, so the
 result of an estimate depends only on (seed, n) and never on how many
-workers processed the chunks.  EsrPass estimates the ESR of many
-(SNR point, scheme, method) rows from one draw per chunk, and estimate_esr
-reads one row of it; sample_means averages any other function of the
-fading, such as estimate_event_probability's event.
+workers processed the chunks.  MeanPass, the one engine, estimates the
+means of many rows, each an elementwise function of the fading at one SNR
+point, from one draw per chunk: estimate_esr reads an ESR row of it, and
+estimate_event_probability runs a pass of one event row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,14 +19,17 @@ import numpy as np
 
 from relaysec.errors import DomainError, NumericError, RelaysecError
 from relaysec.model import ChannelSample, ChannelStats
-from relaysec.sinr import (BLOCK_SIZE, LINKS, SchemeKind, SinrMethod, has_method, secrecy_rate,
-                           three_hop_sinrs)
+from relaysec.sinr import LINKS, SchemeKind, SinrMethod, secrecy_rate, three_hop_sinrs
 
 #: Fixed chunk size; part of the determinism contract (results are chunked
 #: identically no matter how many workers run).
 CHUNK_SIZE = 1 << 18
 
-#: Every mean 1: EsrPass draws these gains once per chunk and scales them
+#: MeanPass evaluates each row in blocks of this many realizations, so the
+#: temporaries of a block (256 KiB each) stay in cache.
+BLOCK_SIZE = 1 << 15
+
+#: Every mean 1: MeanPass draws these gains once per chunk and scales them
 #: by each SNR point's rho * m.
 UNIT = ChannelStats(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1.0)
 
@@ -121,69 +125,47 @@ def _map_chunks(seed: int, n: int, workers: int, fn) -> list:
         return list(pool.map(fn, streams, lengths))
 
 
-def _moments(a: np.ndarray, out: np.ndarray | None = None) -> tuple[float, float]:
-    """(sum, sum of squares) of one chunk's array, each summed whole.
+class MeanPass:
+    """Monte Carlo means of many rows over one draw per chunk.
 
-    The squares go to ``out``, which may be ``a`` itself.
-    """
-    return float(np.sum(a)), float(np.sum(np.multiply(a, a, out=out)))
+    A row is (stats, fn, links): fn maps a ChannelSample of the first
+    ``links`` links, drawn at the means of ``stats``, to one array,
+    elementwise.  The row's estimate is that array's mean and standard error
+    over n realizations.  Rows are given as a dict and read by its keys.
 
-
-def sample_means(stats: ChannelStats, fn, n: int, seed: int, workers: int = 1,
-                 links: int = 6) -> list[tuple[float, float]]:
-    """Monte Carlo (mean, standard error) of each array fn returns.
-
-    fn maps a ChannelSample of one chunk, holding the first ``links``
-    links, to a sequence of equally long arrays.  Every array is averaged
-    over the same n realizations, so several quantities share one draw; a
-    non-finite mean raises NumericError.
-    """
-
-    def one_chunk(stream: RngStream, length: int) -> list[tuple[float, float]]:
-        return [_moments(np.asarray(a)) for a in fn(sample_channels(stats, stream, length, links))]
-
-    chunks = _map_chunks(seed, n, workers, one_chunk)
-    return [_reduce_chunks([c[i] for c in chunks], n) for i in range(len(chunks[0]))]
-
-
-class EsrPass:
-    """Monte Carlo ESR of many (stats, scheme, method) rows over one draw per chunk.
-
-    Each chunk draws unit-mean gains once, for the longest sinr.LINKS prefix
-    any row reads, and a row scales them by its point's rho * m.  As
-    ln(1 - U) * -1 * m equals ln(1 - U) * -m exactly, every row gets the
-    bits that sample_channels(stats, ...) gives it.  Scaling is monotone, so
-    the unit gains' extremes tell in advance where a scaled gain is 0 or
-    infinite.  A 0 (from a tiny rho * m) is redrawn by sample_channels, which
-    shifts the later uniforms, so that (point, chunk) draws its own sample.
-    An infinite gain fails, with DomainError, only the rows that read its
-    link.  The pass runs on the first estimate read.
+    Each chunk draws unit-mean gains once, for the most links any row reads,
+    and a row scales them by its point's rho * m.  As ln(1 - U) * -1 * m
+    equals ln(1 - U) * -m exactly, every row gets the bits that
+    sample_channels(stats, ...) gives it.  Scaling is monotone, so the unit
+    gains' extremes tell in advance where a scaled gain is 0 or infinite.
+    A 0 (from a tiny rho * m) is redrawn by sample_channels, which shifts the
+    later uniforms, so that (point, chunk) draws its own sample and scales
+    it by 1.0.  An infinite gain, a RelaysecError of fn and a non-finite
+    mean each fail only their row.  The pass runs on the first read.
     """
 
-    def __init__(self, rows, n: int, seed: int, workers: int = 1) -> None:
+    def __init__(self, rows: dict, n: int, seed: int, workers: int = 1) -> None:
         if n < 1:
             raise DomainError(f"sample count must be >= 1, got {n}")
         self.n, self.seed, self.workers = n, seed, workers
-        #: stats -> its (scheme, method) rows, each once, in first-seen order
-        self._points: dict[ChannelStats, dict[tuple[SchemeKind, SinrMethod], None]] = {}
-        for stats, scheme, method in rows:
-            if not has_method(scheme, method.value):
-                raise DomainError(f"{scheme.value} supports only the exact SINR method")
-            self._points.setdefault(stats, {})[scheme, method] = None
+        #: stats -> {key: (fn, links)} of its rows, in first-seen order
+        self._points: dict[ChannelStats, dict] = {}
+        for key, (stats, fn, links) in rows.items():
+            self._points.setdefault(stats, {})[key] = fn, links
         self._results: dict | None = None
 
-    def estimate(self, stats: ChannelStats, scheme: SchemeKind, method: SinrMethod) -> EsrEstimate:
-        """The row's estimate; raises the row's failure, if it had one."""
+    def mean(self, key) -> tuple[float, float]:
+        """The row's (mean, standard error); raises the row's failure, if it had one."""
         if self._results is None:
             self._results = self._run()
-        result = self._results[stats, scheme, method]
+        result = self._results[key]
         if isinstance(result, Exception):
             raise result
         return result
 
     def _run(self) -> dict:
-        keys = [(stats, *row) for stats, rows in self._points.items() for row in rows]
-        links = max(LINKS[scheme] for _, scheme, _ in keys)
+        keys = [key for rows in self._points.values() for key in rows]
+        links = max(k for rows in self._points.values() for _, k in rows.values())
         chunks = _map_chunks(self.seed, self.n, self.workers,
                              lambda stream, length: self._chunk(stream, length, links))
         results: dict = {}
@@ -192,7 +174,7 @@ class EsrPass:
             # a row that failed keeps its first failure, in chunk order
             failed = next((p for p in parts if isinstance(p, Exception)), None)
             try:
-                results[key] = failed or EsrEstimate(*_reduce_chunks(parts, self.n), self.n)
+                results[key] = failed or _reduce_chunks(parts, self.n)
             except NumericError as exc:
                 results[key] = exc
         return results
@@ -203,60 +185,72 @@ class EsrPass:
         names, gains = zip(*list(vars(unit).items())[:links])
         lows = [float(v.min()) for v in gains]
         highs = [float(v.max()) for v in gains]
-        buf = np.zeros((links, min(length, BLOCK_SIZE)))
-        rate = np.empty(length)
+        buf = np.empty((links, min(length, BLOCK_SIZE)))
+        values = np.empty(length)
         out: list = []
         for stats, rows in self._points.items():
             means = _link_means(stats)
-            read = max(LINKS[scheme] for scheme, _ in rows)
+            read = max(k for _, k in rows.values())
             redraw = any(lo * m == 0.0 for lo, m in zip(lows[:read], means))
-            for scheme, method in rows:
-                k = LINKS[scheme]
+            for fn, k in rows.values():
                 try:
                     if redraw:
-                        rate_k = secrecy_rate(sample_channels(stats, stream, length, k), scheme,
-                                              method)
+                        sample, scale = sample_channels(stats, stream, length, k), (1.0,) * k
                     else:
                         for name, hi, m in zip(names[:k], highs, means):
                             if hi * m == math.inf:
                                 raise DomainError(f"channel gain {name} must be finite and >= 0")
-                        rate_k = _scaled_rate(unit, means[:k], scheme, method, buf[:k], rate)
-                    out.append(_moments(rate_k, out=rate_k))  # squared in place: read no more
+                        sample, scale = unit, means[:k]
+                    out.append(_blocked_moments(fn, sample, scale, buf[:k], values))
                 except RelaysecError as exc:
                     out.append(exc)
         return out
 
 
-def _scaled_rate(unit: ChannelSample, means, scheme: SchemeKind, method: SinrMethod,
-                 buf: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """Fill rate with the secrecy rate on the unit gains times means (all finite).
+def _blocked_moments(fn, sample: ChannelSample, scale, buf: np.ndarray,
+                     values: np.ndarray) -> tuple[float, float]:
+    """(sum, sum of squares) of fn over the sample's gains times scale (all finite).
 
-    Each BLOCK_SIZE block of every link is scaled into that link's row of buf.
+    Each BLOCK_SIZE block of every link is scaled into that link's row of
+    buf, and fn reads it through a ChannelSample of buf, checked once per
+    block length: later blocks rewrite buf in place.  fn's values fill
+    ``values``, which is summed whole, so blocking moves no bit; it is
+    squared in place, so it is read no more.
     """
-    view = ChannelSample(*buf)  # checked once; every block below rewrites buf in place
-    for start in range(0, rate.size, BLOCK_SIZE):
-        stop = min(start + BLOCK_SIZE, rate.size)
-        for u, m, b in zip(vars(unit).values(), means, buf):
-            np.multiply(u[start:stop], m, out=b[:stop - start])
-        rate[start:stop] = secrecy_rate(view.block(0, stop - start), scheme, method)
-    return rate
+    views: dict[int, ChannelSample] = {}
+    for start in range(0, values.size, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, values.size)
+        size = stop - start
+        for u, m, b in zip(vars(sample).values(), scale, buf):
+            np.multiply(u[start:stop], m, out=b[:size])
+        if size not in views:
+            views[size] = ChannelSample(*buf[:, :size])
+        values[start:stop] = fn(views[size])
+    return float(np.sum(values)), float(np.sum(np.multiply(values, values, out=values)))
+
+
+def esr_rows(keys) -> dict:
+    """MeanPass rows keyed (stats, scheme, method): the mean of sinr.secrecy_rate."""
+    return {(stats, scheme, method):
+            (stats, functools.partial(secrecy_rate, scheme=scheme, method=method), LINKS[scheme])
+            for stats, scheme, method in keys}
 
 
 def estimate_esr(stats: ChannelStats, scheme: SchemeKind, method: SinrMethod,
                  n: int, seed: int, workers: int = 1,
-                 esr_pass: EsrPass | None = None) -> EsrEstimate:
+                 mean_pass: MeanPass | None = None) -> EsrEstimate:
     """Unbiased Monte Carlo ESR estimate over n fading realizations.
 
-    The row is read from ``esr_pass``, a pass over the same n and seed that
-    holds it; without one, a pass of this row alone runs.  A (scheme,
-    method) pair that sinr.has_method refuses raises DomainError.
+    The row is read from ``mean_pass``, a pass over the same n and seed
+    that holds it (esr_rows); without one, a pass of this row alone runs.
+    A (scheme, method) pair that sinr.has_method refuses raises DomainError.
     """
-    if esr_pass is None:
-        esr_pass = EsrPass([(stats, scheme, method)], n, seed, workers)
-    elif (n, seed) != (esr_pass.n, esr_pass.seed):
-        raise DomainError(f"pass over n = {esr_pass.n}, seed = {esr_pass.seed} asked for "
+    if mean_pass is None:
+        mean_pass = MeanPass(esr_rows([(stats, scheme, method)]), n, seed, workers)
+    elif (n, seed) != (mean_pass.n, mean_pass.seed):
+        raise DomainError(f"pass over n = {mean_pass.n}, seed = {mean_pass.seed} asked for "
                           f"n = {n}, seed = {seed}")
-    return esr_pass.estimate(stats, scheme, method)
+    return EsrEstimate(*mean_pass.mean((stats, scheme, method)), n)
 
 
 def estimate_event_probability(stats: ChannelStats, event, n: int, seed: int,
@@ -267,8 +261,8 @@ def estimate_event_probability(stats: ChannelStats, event, n: int, seed: int,
     event maps a SinrBundle (vectorized) to a boolean array.  Returns the
     frequency and its binomial standard error.
     """
-    [(p, _)] = sample_means(stats, lambda s: [event(three_hop_sinrs(s, method))], n, seed,
-                            workers, LINKS[SchemeKind.THREE_HOP])
+    row = stats, lambda s: event(three_hop_sinrs(s, method)), LINKS[SchemeKind.THREE_HOP]
+    p, _ = MeanPass({"event": row}, n, seed, workers).mean("event")
     return p, math.sqrt(p * (1.0 - p) / n)
 
 

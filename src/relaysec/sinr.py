@@ -50,10 +50,6 @@ LINKS = {
     SchemeKind.DIRECT: 5,
 }
 
-#: secrecy_rate evaluates longer samples in blocks of this many
-#: realizations, so its temporaries (256 KiB each) stay in cache.
-BLOCK_SIZE = 1 << 15
-
 
 @dataclass(frozen=True)
 class SinrBundle:
@@ -136,24 +132,14 @@ def secrecy_rate(s: ChannelSample, scheme: SchemeKind, method: SinrMethod,
     """Instantaneous secrecy rate of any (scheme, method), bits/s/Hz.
 
     ``combining`` is the two-hop idle eavesdropper's rule (baseline_sinrs).
-    Every operation is elementwise, so the BLOCK_SIZE blocks give the same
-    values as one pass over the whole sample.
+    Every operation is elementwise, so any block of a sample gives the same
+    values as the whole sample.
     """
     if not has_method(scheme, method.value):
         raise DomainError(f"{scheme.value} supports only the exact SINR method")
-
-    def rate(b: ChannelSample):
-        if scheme is SchemeKind.THREE_HOP:
-            return instantaneous_secrecy_rate(three_hop_sinrs(b, method))
-        return secrecy_rate_from_pair(*baseline_sinrs(b, scheme, combining), PRELOG[scheme])
-
-    n = np.size(s.gamma_g)
-    if n <= BLOCK_SIZE:
-        return rate(s)
-    out = np.empty(n)
-    for start in range(0, n, BLOCK_SIZE):
-        out[start:start + BLOCK_SIZE] = rate(s.block(start, start + BLOCK_SIZE))
-    return out
+    if scheme is SchemeKind.THREE_HOP:
+        return instantaneous_secrecy_rate(three_hop_sinrs(s, method))
+    return secrecy_rate_from_pair(*baseline_sinrs(s, scheme, combining), PRELOG[scheme])
 
 
 def baseline_sinrs(s: ChannelSample, kind: SchemeKind, combining: str = "selection"):

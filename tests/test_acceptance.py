@@ -15,7 +15,7 @@ import pytest
 from relaysec.analytics import esr_asymptote, esr_lower_bound, prob_r1_dominates_oracle
 from relaysec.cli import SweepSpec, cmd_sweep, validate_checks
 from relaysec.model import TOPOLOGY_1, db_to_linear, topology_to_stats
-from relaysec.montecarlo import EsrPass, estimate_esr, estimate_event_probability
+from relaysec.montecarlo import MeanPass, esr_rows, estimate_esr, estimate_event_probability
 from relaysec.sinr import SchemeKind, SinrMethod
 
 SEED = 1
@@ -37,10 +37,10 @@ def report(capsys):
 def mc_exact_sweep(dbs, schemes):
     """(db, scheme) -> (stats, mc-exact estimate), every point read from one shared pass."""
     stats = {db: topology_to_stats(TOPOLOGY_1, db_to_linear(float(db))) for db in dbs}
-    shared = EsrPass([(stats[db], kind, SinrMethod.EXACT) for db in dbs for kind in schemes],
-                     N_SWEEP, seed=SEED, workers=4)
+    shared = MeanPass(esr_rows((stats[db], kind, SinrMethod.EXACT) for db in dbs for kind in schemes),
+                      N_SWEEP, seed=SEED, workers=4)
     return {(db, kind): (stats[db], estimate_esr(stats[db], kind, SinrMethod.EXACT, N_SWEEP,
-                                                 seed=SEED, workers=4, esr_pass=shared))
+                                                 seed=SEED, workers=4, mean_pass=shared))
             for db in dbs for kind in schemes}
 
 

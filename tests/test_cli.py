@@ -311,6 +311,30 @@ def test_validate_quick_passes(tmp_path):
             assert verdict == "pass"
 
 
+#: closed_form and oracle of every Monte Carlo row of validate --quick, as
+#: printed: no change to the Monte Carlo engine may move a digit.
+VALIDATE_MC_ROWS = {
+    "P quadrature vs Monte Carlo": ("0.642699082", "0.64052"),
+    "T1 closed form vs Monte Carlo": ("1", "0.9990589"),
+    "E{XY/(X+Y)} quadrature vs Monte Carlo": ("0.309015107", "0.308312098"),
+    "T2 mean-ratio vs Monte Carlo": ("0.287682072", "0.564695342"),
+    "ESR lower bound vs Monte Carlo exact ESR (30 dB)": ("0.464761519", "0.691146122"),
+    "literal extra 1/(3 ln 2) reading vs Monte Carlo": ("0.223503046", "0.691146122"),
+    "two-hop ESR with selection combining (10 dB)": ("2.75311867e-06", "2.75311867e-06"),
+    "two-hop ESR with sum combining (10 dB)": ("2.55805687e-06", "2.55805687e-06"),
+    "sample mean of gamma_h vs rho*m of its own link": ("84.0654539", "84.2484611"),
+    "sample mean of gamma_f vs rho*m of its own link": ("333.23166", "334.621314"),
+}
+
+
+def test_validate_monte_carlo_rows_pinned(tmp_path):
+    out = tmp_path / "validate.csv"
+    assert main(["validate", "--quick", "--output", str(out)]) == EXIT_OK
+    rows = {r["check"]: (r["closed_form"], r["oracle"])
+            for r in csv.DictReader(out.read_text().strip().split("\n"))}
+    assert {name: rows[name] for name in VALIDATE_MC_ROWS} == VALIDATE_MC_ROWS
+
+
 def test_validate_on_underflowing_layout_prints_every_row(tmp_path, capsys):
     # the published P series squared a denominator near 1e-271 on this layout
     status, rows = quick_validate(tmp_path, "--topology=-3e100,-1,1,3e100")
@@ -367,19 +391,24 @@ def test_perfbench_targets_exist(monkeypatch):
             f"relaysec.{module}.{function}"
 
 
-@pytest.mark.parametrize("workload", ["esr-sweep", "scheme-compare"])
+@pytest.mark.parametrize("workload", ["esr-sweep", "scheme-compare", "validate"])
 def test_perfbench_traced_sweep_records_expected_layers(workload, monkeypatch, tmp_path):
     # a traced benchmark run exits 1 when a layer it expects records no call,
-    # so run the workload's sweeps, at fewer samples, under its tracer
+    # so run the workload's sweeps at fewer samples, or validate's --quick
+    # primer, under its tracer
     layers = load_perfbench("layers", monkeypatch)
     work = load_perfbench("workloads", monkeypatch).workload(workload, 1)
+    if workload == "validate":
+        argvs = [list(argv) for argv in work.primer]
+    else:
+        argvs = [list(op.argv) for op in work.ops]
+        for argv in argvs:
+            argv[argv.index("--samples") + 1] = "3000"
     tracer = layers.Tracer()
     tracer.install()
     try:
         t0 = time.perf_counter()
-        for op in work.ops:
-            argv = list(op.argv)
-            argv[argv.index("--samples") + 1] = "3000"
+        for argv in argvs:
             assert main(argv + ["--output", str(tmp_path / "out.csv")]) == EXIT_OK
         wall = time.perf_counter() - t0
     finally:

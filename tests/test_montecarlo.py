@@ -1,4 +1,5 @@
 import functools
+import operator
 
 import numpy as np
 import pytest
@@ -10,18 +11,17 @@ import relaysec.montecarlo as montecarlo
 from relaysec.montecarlo import (
     CHUNK_SIZE,
     UNIT,
-    EsrPass,
+    MeanPass,
     RngStream,
     _draw_exponential,
     _reduce_chunks,
     empirical_cdf_ks,
+    esr_rows,
     estimate_esr,
     estimate_event_probability,
     sample_channels,
-    sample_means,
 )
-from relaysec.sinr import (LINKS, SchemeKind, SinrMethod, exact_sinrs, has_method,
-                           instantaneous_secrecy_rate, secrecy_rate)
+from relaysec.sinr import LINKS, SchemeKind, SinrMethod, has_method, secrecy_rate, three_hop_sinrs
 
 
 def test_chunk_size_is_power_of_two():
@@ -118,32 +118,6 @@ def test_estimate_worker_independent(stats_30db):
     assert one.std_error == four.std_error
 
 
-def test_sample_means_worker_independent(stats_30db):
-    def gains(s):
-        return [s.gamma_g, s.gamma_g / (s.gamma_h + 1.0)]
-
-    one = sample_means(stats_30db, gains, 600_000, seed=9, workers=1)
-    three = sample_means(stats_30db, gains, 600_000, seed=9, workers=3)
-    assert one == three
-
-
-def test_sample_means_multi_output_matches_single_calls(stats_30db):
-    both = sample_means(stats_30db, lambda s: [s.gamma_g, s.gamma_sd], 300_000, seed=5)
-    g = sample_means(stats_30db, lambda s: [s.gamma_g], 300_000, seed=5)
-    sd = sample_means(stats_30db, lambda s: [s.gamma_sd], 300_000, seed=5)
-    assert both == g + sd
-    # one chunked pass gives the same estimate as estimate_esr on its rates
-    est = estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 300_000, seed=5)
-    [(mean, stderr)] = sample_means(
-        stats_30db, lambda s: [instantaneous_secrecy_rate(exact_sinrs(s))], 300_000, seed=5)
-    assert (mean, stderr) == (est.mean, est.std_error)
-
-
-def test_sample_means_non_finite_mean_raises(stats_30db):
-    with pytest.raises(NumericError):
-        sample_means(stats_30db, lambda s: [s.gamma_g * np.inf], 1000, seed=1)
-
-
 def test_golden_regression_value():
     # frozen run: reference topology, 25 dB, exact SINRs, n = 1e6
     stats = topology_to_stats(TOPOLOGY_1, db_to_linear(25.0))
@@ -230,18 +204,53 @@ REDRAWN = (ChannelStats(5e-324, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1.0),
 POINTS = [topology_to_stats(TOPOLOGY_1, db_to_linear(10.0)), SUBNORMAL, *REDRAWN]
 
 
+def dominance(s):
+    """validate's P event, R1's phase-1 SINR above R2's: a boolean row."""
+    b = three_hop_sinrs(s, SinrMethod.HIGH_SNR)
+    return b.gamma_r1_p1 > b.gamma_r2
+
+
+def harmonic(s):
+    """The T-term harmonic mean XY/(X+Y) of the g and h gains."""
+    return s.gamma_g * s.gamma_h / (s.gamma_g + s.gamma_h)
+
+
+#: name -> (fn, links) of the rows a point has besides its ESR rows: a raw
+#: gain, a boolean event, a T-term, and an infinite mean, which fails alone.
+OTHER_ROWS = {
+    "gamma_sd": (operator.attrgetter("gamma_sd"), LINKS[SchemeKind.DIRECT]),
+    "event": (dominance, 3),
+    "harmonic": (harmonic, 3),
+    "infinite": (lambda s: s.gamma_g * np.inf, 3),
+}
+
+
+def point_rows(stats):
+    """Every row of one point: ESR rows keyed (stats, scheme, method), others (stats, name)."""
+    rows = esr_rows((stats, *pair) for pair in PAIRS)
+    rows.update({(stats, name): (stats, fn, links) for name, (fn, links) in OTHER_ROWS.items()})
+    return rows
+
+
 @functools.cache
-def reference_esr(stats, n, seed):
-    """(scheme, method) -> (mean, std_error) of every pair, each chunk from the
-    point's own draw: sample_channels(stats, ...) and secrecy_rate."""
-    parts = {pair: [] for pair in PAIRS}
+def reference_means(stats, n, seed):
+    """key[1:] -> (mean, std_error) of every row of the point, or the type of
+    its failure; each chunk from the point's own draw, sample_channels(stats,
+    ...), with one unblocked call of the row's function."""
+    parts = {key[1:]: [] for key in point_rows(stats)}
     for k, start in enumerate(range(0, n, CHUNK_SIZE)):
-        # all six links: each scheme reads its prefix, the same bits as a shorter draw
+        # all six links: each row reads its prefix, the same bits as a shorter draw
         s = sample_channels(stats, RngStream(seed, k), min(CHUNK_SIZE, n - start))
-        for pair, p in parts.items():
-            a = secrecy_rate(s, *pair)
-            p.append((float(np.sum(a)), float(np.sum(a * a))))
-    return {pair: _reduce_chunks(p, n) for pair, p in parts.items()}
+        for key, (_, fn, _) in point_rows(stats).items():
+            a = np.asarray(fn(s), dtype=float)
+            parts[key[1:]].append((float(np.sum(a)), float(np.sum(a * a))))
+    out = {}
+    for key, p in parts.items():
+        try:
+            out[key] = _reduce_chunks(p, n)
+        except NumericError as exc:
+            out[key] = type(exc)
+    return out
 
 
 def spy_on_draws(monkeypatch):
@@ -259,30 +268,42 @@ def spy_on_draws(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("n", [1, CHUNK_SIZE - 1, CHUNK_SIZE + 1, 300_001])
 def test_pass_matches_per_point_draws(n, workers, monkeypatch):
-    rows = [(stats, scheme, method) for stats in POINTS for scheme, method in PAIRS]
+    rows = {key: row for stats in POINTS for key, row in point_rows(stats).items()}
     calls = spy_on_draws(monkeypatch)
-    shared = EsrPass(rows, n, seed=7, workers=workers)
-    for stats, scheme, method in rows:
-        est = estimate_esr(stats, scheme, method, n, 7, workers, shared)
-        assert (est.mean, est.std_error) == reference_esr(stats, n, 7)[scheme, method], \
-            (stats, scheme, method)
-        assert est.n_samples == n
+    shared = MeanPass(rows, n, seed=7, workers=workers)
+    for key in rows:
+        expected = reference_means(key[0], n, 7)[key[1:]]
+        if isinstance(expected, type):  # fails, and alone: every other row still matches
+            with pytest.raises(expected):
+                shared.mean(key)
+            continue
+        assert shared.mean(key) == expected, key
+        if len(key) == 3:  # an ESR row
+            est = estimate_esr(*key, n, 7, workers, shared)
+            assert (est.mean, est.std_error, est.n_samples) == (*expected, n)
     chunks = -(-n // CHUNK_SIZE)
     assert calls.count(UNIT) == chunks
     # only the points whose gains round to 0 draw again, for every row of a
     # chunk where one does (the first chunk holds at least 2^18 - 1 gains)
+    per_point = len(point_rows(POINTS[0]))
     assert set(calls) <= {UNIT, *REDRAWN}
     for stats in REDRAWN:
-        assert calls.count(stats) % len(PAIRS) == 0
-        assert calls.count(stats) >= (len(PAIRS) if n > 1 else 0)
+        assert calls.count(stats) % per_point == 0
+        assert calls.count(stats) >= (per_point if n > 1 else 0)
+    # a pass of one row gives the same mean as the row of the shared pass
+    for stats in POINTS:
+        p, _ = estimate_event_probability(stats, lambda b: b.gamma_r1_p1 > b.gamma_r2, n, 7,
+                                          workers=workers)
+        assert p == shared.mean((stats, "event"))[0]
 
 
 def test_pass_runs_on_first_read(monkeypatch):
     calls = spy_on_draws(monkeypatch)
-    shared = EsrPass([(POINTS[0], SchemeKind.THREE_HOP, SinrMethod.EXACT)], 1000, seed=1)
+    key = (POINTS[0], SchemeKind.THREE_HOP, SinrMethod.EXACT)
+    shared = MeanPass(esr_rows([key]), 1000, seed=1)
     assert calls == []
-    shared.estimate(POINTS[0], SchemeKind.THREE_HOP, SinrMethod.EXACT)
-    shared.estimate(POINTS[0], SchemeKind.THREE_HOP, SinrMethod.EXACT)
+    shared.mean(key)
+    shared.mean(key)
     assert calls == [UNIT]
 
 
@@ -290,18 +311,18 @@ def test_pass_infinite_gain_fails_only_rows_reading_it():
     # rho * m_sd near the float64 maximum: the direct scheme's sd gains
     # overflow, while three-hop reads g, h and f only
     stats = ChannelStats(1.0, 1.0, 1.0, 1.0, 1e308, 1.0, rho=1.0)
-    shared = EsrPass([(stats, SchemeKind.THREE_HOP, SinrMethod.EXACT),
-                      (stats, SchemeKind.DIRECT, SinrMethod.EXACT)], 1000, seed=3)
+    shared = MeanPass(esr_rows([(stats, SchemeKind.THREE_HOP, SinrMethod.EXACT),
+                                (stats, SchemeKind.DIRECT, SinrMethod.EXACT)]), 1000, seed=3)
     with pytest.raises(DomainError, match="gamma_sd"):
-        estimate_esr(stats, SchemeKind.DIRECT, SinrMethod.EXACT, 1000, 3, esr_pass=shared)
-    est = estimate_esr(stats, SchemeKind.THREE_HOP, SinrMethod.EXACT, 1000, 3, esr_pass=shared)
+        estimate_esr(stats, SchemeKind.DIRECT, SinrMethod.EXACT, 1000, 3, mean_pass=shared)
+    est = estimate_esr(stats, SchemeKind.THREE_HOP, SinrMethod.EXACT, 1000, 3, mean_pass=shared)
     a = secrecy_rate(sample_channels(stats, RngStream(3, 0), 1000, links=3), SchemeKind.THREE_HOP,
                      SinrMethod.EXACT)
     assert (est.mean, est.std_error) == _reduce_chunks([(np.sum(a), np.sum(a * a))], 1000)
 
 
 def test_pass_refuses_other_sample_count_or_seed(stats_30db):
-    shared = EsrPass([(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT)], 1000, seed=1)
+    shared = MeanPass(esr_rows([(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT)]), 1000, seed=1)
     for n, seed in ((999, 1), (1000, 2)):
         with pytest.raises(DomainError):
-            estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, n, seed, esr_pass=shared)
+            estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, n, seed, mean_pass=shared)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relaysec.errors import DegenerateSampleError, DomainError
-from relaysec.model import ChannelSample
+from relaysec.model import ChannelSample, ChannelStats
+from relaysec.montecarlo import (BLOCK_SIZE, CHUNK_SIZE, MeanPass, RngStream, _reduce_chunks,
+                                 sample_channels)
 from relaysec.sinr import (
-    BLOCK_SIZE,
     LINKS,
     PRELOG,
     SchemeKind,
@@ -19,7 +21,6 @@ from relaysec.sinr import (
     instantaneous_secrecy_rate,
     secrecy_rate,
     secrecy_rate_from_pair,
-    three_hop_sinrs,
 )
 
 pos_gain = st.floats(min_value=1e-3, max_value=1e6)
@@ -217,43 +218,54 @@ def test_baseline_rejects_three_hop_and_bad_combining():
         baseline_sinrs(s, SchemeKind.DIRECT, combining="mrc")
 
 
-#: Exponential gains of all six links, 2^18 realizations each, with means
-#: that give a positive secrecy rate in a good share of realizations.
-GAINS = np.random.default_rng(3).exponential(
-    np.array([[300.0], [100.0], [300.0], [30.0], [10.0], [100.0]]), size=(6, 1 << 18))
+#: Mean SNRs of all six links that give a positive secrecy rate in a good
+#: share of realizations, for every scheme.
+STATS = ChannelStats(300.0, 100.0, 300.0, 30.0, 10.0, 100.0, rho=1.0)
+
+
+def rate_row(scheme, method=SinrMethod.EXACT, combining="selection", links=None):
+    """MeanPass row of the secrecy rate at STATS, on the scheme's links unless given."""
+    fn = functools.partial(secrecy_rate, scheme=scheme, method=method, combining=combining)
+    return STATS, fn, LINKS[scheme] if links is None else links
 
 
 @pytest.mark.parametrize("n", [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 7,
-                               1 << 18])
+                               1 << 18, CHUNK_SIZE + 1])
 def test_blocked_secrecy_rate_matches_one_pass(n):
-    # the unblocked reference evaluates the whole sample in one pass
-    s = ChannelSample(*GAINS[:, :n])
-    for scheme in SchemeKind:
-        for method in SinrMethod:
-            if not has_method(scheme, method.value):
-                continue
-            for combining in ("selection", "sum"):
-                if scheme is SchemeKind.THREE_HOP:
-                    ref = instantaneous_secrecy_rate(three_hop_sinrs(s, method))
-                else:
-                    ref = secrecy_rate_from_pair(*baseline_sinrs(s, scheme, combining),
-                                                 PRELOG[scheme])
-                got = secrecy_rate(s, scheme, method, combining)
-                assert got.shape == (n,)
-                assert np.array_equal(got, ref), (scheme, method, combining)
-                assert n == 1 or np.any(got > 0)
+    # MeanPass evaluates a row in BLOCK_SIZE blocks; the reference is one
+    # unblocked secrecy_rate call per chunk on the point's own draw
+    rows = {(scheme, method, combining): rate_row(scheme, method, combining)
+            for scheme in SchemeKind for method in SinrMethod if has_method(scheme, method.value)
+            for combining in ("selection", "sum")}
+    shared = MeanPass(rows, n, seed=3)
+    for key, (_, _, links) in rows.items():
+        parts, positive = [], False
+        for k, start in enumerate(range(0, n, CHUNK_SIZE)):
+            length = min(CHUNK_SIZE, n - start)
+            rate = secrecy_rate(sample_channels(STATS, RngStream(3, k), length, links), *key)
+            assert rate.shape == (length,)
+            parts.append((float(np.sum(rate)), float(np.sum(rate * rate))))
+            positive = positive or bool(np.any(rate > 0))
+        assert shared.mean(key) == _reduce_chunks(parts, n), key
+        assert n == 1 or positive
 
 
 @pytest.mark.parametrize("n", [1, BLOCK_SIZE + 1])
 def test_rate_reading_an_undrawn_link_raises(n):
-    s = ChannelSample(*GAINS[:LINKS[SchemeKind.THREE_HOP], :n])
+    # secrecy_rate on one sample, and a MeanPass row, which evaluates in blocks
+    s = sample_channels(STATS, RngStream(1), n, links=LINKS[SchemeKind.THREE_HOP])
     assert s.gamma_sr2 is None and s.gamma_sd is None and s.gamma_dr1 is None
     secrecy_rate(s, SchemeKind.THREE_HOP, SinrMethod.EXACT)
     for scheme in (SchemeKind.TWO_HOP_CASE_I, SchemeKind.TWO_HOP_CASE_II, SchemeKind.DIRECT):
         with pytest.raises(TypeError):
             secrecy_rate(s, scheme, SinrMethod.EXACT)
+        with pytest.raises(TypeError):
+            MeanPass({scheme: rate_row(scheme, links=3)}, n, seed=1).mean(scheme)
     # direct reads the first five links, a two-hop scheme all six
-    five = ChannelSample(*GAINS[:LINKS[SchemeKind.DIRECT], :n])
+    five = sample_channels(STATS, RngStream(1), n, links=LINKS[SchemeKind.DIRECT])
     secrecy_rate(five, SchemeKind.DIRECT, SinrMethod.EXACT)
+    MeanPass({"direct": rate_row(SchemeKind.DIRECT, links=5)}, n, seed=1).mean("direct")
     with pytest.raises(TypeError):
         secrecy_rate(five, SchemeKind.TWO_HOP_CASE_I, SinrMethod.EXACT)
+    with pytest.raises(TypeError):
+        MeanPass({"two-hop": rate_row(SchemeKind.TWO_HOP_CASE_I, links=5)}, n, seed=1).mean("two-hop")
