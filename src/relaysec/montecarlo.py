@@ -86,8 +86,13 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1,
     """
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
+    return ChannelSample(*_draw_links(stats, stream, n, links))
+
+
+def _draw_links(stats: ChannelStats, stream: RngStream, n: int, links: int) -> list[np.ndarray]:
+    """sample_channels' gains, unchecked: an overflowing link is left infinite."""
     gen = stream.generator()
-    return ChannelSample(*[_draw_exponential(gen, m, n) for m in _link_means(stats)[:links]])
+    return [_draw_exponential(gen, m, n) for m in _link_means(stats)[:links]]
 
 
 def _link_means(stats: ChannelStats) -> tuple[float, ...]:
@@ -114,8 +119,6 @@ def _map_chunks(seed: int, n: int, workers: int, fn) -> list:
 
     Chunk k always draws from RngStream(seed, k), whatever the worker count.
     """
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
     starts = range(0, n, CHUNK_SIZE)
     streams = [RngStream(seed, k) for k in range(len(starts))]
     lengths = [min(CHUNK_SIZE, n - start) for start in starts]
@@ -139,9 +142,10 @@ class MeanPass:
     sample_channels(stats, ...) gives it.  Scaling is monotone, so the unit
     gains' extremes tell in advance where a scaled gain is 0 or infinite.
     A 0 (from a tiny rho * m) is redrawn by sample_channels, which shifts the
-    later uniforms, so that (point, chunk) draws its own sample and scales
-    it by 1.0.  An infinite gain, a RelaysecError of fn and a non-finite
-    mean each fail only their row.  The pass runs on the first read.
+    later uniforms, so that (point, chunk) draws its own gains once, for
+    the most links its rows read, and scales them by 1.0.  An infinite
+    gain, a RelaysecError of fn and a non-finite mean each fail only their
+    row.  The pass runs on the first read.
     """
 
     def __init__(self, rows: dict, n: int, seed: int, workers: int = 1) -> None:
@@ -189,27 +193,24 @@ class MeanPass:
         values = np.empty(length)
         out: list = []
         for stats, rows in self._points.items():
-            means = _link_means(stats)
             read = max(k for _, k in rows.values())
-            redraw = any(lo * m == 0.0 for lo, m in zip(lows[:read], means))
+            base, tops, scale = gains, highs, _link_means(stats)
+            if any(lo * m == 0.0 for lo, m in zip(lows[:read], scale)):
+                base = _draw_links(stats, stream, length, read)
+                tops, scale = [float(v.max()) for v in base], (1.0,) * read
             for fn, k in rows.values():
                 try:
-                    if redraw:
-                        sample, scale = sample_channels(stats, stream, length, k), (1.0,) * k
-                    else:
-                        for name, hi, m in zip(names[:k], highs, means):
-                            if hi * m == math.inf:
-                                raise DomainError(f"channel gain {name} must be finite and >= 0")
-                        sample, scale = unit, means[:k]
-                    out.append(_blocked_moments(fn, sample, scale, buf[:k], values))
+                    for name, hi, m in zip(names[:k], tops, scale):
+                        if hi * m == math.inf:
+                            raise DomainError(f"channel gain {name} must be finite and >= 0")
+                    out.append(_blocked_moments(fn, base[:k], scale[:k], buf[:k], values))
                 except RelaysecError as exc:
                     out.append(exc)
         return out
 
 
-def _blocked_moments(fn, sample: ChannelSample, scale, buf: np.ndarray,
-                     values: np.ndarray) -> tuple[float, float]:
-    """(sum, sum of squares) of fn over the sample's gains times scale (all finite).
+def _blocked_moments(fn, gains, scale, buf: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """(sum, sum of squares) of fn over the gain arrays times scale (all finite).
 
     Each BLOCK_SIZE block of every link is scaled into that link's row of
     buf, and fn reads it through a ChannelSample of buf, checked once per
@@ -221,7 +222,7 @@ def _blocked_moments(fn, sample: ChannelSample, scale, buf: np.ndarray,
     for start in range(0, values.size, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, values.size)
         size = stop - start
-        for u, m, b in zip(vars(sample).values(), scale, buf):
+        for u, m, b in zip(gains, scale, buf):
             np.multiply(u[start:stop], m, out=b[:size])
         if size not in views:
             views[size] = ChannelSample(*buf[:, :size])

@@ -167,14 +167,14 @@ def baseline_sinrs(s: ChannelSample, kind: SchemeKind, combining: str = "selecti
     else:  # TWO_HOP_CASE_II, helper R2
         a, b = s.gamma_sr2, s.gamma_f
         u, v = s.gamma_g, s.gamma_dr1
-    w = s.gamma_h  # R1-R2, the idle relay's view of the helper
-
-    gamma_d = a * b / (a + 2.0 * b + 1.0)
+    # w is R1-R2, the idle relay's view of the helper.  Divided through like
+    # exact_sinrs, as arrays so that scalar gains too divide by zero to inf.
+    a, w = np.asarray(a, dtype=float), np.asarray(s.gamma_h, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        gamma_d = b / (1.0 + (2.0 * b + 1.0) / a)  # a b / (a + 2b + 1)
+        # phase 2, relay forwards: a w / (b w + w + a + b + 1)
+        gamma_e2 = a / (b + 1.0 + (a + b + 1.0) / w)
     gamma_helper = a / (b + 1.0)
     gamma_e1 = u / (v + 1.0)  # phase 1, D jams
-    gamma_e2 = a * w / (b * w + w + a + b + 1.0)  # phase 2, relay forwards
-    if combining == "selection":
-        gamma_idle = np.maximum(gamma_e1, gamma_e2)
-    else:
-        gamma_idle = gamma_e1 + gamma_e2
+    gamma_idle = np.maximum(gamma_e1, gamma_e2) if combining == "selection" else gamma_e1 + gamma_e2
     return gamma_d, np.maximum(gamma_helper, gamma_idle)

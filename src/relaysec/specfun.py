@@ -33,24 +33,20 @@ def bessel_k1(x):
 
 
 def bessel_k1_quadrature(x: float) -> float:
-    """Reference K1 by high-precision quadrature of its integral form.
+    """Reference K1 by the trapezoid rule on its integral form.
 
-    K1(x) = integral_0^inf exp(-x cosh t) cosh t dt, evaluated with mpmath
-    at 30 digits on a split finite interval (the integrand is below exp(-2000) past the
-    cut).  Slow; exists as an independent oracle for bessel_k1.
+    K1(x) = integral_0^inf exp(-x cosh t) cosh t dt.  The integrand is even
+    and analytic in t, so a fixed step is exact to rounding (Trefethen &
+    Weideman, SIAM Review 56(3), 2014): step 1/64 up to one past
+    acosh(760 / x), beyond which every term underflows, summed with fsum.
+    An oracle for bessel_k1 that shares none of scipy's code.
     """
     if x <= 0:
         raise DomainError("bessel_k1_quadrature requires x > 0")
-    import mpmath
-
-    with mpmath.workdps(30):
-        xm = mpmath.mpf(x)
-        tmax = mpmath.log(2 * mpmath.mpf(2000) / xm)
-        val = mpmath.quad(
-            lambda t: mpmath.exp(-xm * mpmath.cosh(t)) * mpmath.cosh(t),
-            [0, 1, 5, tmax],
-        )
-    return float(val)
+    c = np.cosh(np.arange(0.0, math.acosh(max(1.0, 760.0 / x)) + 1.0, 1.0 / 64))
+    f = np.exp(-x * c) * c
+    f[0] /= 2  # the trapezoid's end weight at t = 0
+    return math.fsum(f) / 64
 
 
 def lah(n: int, i: int) -> int:

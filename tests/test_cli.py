@@ -261,6 +261,21 @@ def test_overflowing_point_fails_only_its_rows(tmp_path, capsys):
         assert single == [r for r in rows if r.split(",")[0] == snr]
 
 
+def test_two_hop_near_coincident_layout_without_warning(tmp_path):
+    # mean gains S-R about 1e150 and R1-R2 about 6e162: their product a w in
+    # the idle relay's phase-2 SINR overflows float64; a 40-digit evaluation
+    # of the same formulas on 2,000 of these draws averages 81.4 bits
+    out = tmp_path / "near.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--topology=0,2.5e-56,2.50005e-56,1e-37", "--scheme", "two-hop-1",
+                     "--scheme", "two-hop-2", "--method", "mc-exact", "--snr", "0:0:5",
+                     "--samples", "10000", "--output", str(out)]) == EXIT_OK
+    rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
+    assert [r[1] for r in rows] == ["two-hop-1", "two-hop-2"]
+    assert all(float(r[3]) > 80.0 for r in rows)
+
+
 #: SHA-256 of two sweeps' CSV: no change to the Monte Carlo kernel may move
 #: a byte.  300001 samples span two chunks and end in partial blocks.
 SWEEP_SHA256 = [
@@ -333,6 +348,15 @@ def test_validate_monte_carlo_rows_pinned(tmp_path):
     rows = {r["check"]: (r["closed_form"], r["oracle"])
             for r in csv.DictReader(out.read_text().strip().split("\n"))}
     assert {name: rows[name] for name in VALIDATE_MC_ROWS} == VALIDATE_MC_ROWS
+
+
+def test_validate_worker_count_does_not_change_output(tmp_path):
+    texts = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"validate-{workers}.csv"
+        assert main(["validate", "--quick", "--workers", workers, "--output", str(out)]) == EXIT_OK
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_validate_on_underflowing_layout_prints_every_row(tmp_path, capsys):
@@ -430,6 +454,19 @@ def test_import_leaves_scipy_integrate_unloaded():
             "          '--method', 'closed-form-lb', '--method', 'asymptote'])\n"
             "    main(['asymptote'])\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_validate_loads_no_mpmath():
+    # mpmath is a test oracle only; the K1 oracle validate runs is numpy
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import contextlib, io, sys\n"
+            "from relaysec.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['validate', '--quick']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('mpmath')))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -254,14 +254,16 @@ def reference_means(stats, n, seed):
 
 
 def spy_on_draws(monkeypatch):
-    """Record the stats of every sample_channels call the pass makes."""
+    """Record the stats of every draw of gains the pass makes: through
+    sample_channels, or a point's own draw."""
     calls = []
+    draw_links = montecarlo._draw_links
 
     def spy(stats, *args, **kwargs):
         calls.append(stats)
-        return sample_channels(stats, *args, **kwargs)
+        return draw_links(stats, *args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "sample_channels", spy)
+    monkeypatch.setattr(montecarlo, "_draw_links", spy)
     return calls
 
 
@@ -269,6 +271,8 @@ def spy_on_draws(monkeypatch):
 @pytest.mark.parametrize("n", [1, CHUNK_SIZE - 1, CHUNK_SIZE + 1, 300_001])
 def test_pass_matches_per_point_draws(n, workers, monkeypatch):
     rows = {key: row for stats in POINTS for key, row in point_rows(stats).items()}
+    for stats in POINTS:  # the reference draws, before the spy counts the pass's
+        reference_means(stats, n, 7)
     calls = spy_on_draws(monkeypatch)
     shared = MeanPass(rows, n, seed=7, workers=workers)
     for key in rows:
@@ -283,13 +287,11 @@ def test_pass_matches_per_point_draws(n, workers, monkeypatch):
             assert (est.mean, est.std_error, est.n_samples) == (*expected, n)
     chunks = -(-n // CHUNK_SIZE)
     assert calls.count(UNIT) == chunks
-    # only the points whose gains round to 0 draw again, for every row of a
-    # chunk where one does (the first chunk holds at least 2^18 - 1 gains)
-    per_point = len(point_rows(POINTS[0]))
+    # only the points whose gains round to 0 draw again, once per chunk where
+    # one does, for all their rows (the first chunk holds at least 2^18 - 1 gains)
     assert set(calls) <= {UNIT, *REDRAWN}
     for stats in REDRAWN:
-        assert calls.count(stats) % per_point == 0
-        assert calls.count(stats) >= (per_point if n > 1 else 0)
+        assert (1 if n > 1 else 0) <= calls.count(stats) <= chunks
     # a pass of one row gives the same mean as the row of the shared pass
     for stats in POINTS:
         p, _ = estimate_event_probability(stats, lambda b: b.gamma_r1_p1 > b.gamma_r2, n, 7,
@@ -319,6 +321,22 @@ def test_pass_infinite_gain_fails_only_rows_reading_it():
     a = secrecy_rate(sample_channels(stats, RngStream(3, 0), 1000, links=3), SchemeKind.THREE_HOP,
                      SinrMethod.EXACT)
     assert (est.mean, est.std_error) == _reduce_chunks([(np.sum(a), np.sum(a * a))], 1000)
+
+
+def test_pass_own_draw_fails_only_rows_reading_an_infinite_gain(monkeypatch):
+    # g rounds to 0 and sd overflows: the point's own draw holds infinite sd
+    # gains, which fail the direct row alone
+    stats = ChannelStats(5e-324, 1.0, 1.0, 1.0, 1e308, 1.0, rho=1.0)
+    keys = [(stats, SchemeKind.THREE_HOP, method) for method in SinrMethod]
+    calls = spy_on_draws(monkeypatch)
+    shared = MeanPass(esr_rows([*keys, (stats, SchemeKind.DIRECT, SinrMethod.EXACT)]), 1000, seed=3)
+    with pytest.raises(DomainError, match="gamma_sd"):
+        shared.mean((stats, SchemeKind.DIRECT, SinrMethod.EXACT))
+    assert calls == [UNIT, stats]
+    s = sample_channels(stats, RngStream(3, 0), 1000, links=3)
+    for key in keys:
+        a = secrecy_rate(s, *key[1:])
+        assert shared.mean(key) == _reduce_chunks([(np.sum(a), np.sum(a * a))], 1000)
 
 
 def test_pass_refuses_other_sample_count_or_seed(stats_30db):

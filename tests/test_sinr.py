@@ -1,6 +1,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,6 +202,36 @@ def test_two_hop_sum_combining_leaks_at_least_selection():
     _, sel = baseline_sinrs(s, SchemeKind.TWO_HOP_CASE_I, combining="selection")
     _, summed = baseline_sinrs(s, SchemeKind.TWO_HOP_CASE_I, combining="sum")
     assert summed >= sel
+
+
+def mpmath_baseline(s, kind, combining):
+    """baseline_sinrs' undivided formulas, evaluated at 40 digits."""
+    with mpmath.workdps(40):
+        g, h, f, sr2, sd, dr1 = (mpmath.mpf(v) for v in vars(s).values())
+        a, b, u, v = (g, dr1, sr2, f) if kind is SchemeKind.TWO_HOP_CASE_I else (sr2, f, g, dr1)
+        e1, e2 = u / (v + 1), a * h / (b * h + h + a + b + 1)
+        idle = max(e1, e2) if combining == "selection" else e1 + e2
+        return float(a * b / (a + 2 * b + 1)), float(max(a / (b + 1), idle))
+
+
+BASE_GAINS = (1.3, 0.7, 2.1, 0.9, 1.1, 1.7)
+
+
+@pytest.mark.parametrize("gains", [
+    BASE_GAINS, (2.0, 1.0, 0.5, 3.0, 1.0, 0.25),
+    *[tuple(c * x for x in BASE_GAINS) for c in (1e100, 1e130, 1e160)],
+    (0.0,) * 6, (0.0, 1.0, 1.0, 0.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0, 1.0, 1.0),
+    (1.0, 1.0, 0.0, 1.0, 1.0, 0.0), (1e160, 0.0, 1e160, 1e160, 1.0, 1e160),
+])
+@pytest.mark.parametrize("combining", ["selection", "sum"])
+@pytest.mark.parametrize("kind", [SchemeKind.TWO_HOP_CASE_I, SchemeKind.TWO_HOP_CASE_II])
+def test_two_hop_sinrs_match_mpmath(gains, combining, kind):
+    # at 1e160 the gain products overflow float64; zero gains must give
+    # finite SINRs, not 0 / 0 or a division by zero
+    s = ChannelSample(*gains)
+    got = baseline_sinrs(s, kind, combining)
+    for value, exact in zip(got, mpmath_baseline(s, kind, combining)):
+        assert value == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 def test_direct_baseline():

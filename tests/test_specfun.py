@@ -22,6 +22,17 @@ def test_k1_against_integral_oracle():
         assert bessel_k1(x) == pytest.approx(oracle, rel=1e-9)
 
 
+def test_k1_oracle_against_mpmath_besselk():
+    # the trapezoid oracle on validate's grid, within 1e-15 of 40-digit K1
+    import mpmath
+
+    for x in np.logspace(-6, math.log10(50.0), 50):
+        with mpmath.workdps(40):
+            exact = mpmath.besselk(1, mpmath.mpf(float(x)))
+            err = abs((mpmath.mpf(bessel_k1_quadrature(float(x))) - exact) / exact)
+        assert err < 1e-15, x
+
+
 def test_k1_small_argument_limit():
     # x * K1(x) -> 1 as x -> 0
     x = 1e-6
