@@ -29,6 +29,7 @@ from relaysec.montecarlo import (
     esr_rows,
     estimate_esr,
     estimate_event_probability,
+    event_rows,
     sample_channels,
 )
 from relaysec.sinr import (LINKS, PRELOG, SchemeKind, SinrMethod, has_method, highsnr_sinrs,
@@ -354,20 +355,74 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     rows.append(CheckRow("k1_series error trend non-increasing in order", True, float(not trend_ok),
                          0.0, 0.0))
 
-    @functools.cache
-    def stats_at(db: float) -> ChannelStats:
-        return topology_to_stats(spec.topology, db_to_linear(db))
+    # A layout is a tuple of Topology fields, built inside point(), so a
+    # layout that cannot be built fails only the rows that read it.
+    layout = dataclasses.astuple(spec.topology)
+    asymmetric = (-3.0, -1.0, 1.5, 3.0, spec.topology.n)
 
-    def sampled(rows):
-        """key -> Monte Carlo mean of the rows() MeanPass row; one pass serves every key."""
-        shared = functools.cache(lambda: MeanPass(rows(), n_mc, spec.seed, spec.workers))
-        return lambda key: shared().mean(key)[0]
+    @functools.cache
+    def point(fields: tuple, db: float) -> ChannelStats | Exception:
+        try:
+            topology = Topology(*fields)
+        except NUMERIC_FAILURES as exc:
+            return exc
+        return _point_stats(topology, db)
+
+    def stats_at(db: float, fields: tuple = layout) -> ChannelStats:
+        """The point's channel statistics; raises the point's failure, if it had one."""
+        stats = point(fields, db)
+        if isinstance(stats, Exception):
+            raise stats
+        return stats
+
+    def asym() -> ChannelStats:
+        return stats_at(30.0, asymmetric)
+
+    # Every Monte Carlo mean below is a row of one pass (pass_rows), which
+    # draws each chunk once and runs on the first read.  A point whose
+    # statistics fail gives no rows, and reading its rows re-raises its
+    # failure, as every row key holds the point's stats.
+    def dominates(b):
+        return b.gamma_r1_p1 > b.gamma_r2
+
+    def rows_30(s: ChannelStats) -> dict:
+        def harmonic(t):
+            # E{XY/(X+Y)} with means 1.3 and 0.7: the g and h gains rescaled
+            x = 1.3 * (t.gamma_g / s.bar_g)
+            y = 0.7 * (t.gamma_h / s.bar_h)
+            return x * y / (x + y)
+
+        t_terms = {"T1": lambda t: np.log1p(t.gamma_g / t.gamma_h), "XY/(X+Y)": harmonic,
+                   "T2": lambda t: np.log1p(highsnr_sinrs(t).gamma_r2)}
+        return {**event_rows([(s, dominates, SinrMethod.HIGH_SNR)]),
+                **{(s, term): (s, fn, hops) for term, fn in t_terms.items()},
+                **esr_rows([(s, SchemeKind.THREE_HOP, SinrMethod.EXACT)])}
+
+    combinings = ("selection", "sum")
+    links = ("gamma_h", "bar_h"), ("gamma_f", "bar_f")
+    hops = LINKS[SchemeKind.THREE_HOP]  # g, h and f: all the T-term, KS and link-mean draws read
+    pass_rows = (  # (layout, SNR in dB, the point's rows from its stats)
+        (layout, 30.0, rows_30),
+        (layout, 10.0, lambda s: {(s, c): (s, functools.partial(
+            secrecy_rate, scheme=SchemeKind.TWO_HOP_CASE_I, method=SinrMethod.EXACT, combining=c),
+            LINKS[SchemeKind.TWO_HOP_CASE_I]) for c in combinings}),
+        (asymmetric, 30.0, lambda s: {(s, name): (s, operator.attrgetter(name), hops)
+                                      for name, _ in links}),
+    )
+    mc_pass = functools.cache(lambda: MeanPass(
+        {key: row for fields, db, rows_of in pass_rows
+         if isinstance(stats := point(fields, db), ChannelStats)
+         for key, row in rows_of(stats).items()},
+        n_mc, spec.seed, spec.workers))
+
+    def mc_mean(key) -> float:
+        return mc_pass().mean(key)[0]
 
     # Dominance probability: exact closed form vs Monte Carlo (gating) and vs
     # the published series (informational; printed form is not scale-invariant).
     def p_vs_mc():
-        p_mc, p_se = estimate_event_probability(stats_at(30.0), lambda b: b.gamma_r1_p1 > b.gamma_r2,
-                                                n_mc, spec.seed, workers=spec.workers)
+        p_mc, p_se = estimate_event_probability(stats_at(30.0), dominates, n_mc, spec.seed,
+                                                workers=spec.workers, mean_pass=mc_pass())
         return analytics.prob_r1_dominates_oracle(stats_at(30.0)), p_mc, 3.0 * p_se
 
     def p_series(db: float):
@@ -379,17 +434,10 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     for db in (10.0, 30.0, 50.0):
         check(f"P first-term series vs quadrature at {db:.0f} dB", False, lambda: p_series(db))
 
-    # T1, E{XY/(X+Y)} and T2 against Monte Carlo means over one draw; the
-    # E{XY/(X+Y)} case with means 1.3 and 0.7 rescales the g and h gains.
-    def harmonic(s):
-        x = 1.3 * (s.gamma_g / stats_at(30.0).bar_g)
-        y = 0.7 * (s.gamma_h / stats_at(30.0).bar_h)
-        return x * y / (x + y)
+    # T1, E{XY/(X+Y)} and T2 against Monte Carlo means.
+    def t_mc(term: str) -> float:
+        return mc_mean((stats_at(30.0), term))
 
-    t_terms = {"T1": lambda s: np.log1p(s.gamma_g / s.gamma_h), "XY/(X+Y)": harmonic,
-               "T2": lambda s: np.log1p(highsnr_sinrs(s).gamma_r2)}
-    hops = LINKS[SchemeKind.THREE_HOP]  # g, h and f: all the T-term, KS and link-mean draws read
-    t_mc = sampled(lambda: {term: (stats_at(30.0), fn, hops) for term, fn in t_terms.items()})
     check("T1 closed form vs Monte Carlo", True,
           lambda: (analytics.t1_closed(stats_at(30.0)), t_mc("T1"), 0.005 * abs(t_mc("T1"))))
     check("E{XY/(X+Y)} quadrature vs Monte Carlo", True,
@@ -400,8 +448,6 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     # the exact E{XY/(X+Y)} inside it is gated above.
     check("T2 mean-ratio vs Monte Carlo", False,
           lambda: (analytics.t2(stats_at(30.0)), t_mc("T2"), math.inf))
-    asym = functools.cache(lambda: topology_to_stats(Topology(-3.0, -1.0, 1.5, 3.0, spec.topology.n),
-                                                     db_to_linear(30.0)))
     check("T2 printed closed form vs mean-ratio (asymmetric case)", False,
           lambda: (analytics.t2_printed(asym()), analytics.t2(asym()), math.inf))
 
@@ -416,7 +462,7 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
 
     # ESR lower bound: production reading vs the literal extra pre-factor.
     mc_esr = functools.cache(lambda: estimate_esr(stats_at(30.0), SchemeKind.THREE_HOP, SinrMethod.EXACT,
-                                                  n_mc, spec.seed, spec.workers).mean)
+                                                  n_mc, spec.seed, spec.workers, mc_pass()).mean)
     lb = functools.cache(lambda: analytics.esr_lower_bound(stats_at(30.0)))
     check("ESR lower bound vs Monte Carlo exact ESR (30 dB)", False, lambda: (lb(), mc_esr(), math.inf))
     check("literal extra 1/(3 ln 2) reading vs Monte Carlo", False,
@@ -438,21 +484,16 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
           lambda: ks(lambda x, y: x * y / (x + y), analytics.cdf_harmonic))
 
     # Two-hop idle eavesdropper combining sensitivity (selection vs sum).
-    combinings = ("selection", "sum")
-    two_hop = sampled(lambda: {c: (stats_at(10.0), functools.partial(
-        secrecy_rate, scheme=SchemeKind.TWO_HOP_CASE_I, method=SinrMethod.EXACT, combining=c),
-        LINKS[SchemeKind.TWO_HOP_CASE_I]) for c in combinings})
     for combining in combinings:
         check(f"two-hop ESR with {combining} combining (10 dB)", False,
-              lambda: (two_hop(combining), two_hop(combining), math.inf))
+              lambda: (mc_mean((stats_at(10.0), combining)),) * 2 + (math.inf,))
 
     # Mean-SNR reading cross-check: sampled gain means vs rho * m per link
     # (the corrected reading) on an asymmetric geometry.
-    links = ("gamma_h", "bar_h"), ("gamma_f", "bar_f")
-    emps = sampled(lambda: {name: (asym(), operator.attrgetter(name), hops) for name, _ in links})
     for name, bar in links:
         check(f"sample mean of {name} vs rho*m of its own link", True,
-              lambda: (emps(name), getattr(asym(), bar), 4.0 * getattr(asym(), bar) / math.sqrt(n_mc)))
+              lambda: (mc_mean((asym(), name)), getattr(asym(), bar),
+                       4.0 * getattr(asym(), bar) / math.sqrt(n_mc)))
     return rows
 
 

@@ -4,8 +4,10 @@ Sampling is chunked with one counter-derived RNG stream per chunk, so the
 result of an estimate depends only on (seed, n) and never on how many
 workers processed the chunks.  MeanPass, the one engine, estimates the
 means of many rows, each an elementwise function of the fading at one SNR
-point, from one draw per chunk: estimate_esr reads an ESR row of it, and
-estimate_event_probability runs a pass of one event row.
+point, from one draw per chunk.  estimate_esr reads an ESR row (esr_rows)
+and estimate_event_probability an event row (event_rows), each from a pass
+that holds it, such as the one a sweep or validate builds for all its
+Monte Carlo means, or from a pass of that row alone.
 """
 
 from __future__ import annotations
@@ -110,8 +112,10 @@ def _reduce_chunks(partials: list[tuple[float, float]], n: int) -> tuple[float, 
         raise NumericError(f"Monte Carlo mean over {n} samples is {mean}")
     if n < 2:
         return mean, 0.0
-    var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-    return mean, math.sqrt(var / n)
+    var = (total_sq - n * mean * mean) / (n - 1)
+    if not math.isfinite(var):  # squares past about 1.3e154 overflow
+        raise NumericError(f"Monte Carlo variance over {n} samples is {var}")
+    return mean, math.sqrt(max(0.0, var) / n)
 
 
 def _map_chunks(seed: int, n: int, workers: int, fn) -> list:
@@ -144,8 +148,8 @@ class MeanPass:
     A 0 (from a tiny rho * m) is redrawn by sample_channels, which shifts the
     later uniforms, so that (point, chunk) draws its own gains once, for
     the most links its rows read, and scales them by 1.0.  An infinite
-    gain, a RelaysecError of fn and a non-finite mean each fail only their
-    row.  The pass runs on the first read.
+    gain, a RelaysecError of fn and a non-finite mean or variance each fail
+    only their row.  The pass runs on the first read.
     """
 
     def __init__(self, rows: dict, n: int, seed: int, workers: int = 1) -> None:
@@ -216,7 +220,8 @@ def _blocked_moments(fn, gains, scale, buf: np.ndarray, values: np.ndarray) -> t
     buf, and fn reads it through a ChannelSample of buf, checked once per
     block length: later blocks rewrite buf in place.  fn's values fill
     ``values``, which is summed whole, so blocking moves no bit; it is
-    squared in place, so it is read no more.
+    squared in place, so it is read no more.  A sum or square that
+    overflows is left infinite, for _reduce_chunks to refuse.
     """
     views: dict[int, ChannelSample] = {}
     for start in range(0, values.size, BLOCK_SIZE):
@@ -227,7 +232,8 @@ def _blocked_moments(fn, gains, scale, buf: np.ndarray, values: np.ndarray) -> t
         if size not in views:
             views[size] = ChannelSample(*buf[:, :size])
         values[start:stop] = fn(views[size])
-    return float(np.sum(values)), float(np.sum(np.multiply(values, values, out=values)))
+    with np.errstate(over="ignore"):
+        return float(np.sum(values)), float(np.sum(np.multiply(values, values, out=values)))
 
 
 def esr_rows(keys) -> dict:
@@ -235,6 +241,35 @@ def esr_rows(keys) -> dict:
     return {(stats, scheme, method):
             (stats, functools.partial(secrecy_rate, scheme=scheme, method=method), LINKS[scheme])
             for stats, scheme, method in keys}
+
+
+def event_rows(keys) -> dict:
+    """MeanPass rows keyed (stats, event, method): the frequency of event.
+
+    event maps a SinrBundle (vectorized) of the three-hop SINRs by method
+    to a boolean array; it is part of the key, so give the same function
+    object to the pass and to the read.
+    """
+    return {(stats, event, method):
+            (stats, functools.partial(_event_indicator, event=event, method=method),
+             LINKS[SchemeKind.THREE_HOP])
+            for stats, event, method in keys}
+
+
+def _event_indicator(sample: ChannelSample, event, method: SinrMethod) -> np.ndarray:
+    return event(three_hop_sinrs(sample, method))
+
+
+def _read_row(mean_pass: MeanPass | None, rows, key, n: int, seed: int,
+              workers: int) -> tuple[float, float]:
+    """The row ``key`` of mean_pass, a pass over the same n and seed; without
+    one, of a pass of rows([key]) alone."""
+    if mean_pass is None:
+        mean_pass = MeanPass(rows([key]), n, seed, workers)
+    elif (n, seed) != (mean_pass.n, mean_pass.seed):
+        raise DomainError(f"pass over n = {mean_pass.n}, seed = {mean_pass.seed} asked for "
+                          f"n = {n}, seed = {seed}")
+    return mean_pass.mean(key)
 
 
 def estimate_esr(stats: ChannelStats, scheme: SchemeKind, method: SinrMethod,
@@ -246,24 +281,20 @@ def estimate_esr(stats: ChannelStats, scheme: SchemeKind, method: SinrMethod,
     that holds it (esr_rows); without one, a pass of this row alone runs.
     A (scheme, method) pair that sinr.has_method refuses raises DomainError.
     """
-    if mean_pass is None:
-        mean_pass = MeanPass(esr_rows([(stats, scheme, method)]), n, seed, workers)
-    elif (n, seed) != (mean_pass.n, mean_pass.seed):
-        raise DomainError(f"pass over n = {mean_pass.n}, seed = {mean_pass.seed} asked for "
-                          f"n = {n}, seed = {seed}")
-    return EsrEstimate(*mean_pass.mean((stats, scheme, method)), n)
+    return EsrEstimate(*_read_row(mean_pass, esr_rows, (stats, scheme, method), n, seed, workers), n)
 
 
 def estimate_event_probability(stats: ChannelStats, event, n: int, seed: int,
                                method: SinrMethod = SinrMethod.HIGH_SNR,
-                               workers: int = 1) -> tuple[float, float]:
+                               workers: int = 1,
+                               mean_pass: MeanPass | None = None) -> tuple[float, float]:
     """Empirical probability of a predicate over the three-hop SINR bundle.
 
     event maps a SinrBundle (vectorized) to a boolean array.  Returns the
-    frequency and its binomial standard error.
+    frequency and its binomial standard error.  The row is read from
+    ``mean_pass`` as estimate_esr reads its row, here from event_rows.
     """
-    row = stats, lambda s: event(three_hop_sinrs(s, method)), LINKS[SchemeKind.THREE_HOP]
-    p, _ = MeanPass({"event": row}, n, seed, workers).mean("event")
+    p, _ = _read_row(mean_pass, event_rows, (stats, event, method), n, seed, workers)
     return p, math.sqrt(p * (1.0 - p) / n)
 
 

@@ -6,6 +6,7 @@ and the truncated exponential-series approximation of K1 built from them.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -56,6 +57,7 @@ def lah(n: int, i: int) -> int:
     return math.comb(n - 1, i - 1) * math.factorial(n) // math.factorial(i)
 
 
+@functools.cache
 def lambda_coeff(n: int, i: int) -> float:
     """Coefficient Lambda(n, i) of the exponential K1-series.
 
@@ -65,7 +67,8 @@ def lambda_coeff(n: int, i: int) -> float:
     at nu = 1, where Gamma(-1/2) = -2 sqrt(pi) and
     Gamma(n - 1/2) / Gamma(n + 3/2) = 4 / (4 n^2 - 1), is the rational
     (-1)^(i+1) 2^i L(n, i) / ((4 n^2 - 1) n!), divided here as exact
-    integers and so correctly rounded.
+    integers and so correctly rounded.  Cached: k1_series reads every
+    coefficient up to its order on each call.
     """
     if i < 1 or i > n:
         raise DomainError(f"lambda_coeff requires 1 <= i <= n, got n={n}, i={i}")

@@ -33,6 +33,7 @@ from relaysec.cli import (
 )
 from relaysec import analytics
 from relaysec.errors import DomainError, NumericError
+from relaysec import montecarlo
 from relaysec.montecarlo import estimate_esr
 from relaysec.sinr import SchemeKind, SinrMethod
 
@@ -348,6 +349,72 @@ def test_validate_monte_carlo_rows_pinned(tmp_path):
     rows = {r["check"]: (r["closed_form"], r["oracle"])
             for r in csv.DictReader(out.read_text().strip().split("\n"))}
     assert {name: rows[name] for name in VALIDATE_MC_ROWS} == VALIDATE_MC_ROWS
+
+
+#: sha256 of the whole validate --quick stdout: the K1, Lah and closed-form
+#: rows too, so a moved coefficient or closed form shows here.
+VALIDATE_QUICK_SHA256 = "dc2f0bb873248611091d3a8bdb33037ef81ca794ba206e67506bb0b178b8d04d"
+
+
+def test_validate_quick_bytes_pinned(tmp_path):
+    out = tmp_path / "validate.csv"
+    assert main(["validate", "--quick", "--output", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VALIDATE_QUICK_SHA256
+
+
+def test_validate_failed_point_fails_only_its_rows(capsys):
+    # rho * m_h overflows at 30 dB on this layout, but not at 10 dB or on the
+    # asymmetric layout: the 30 dB rows fail, while the Monte Carlo rows of
+    # the other two points, drawn in the same pass, still pass
+    assert main(["validate", "--quick", "--topology=-3,-1e-114,4e-114,3"]) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dd3761c2789513c45f2ca37120239a0e366e7a865a2b89bf9db956bb2e6b44b0")
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "a817d41967dfba1e0f74beb480a121677605778c9c486eaf8ab11b604377fb82")
+    rows = {r["check"]: r for r in csv.DictReader(out.strip().split("\n"))}
+    assert rows["T1 closed form vs Monte Carlo"]["verdict"] == "FAIL"
+    for name in ("two-hop ESR with selection combining (10 dB)",
+                 "two-hop ESR with sum combining (10 dB)",
+                 "sample mean of gamma_h vs rho*m of its own link",
+                 "sample mean of gamma_f vs rho*m of its own link"):
+        assert rows[name]["verdict"] == "pass", name
+
+
+def test_validate_unbuildable_asymmetric_layout_fails_only_its_rows(capsys):
+    # the user layout builds at path-loss 500 (3^-500 is a normal float), but
+    # the asymmetric layout's 4.5 S-R2 distance underflows to 0: every row
+    # is still printed, and only the three rows that read that layout fail
+    assert main(["validate", "--quick", "--topology=0,1,2,3", "--pathloss", "500"]) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "890b118618d03a9d8847f35d91c1e7837a240b557b5f7df37698858efa103efb")
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "5f627140ccdb068bd3528e6af2a3219fe58617a664f5fd4dd4b2669c9fd9e6c8")
+    rows = list(csv.DictReader(out.strip().split("\n")))
+    assert len(rows) == 25
+    assert {r["check"] for r in rows if r["verdict"] == "FAIL"} == {
+        "T2 printed closed form vs mean-ratio (asymmetric case)",
+        "sample mean of gamma_h vs rho*m of its own link",
+        "sample mean of gamma_f vs rho*m of its own link"}
+
+
+def test_validate_draws_each_chunk_once(monkeypatch, tmp_path):
+    # every Monte Carlo mean of validate is a row of one pass: each chunk
+    # draws its unit gains once, for all six links; the only other draw is
+    # the KS sample
+    calls = []
+    draw_links = montecarlo._draw_links
+
+    def spy(stats, stream, n, links):
+        calls.append((stats, links))
+        return draw_links(stats, stream, n, links)
+
+    monkeypatch.setattr(montecarlo, "_draw_links", spy)
+    assert main(["validate", "--quick", "--output", str(tmp_path / "v.csv")]) == EXIT_OK
+    chunks = -(-10**5 // montecarlo.CHUNK_SIZE)
+    assert [c for c in calls if c[0] == montecarlo.UNIT] == [(montecarlo.UNIT, 6)] * chunks
+    assert len(calls) == chunks + 1
 
 
 def test_validate_worker_count_does_not_change_output(tmp_path):

@@ -1,5 +1,6 @@
 import functools
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from relaysec.montecarlo import (
     esr_rows,
     estimate_esr,
     estimate_event_probability,
+    event_rows,
     sample_channels,
 )
 from relaysec.sinr import LINKS, SchemeKind, SinrMethod, has_method, secrecy_rate, three_hop_sinrs
@@ -340,7 +342,43 @@ def test_pass_own_draw_fails_only_rows_reading_an_infinite_gain(monkeypatch):
 
 
 def test_pass_refuses_other_sample_count_or_seed(stats_30db):
-    shared = MeanPass(esr_rows([(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT)]), 1000, seed=1)
+    shared = MeanPass({**esr_rows([(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT)]),
+                       **event_rows([(stats_30db, dominates, SinrMethod.HIGH_SNR)])}, 1000, seed=1)
     for n, seed in ((999, 1), (1000, 2)):
         with pytest.raises(DomainError):
             estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, n, seed, mean_pass=shared)
+        with pytest.raises(DomainError):
+            estimate_event_probability(stats_30db, dominates, n, seed, mean_pass=shared)
+
+
+def dominates(b):
+    """The P event on a SinrBundle: R1's phase-1 SINR above R2's."""
+    return b.gamma_r1_p1 > b.gamma_r2
+
+
+@pytest.mark.parametrize("n", [1000, CHUNK_SIZE + 1])
+def test_event_probability_reads_a_shared_pass(stats_30db, n, monkeypatch):
+    # an event row beside rows reading more links gives a pass of its own
+    # bit for bit, from one unit draw per chunk
+    esr_key = (stats_30db, SchemeKind.TWO_HOP_CASE_I, SinrMethod.EXACT)
+    alone = estimate_event_probability(stats_30db, dominates, n, 5), estimate_esr(*esr_key, n, 5)
+    calls = spy_on_draws(monkeypatch)
+    shared = MeanPass({**event_rows([(stats_30db, dominates, SinrMethod.HIGH_SNR)]),
+                       **esr_rows([esr_key])}, n, seed=5)
+    assert (estimate_event_probability(stats_30db, dominates, n, 5, mean_pass=shared),
+            estimate_esr(*esr_key, n, 5, mean_pass=shared)) == alone
+    assert calls == [UNIT] * -(-n // CHUNK_SIZE)
+
+
+def test_pass_overflowing_square_fails_the_row():
+    # sd gains near 1e200 have a finite mean, but their squares overflow: the
+    # row fails instead of giving a standard error of 0, and warns of nothing
+    stats = ChannelStats(1.0, 1.0, 1.0, 1.0, 1e200, 1.0, rho=1.0)
+    shared = MeanPass({"sd": (stats, operator.attrgetter("gamma_sd"), 5),
+                       "g": (stats, operator.attrgetter("gamma_g"), 5)}, 1000, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="variance"):
+            shared.mean("sd")
+        mean, std_error = shared.mean("g")
+    assert mean > 0.0 and std_error > 0.0
