@@ -480,8 +480,12 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
         return empirical_cdf_ks(stat(x, y), lambda z: cdf(z, st.bar_g, st.bar_h)), 0.0, ks_tol
 
     check("KS distance, ratio CDF", True, lambda: ks(lambda x, y: x / y, analytics.cdf_ratio))
-    check("KS distance, harmonic-mean CDF", True,
-          lambda: ks(lambda x, y: x * y / (x + y), analytics.cdf_harmonic))
+
+    def harmonic_mean(x, y):  # x y / (x + y) without the product, which can overflow
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        return lo / (1.0 + lo / hi)
+
+    check("KS distance, harmonic-mean CDF", True, lambda: ks(harmonic_mean, analytics.cdf_harmonic))
 
     # Two-hop idle eavesdropper combining sensitivity (selection vs sum).
     for combining in combinings:

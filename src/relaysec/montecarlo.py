@@ -27,8 +27,8 @@ from relaysec.sinr import LINKS, SchemeKind, SinrMethod, secrecy_rate, three_hop
 #: identically no matter how many workers run).
 CHUNK_SIZE = 1 << 18
 
-#: MeanPass evaluates each row in blocks of this many realizations, so the
-#: temporaries of a block (256 KiB each) stay in cache.
+#: MeanPass evaluates each row in blocks of this many realizations; a rate
+#: kernel's one workspace per block holds a few 256 KiB rows (sinr).
 BLOCK_SIZE = 1 << 15
 
 #: Every mean 1: MeanPass draws these gains once per chunk and scales them
@@ -299,7 +299,10 @@ def estimate_event_probability(stats: ChannelStats, event, n: int, seed: int,
 
 
 def empirical_cdf_ks(samples, cdf) -> float:
-    """Kolmogorov-Smirnov sup-distance between sample data and a CDF."""
+    """Kolmogorov-Smirnov sup-distance between sample data and a CDF.
+
+    A distance that is not finite (a nan from the CDF) raises NumericError.
+    """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n == 0:
@@ -308,4 +311,7 @@ def empirical_cdf_ks(samples, cdf) -> float:
     grid = np.arange(1, n + 1) / n
     d_plus = np.max(grid - f)
     d_minus = np.max(f - (grid - 1.0 / n))
-    return float(max(d_plus, d_minus))
+    d = float(max(d_plus, d_minus))
+    if not math.isfinite(d):
+        raise NumericError(f"KS distance over {n} samples is {d}")
+    return d

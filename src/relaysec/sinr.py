@@ -3,13 +3,17 @@
 Covers the three-hop scheme (exact and high-SNR forms) and the two-hop /
 direct baselines; secrecy_rate gives the rate of any (scheme, method) and
 has_method says which pairs exist.  All functions are elementwise over
-numpy arrays, so a whole Monte Carlo chunk evaluates in one call.
+numpy arrays, so a whole Monte Carlo chunk evaluates in one call.  Each
+kernel writes its steps with ``out=`` into one fresh workspace per call
+and never writes its inputs, which may be views of a caller's buffer.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,22 +55,40 @@ LINKS = {
 }
 
 
+def _workspace(rows: int, *arrays) -> list[np.ndarray]:
+    """``rows`` fresh float arrays of the inputs' broadcast shape, views of one buffer.
+
+    A kernel writes every step into these with ``out=``, so one call makes
+    one allocation instead of a temporary per operation.  Each is a view
+    even at scalar inputs (0-d), so ``out=`` can write into it.
+    """
+    w = np.empty((rows,) + np.broadcast(*arrays).shape)
+    return [w[i, ...] for i in range(rows)]
+
+
 @dataclass(frozen=True)
 class SinrBundle:
-    """The four instantaneous SINRs of the three-hop scheme.
+    """The instantaneous SINRs of the three-hop scheme.
 
-    gamma_r1_p1: at R1 during phase 1; gamma_r2: at R2; gamma_r1_p3: at R1
-    during phase 3; gamma_d: at the destination.
+    gamma_r1_p1: at R1 during phase 1; gamma_r2: at R2; gamma_d: at the
+    destination.  gamma_r1_p3, at R1 during phase 3, never exceeds gamma_r2
+    (exact_sinrs, highsnr_sinrs), so no rate reads it: ``phase3`` evaluates
+    it from the sample's gains each time it is read, so read it before
+    those arrays change.
     """
 
     gamma_r1_p1: np.ndarray | float
     gamma_r2: np.ndarray | float
-    gamma_r1_p3: np.ndarray | float
     gamma_d: np.ndarray | float
+    phase3: Callable[[], np.ndarray | float] = field(repr=False, compare=False)
+
+    @property
+    def gamma_r1_p3(self) -> np.ndarray | float:
+        return self.phase3()
 
     def max_leakage(self) -> np.ndarray | float:
-        """Largest of the three relay SINRs."""
-        return np.maximum(self.gamma_r1_p1, np.maximum(self.gamma_r2, self.gamma_r1_p3))
+        """Largest relay SINR, max(gamma_r1_p1, gamma_r2), as gamma_r1_p3 <= gamma_r2."""
+        return np.maximum(self.gamma_r1_p1, self.gamma_r2)
 
 
 def exact_sinrs(s: ChannelSample) -> SinrBundle:
@@ -75,35 +97,72 @@ def exact_sinrs(s: ChannelSample) -> SinrBundle:
     Each is divided through by its numerator, so no product of gains can
     overflow.  A reciprocal gain only multiplies factors >= 1 such as f + 2,
     so a zero gain gives SINR 0, not 0 * inf = nan.
+
+    gamma_r1_p3 <= gamma_r2: with t = (g + 1)/(g h), the reciprocal of the
+    phase-3 R1 SINR exceeds that of gamma_r2 by at least t (f + g + 2) > 0,
+    since ((g + h + 1)/h)^2 - 1 >= 2 (g + 1)/h.  The relative gap is at least
+    about (g + 1)/h, so only where h > ~1e16 (g + 1) can rounding lift the
+    computed gamma_r1_p3 above gamma_r2, by at most a few ulps.
     """
     # As arrays, scalar gains too divide by zero to inf instead of raising.
     g, h, f = (np.asarray(x, dtype=float) for x in (s.gamma_g, s.gamma_h, s.gamma_f))
+    ig, t, r1_p1, r2, d = _workspace(5, g, h, f)
     with np.errstate(divide="ignore", over="ignore"):
-        ig = 1.0 / g
-        t = (1.0 + ig) / h  # (g + 1) / (g h)
-        r1_p1 = g / (h + 1.0)
-        r2 = 1.0 / (ig * (f + 2.0) + t * (f + 1.0))
-        r1_p3 = 1.0 / (ig + (g + 1.0) * t + ((g + h + 1.0) / h) ** 2 * ((f + 1.0) * ig))
-        d = 1.0 / (3.0 * ig + 2.0 * t + (1.0 + 2.0 * ig + t) / f)
-    return SinrBundle(r1_p1, r2, r1_p3, d)
+        np.divide(1.0, g, out=ig)
+        np.add(ig, 1.0, out=t)
+        t /= h  # (g + 1) / (g h)
+        # r1_p1 holds partial terms until its own value is written, last.
+        np.add(f, 2.0, out=r2)
+        r2 *= ig
+        r2 += np.multiply(np.add(f, 1.0, out=r1_p1), t, out=r1_p1)
+        np.divide(1.0, r2, out=r2)  # 1 / (ig (f + 2) + t (f + 1))
+        np.multiply(ig, 3.0, out=d)
+        d += np.multiply(t, 2.0, out=r1_p1)
+        np.multiply(ig, 2.0, out=r1_p1)
+        r1_p1 += 1.0
+        r1_p1 += t
+        d += np.divide(r1_p1, f, out=r1_p1)
+        np.divide(1.0, d, out=d)  # 1 / (3 ig + 2 t + (1 + 2 ig + t) / f)
+        np.divide(g, np.add(h, 1.0, out=r1_p1), out=r1_p1)  # g / (h + 1)
+    return SinrBundle(r1_p1, r2, d, functools.partial(_exact_r1_p3, g, h, f, ig, t))
+
+
+def _exact_r1_p3(g, h, f, ig, t):
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / (ig + (g + 1.0) * t + ((g + h + 1.0) / h) ** 2 * ((f + 1.0) * ig))
 
 
 def highsnr_sinrs(s: ChannelSample) -> SinrBundle:
     """High-SNR SINRs, divided through like exact_sinrs; every gain must be > 0.
 
     The phase-3 R1 SINR g h^2 / ((g + h)^2 f + 2 h g^2) has twice the h g^2
-    of exact_sinrs' leading term (README, "Numerical notes").
+    of exact_sinrs' leading term (README, "Numerical notes").  With u = g/h
+    and v = f/h it is u / ((1 + u)^2 v + 2 u^2) < u / ((1 + u) v) = gamma_r2,
+    a relative gap of at least u: only where h > ~1e16 g can rounding lift
+    the computed value above gamma_r2.  A product of gains that underflows
+    to 0 divides to inf, its limit.
     """
     g, h, f = s.gamma_g, s.gamma_h, s.gamma_f
     if np.any(np.asarray(g) == 0) or np.any(np.asarray(h) == 0) or np.any(np.asarray(f) == 0):
         raise DegenerateSampleError("high-SNR SINRs need strictly positive gains")
-    with np.errstate(over="ignore"):
-        ig = 1.0 / g
-        r1_p1 = g / h
-        r2 = 1.0 / (f * (ig + 1.0 / h))
-        r1_p3 = 1.0 / ((r1_p1 + 1.0) ** 2 * (f * ig) + 2.0 * r1_p1)
-        d = 1.0 / (3.0 * ig + 2.0 / h + 1.0 / f)
-    return SinrBundle(r1_p1, r2, r1_p3, d)
+    ig, r1_p1, r2, d, tmp = _workspace(5, g, h, f)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(1.0, g, out=ig)
+        np.divide(g, h, out=r1_p1)
+        np.divide(1.0, h, out=r2)
+        r2 += ig
+        r2 *= f
+        np.divide(1.0, r2, out=r2)  # 1 / (f (ig + 1/h))
+        np.multiply(ig, 3.0, out=d)
+        d += np.divide(2.0, h, out=tmp)
+        d += np.divide(1.0, f, out=tmp)
+        np.divide(1.0, d, out=d)  # 1 / (3 ig + 2/h + 1/f)
+    return SinrBundle(r1_p1, r2, d, functools.partial(_highsnr_r1_p3, f, ig, r1_p1))
+
+
+def _highsnr_r1_p3(f, ig, r1_p1):
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / ((r1_p1 + 1.0) ** 2 * (f * ig) + 2.0 * r1_p1)
 
 
 def three_hop_sinrs(s: ChannelSample, method: SinrMethod) -> SinrBundle:
@@ -118,8 +177,12 @@ def instantaneous_secrecy_rate(b: SinrBundle):
 
 def secrecy_rate_from_pair(gamma_d, gamma_leak, prelog: float):
     """Clamped secrecy rate from a destination SINR and a leakage SINR."""
-    rate = prelog * (np.log1p(gamma_d) - np.log1p(gamma_leak)) / np.log(2.0)
-    return np.maximum(rate, 0.0)
+    rate, tmp = _workspace(2, gamma_d, gamma_leak)
+    np.log1p(gamma_d, out=rate)
+    rate -= np.log1p(gamma_leak, out=tmp)
+    rate *= prelog
+    rate /= np.log(2.0)  # prelog (ln(1 + gamma_d) - ln(1 + gamma_leak)) / ln 2
+    return np.maximum(rate, 0.0, out=rate)
 
 
 def has_method(scheme: SchemeKind, method: str) -> bool:
@@ -168,13 +231,25 @@ def baseline_sinrs(s: ChannelSample, kind: SchemeKind, combining: str = "selecti
         a, b = s.gamma_sr2, s.gamma_f
         u, v = s.gamma_g, s.gamma_dr1
     # w is R1-R2, the idle relay's view of the helper.  Divided through like
-    # exact_sinrs, as arrays so that scalar gains too divide by zero to inf.
-    a, w = np.asarray(a, dtype=float), np.asarray(s.gamma_h, dtype=float)
+    # exact_sinrs; as ufuncs, scalar gains too divide by zero to inf.
+    w = s.gamma_h
+    gamma_d, gamma_e2, leak, gamma_e1 = _workspace(4, a, b, u, v, w)
     with np.errstate(divide="ignore", over="ignore"):
-        gamma_d = b / (1.0 + (2.0 * b + 1.0) / a)  # a b / (a + 2b + 1)
+        np.multiply(b, 2.0, out=gamma_d)
+        gamma_d += 1.0
+        gamma_d /= a
+        gamma_d += 1.0
+        np.divide(b, gamma_d, out=gamma_d)  # a b / (a + 2b + 1)
+        np.add(b, 1.0, out=leak)
+        np.add(a, b, out=gamma_e2)
+        gamma_e2 += 1.0
+        gamma_e2 /= w
+        gamma_e2 += leak
         # phase 2, relay forwards: a w / (b w + w + a + b + 1)
-        gamma_e2 = a / (b + 1.0 + (a + b + 1.0) / w)
-    gamma_helper = a / (b + 1.0)
-    gamma_e1 = u / (v + 1.0)  # phase 1, D jams
-    gamma_idle = np.maximum(gamma_e1, gamma_e2) if combining == "selection" else gamma_e1 + gamma_e2
-    return gamma_d, np.maximum(gamma_helper, gamma_idle)
+        np.divide(a, gamma_e2, out=gamma_e2)
+    np.divide(a, leak, out=leak)  # the helper, a / (b + 1)
+    np.add(v, 1.0, out=gamma_e1)
+    np.divide(u, gamma_e1, out=gamma_e1)  # phase 1, D jams
+    idle = np.maximum if combining == "selection" else np.add
+    idle(gamma_e1, gamma_e2, out=gamma_e1)
+    return gamma_d, np.maximum(leak, gamma_e1, out=leak)

@@ -12,6 +12,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -397,6 +398,33 @@ def test_validate_unbuildable_asymmetric_layout_fails_only_its_rows(capsys):
         "T2 printed closed form vs mean-ratio (asymmetric case)",
         "sample mean of gamma_h vs rho*m of its own link",
         "sample mean of gamma_f vs rho*m of its own link"}
+
+
+def test_validate_ks_rows_on_huge_gains(capsys):
+    # Gains near 1e165 overflowed x y in the harmonic mean, whose KS row
+    # read nan with no numeric failure on stderr.  It is now finite, and
+    # any RuntimeWarning fails this suite.  T1 misses its gate here, so the
+    # exit status is still 3.
+    assert main(["validate", "--quick", "--topology=-1e-60,-1e-61,1e-61,1e-60"]) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = {r["check"]: r for r in csv.DictReader(out.strip().split("\n"))}
+    for name in ("KS distance, ratio CDF", "KS distance, harmonic-mean CDF"):
+        assert math.isfinite(float(rows[name]["closed_form"])) and rows[name]["verdict"] == "pass"
+    assert {name for name, r in rows.items() if r["verdict"] == "FAIL"} == {
+        "T1 closed form vs Monte Carlo"}
+
+
+def test_validate_non_finite_ks_is_a_numeric_failure(monkeypatch, capsys):
+    monkeypatch.setattr(analytics, "cdf_harmonic", lambda w, m_x, m_y: np.full(np.shape(w), np.nan))
+    assert main(["validate", "--quick"]) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert err == ("numeric failure in check 'KS distance, harmonic-mean CDF': "
+                   "KS distance over 10000 samples is nan\n")
+    rows = {r["check"]: r for r in csv.DictReader(out.strip().split("\n"))}
+    assert rows["KS distance, harmonic-mean CDF"]["closed_form"] == "nan"
+    assert {name for name, r in rows.items() if r["verdict"] == "FAIL"} == {
+        "KS distance, harmonic-mean CDF"}
 
 
 def test_validate_draws_each_chunk_once(monkeypatch, tmp_path):

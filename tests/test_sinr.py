@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import mpmath
@@ -22,6 +23,7 @@ from relaysec.sinr import (
     instantaneous_secrecy_rate,
     secrecy_rate,
     secrecy_rate_from_pair,
+    three_hop_sinrs,
 )
 
 pos_gain = st.floats(min_value=1e-3, max_value=1e6)
@@ -63,7 +65,7 @@ def test_exact_sinrs_zero_destination_gain():
     assert b.gamma_r1_p3 == pytest.approx(1.0 / 14.0, rel=1e-15)
     for h, f in ((0.0, 0.0), (2.0, 0.0)):  # h = f = 0 would give 0 * inf naively
         b = exact_sinrs(sample(0.5, h, f))
-        assert all(math.isfinite(v) for v in vars(b).values())
+        assert all(math.isfinite(v) for v in (b.gamma_r1_p1, b.gamma_r2, b.gamma_r1_p3, b.gamma_d))
         assert b.gamma_d == 0.0
 
 
@@ -300,3 +302,124 @@ def test_rate_reading_an_undrawn_link_raises(n):
         secrecy_rate(five, SchemeKind.TWO_HOP_CASE_I, SinrMethod.EXACT)
     with pytest.raises(TypeError):
         MeanPass({"two-hop": rate_row(SchemeKind.TWO_HOP_CASE_I, links=5)}, n, seed=1).mean("two-hop")
+
+
+def expression_three_hop(g, h, f, method):
+    """exact_sinrs or highsnr_sinrs written as expressions, the reference the
+    in-place kernels match bit for bit: (r1_p1, r2, r1_p3, d)."""
+    g, h, f = (np.asarray(x, dtype=float) for x in (g, h, f))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ig = 1.0 / g
+        if method is SinrMethod.EXACT:
+            t = (1.0 + ig) / h
+            return (g / (h + 1.0), 1.0 / (ig * (f + 2.0) + t * (f + 1.0)),
+                    1.0 / (ig + (g + 1.0) * t + ((g + h + 1.0) / h) ** 2 * ((f + 1.0) * ig)),
+                    1.0 / (3.0 * ig + 2.0 * t + (1.0 + 2.0 * ig + t) / f))
+        r1_p1 = g / h
+        return (r1_p1, 1.0 / (f * (ig + 1.0 / h)),
+                1.0 / ((r1_p1 + 1.0) ** 2 * (f * ig) + 2.0 * r1_p1),
+                1.0 / (3.0 * ig + 2.0 / h + 1.0 / f))
+
+
+def expression_secrecy_rate(s, scheme, method, combining="selection"):
+    """secrecy_rate written as expressions, with the three-hop leakage the
+    maximum of all three relay SINRs."""
+    if scheme is SchemeKind.THREE_HOP:
+        r1_p1, r2, r1_p3, gamma_d = expression_three_hop(s.gamma_g, s.gamma_h, s.gamma_f, method)
+        leak = np.maximum(r1_p1, np.maximum(r2, r1_p3))
+    elif scheme is SchemeKind.DIRECT:
+        gamma_d, leak = s.gamma_sd, np.maximum(s.gamma_g, s.gamma_sr2)
+    else:
+        a, b, u, v = ((s.gamma_g, s.gamma_dr1, s.gamma_sr2, s.gamma_f)
+                      if scheme is SchemeKind.TWO_HOP_CASE_I else
+                      (s.gamma_sr2, s.gamma_f, s.gamma_g, s.gamma_dr1))
+        a, w = np.asarray(a, dtype=float), np.asarray(s.gamma_h, dtype=float)
+        with np.errstate(divide="ignore", over="ignore"):
+            gamma_d = b / (1.0 + (2.0 * b + 1.0) / a)
+            gamma_e2 = a / (b + 1.0 + (a + b + 1.0) / w)
+        gamma_e1 = u / (v + 1.0)
+        idle = np.maximum(gamma_e1, gamma_e2) if combining == "selection" else gamma_e1 + gamma_e2
+        leak = np.maximum(a / (b + 1.0), idle)
+    with np.errstate(invalid="ignore"):
+        rate = PRELOG[scheme] * (np.log1p(gamma_d) - np.log1p(leak)) / np.log(2.0)
+    return np.maximum(rate, 0.0)
+
+
+RATE_PAIRS = [(scheme, method, combining) for scheme in SchemeKind for method in SinrMethod
+              if has_method(scheme, method.value) for combining in ("selection", "sum")
+              if combining == "selection" or scheme in (SchemeKind.TWO_HOP_CASE_I,
+                                                        SchemeKind.TWO_HOP_CASE_II)]
+
+#: 0, subnormal, tiny, unit-scale and huge gains.
+SPECIAL = (0.0, 5e-324, 1e-310, 1e-300, 1.0, 2.5, 1e300)
+
+
+def special_sample(positive):
+    """Every 6-link combination of SPECIAL, or of its positive values."""
+    values = [v for v in SPECIAL if v > 0 or not positive]
+    return ChannelSample(*(np.array(c) for c in zip(*itertools.product(values, repeat=6))))
+
+
+def read_only(s):
+    """s with its arrays made read-only, so a kernel that writes an input raises."""
+    for v in vars(s).values():
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
+    return s
+
+
+@pytest.mark.parametrize("scheme,method,combining", RATE_PAIRS)
+@pytest.mark.parametrize("source", ["block-1", "block-2^15", "scalar", "special"])
+def test_secrecy_rate_matches_expression_forms(scheme, method, combining, source):
+    # The in-place kernels keep the expression forms' operations in order,
+    # so every rate matches bit for bit, and no gain of the sample changes.
+    if source.startswith("block"):
+        s = sample_channels(STATS, RngStream(5), 1 if source == "block-1" else BLOCK_SIZE)
+    elif source == "scalar":
+        s = ChannelSample(*BASE_GAINS)
+    else:
+        s = special_sample(positive=method is SinrMethod.HIGH_SNR)
+    before = [np.array(v, copy=True) for v in vars(s).values()]
+    got = secrecy_rate(read_only(s), scheme, method, combining)
+    want = expression_secrecy_rate(s, scheme, method, combining)
+    for v, old in zip(vars(s).values(), before):
+        assert np.asarray(v).tobytes() == old.tobytes()
+    assert np.shape(got) == np.shape(want)
+    if source == "special" and method is SinrMethod.HIGH_SNR:
+        # The expression form's phase-3 SINR is inf * 0 = nan where g / h
+        # overflows while f / g underflows; the rewrite never forms it, and
+        # the infinite phase-1 leakage gives rate 0 there.
+        nan = np.isnan(want)
+        assert np.isnan(expression_three_hop(s.gamma_g, s.gamma_h, s.gamma_f, method)[2][nan]).all()
+        assert np.all(got[nan] == 0.0) and not np.isnan(got).any()
+        got, want = got[~nan], want[~nan]
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("method", list(SinrMethod))
+def test_sinr_bundle_matches_expression_forms(method):
+    s = sample_channels(STATS, RngStream(5), 1000, links=3)
+    b = three_hop_sinrs(read_only(s), method)
+    expected = expression_three_hop(s.gamma_g, s.gamma_h, s.gamma_f, method)
+    for got, want in zip((b.gamma_r1_p1, b.gamma_r2, b.gamma_r1_p3, b.gamma_d), expected):
+        assert got.tobytes() == want.tobytes()
+
+
+exponent = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@settings(max_examples=300)
+@given(scale=st.floats(min_value=-8.0, max_value=30.0), spread=st.tuples(exponent, exponent, exponent),
+       zero=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       method=st.sampled_from(list(SinrMethod)))
+def test_phase3_sinr_never_sets_the_leakage(scale, spread, zero, method):
+    # gamma_r1_p3 <= gamma_r2 in both forms (exact_sinrs, highsnr_sinrs),
+    # so the two-way max_leakage equals the three-way maximum bit for bit.
+    # Gains span 1e-8..1e30, each link 10^+-3 about the scale; the exact
+    # form also takes zero gains.
+    gains = [0.0 if z and method is SinrMethod.EXACT else 10.0 ** (scale + e)
+             for z, e in zip(zero, spread)]
+    b = three_hop_sinrs(sample(*gains), method)
+    assert b.gamma_r1_p3 <= b.gamma_r2
+    three_way = np.maximum(b.gamma_r1_p1, np.maximum(b.gamma_r2, b.gamma_r1_p3))
+    assert np.asarray(b.max_leakage()).tobytes() == np.asarray(three_way).tobytes()
