@@ -56,24 +56,20 @@ class EsrEstimate:
     n_samples: int
 
 
-def _draw_exponential(gen: np.random.Generator, mean: float, n: int) -> np.ndarray:
-    """Inverse-CDF exponential draws: -mean * ln(U) with U in (0, 1].
+def _draw_unit_exponential(gen: np.random.Generator, n: int) -> np.ndarray:
+    """Inverse-CDF unit exponential draws: ln(U) * -1 with U in (0, 1].
 
     The explicit transform keeps golden values portable; it runs in place
-    on one buffer, and x * -mean equals -mean * x exactly.  U = 1 - random()
-    avoids log(0).  Exact zeros, astronomically rare unless the mean is
-    subnormal, are redrawn, so every gain is > 0; the redraw ends only for
-    mean > 0, which ChannelStats guarantees.  A mean near the float64
-    maximum can overflow to an infinite gain, which ChannelSample refuses.
+    on one buffer.  U = 1 - random() avoids log(0).  The exact zeros of
+    U = 1, astronomically rare, are redrawn, so every unit gain is > 0.
     """
     x = gen.random(n)
     np.subtract(1.0, x, out=x)
     np.log(x, out=x)
-    with np.errstate(over="ignore"):
-        x *= -mean
-        while x.min() == 0.0:  # x >= 0, and min is the cheapest test for a zero
-            zero = x == 0.0
-            x[zero] = -mean * np.log(1.0 - gen.random(int(zero.sum())))
+    x *= -1.0
+    while x.min() == 0.0:  # x >= 0, and min is the cheapest test for a zero
+        zero = x == 0.0
+        x[zero] = -np.log(1.0 - gen.random(int(zero.sum())))
     return x
 
 
@@ -81,20 +77,22 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1,
                     links: int = 6) -> ChannelSample:
     """Draw n independent fading realizations of the first ``links`` links.
 
-    Each gain is exponential with mean rho * m of its link; the draw order
-    over links is fixed (g, h, f, sr2, sd, dr1), and the links not drawn
-    are None.  A link's uniforms follow those of the links before it, so a
-    shorter prefix gives the same leading links bit for bit.
+    Each link draws unit exponentials ln(1 - U) * -1 and multiplies them by
+    its mean rho * m; that product equals -m * ln(1 - U) exactly.  A gain
+    that underflows stays 0, and one that overflows raises DomainError
+    naming its link.  The draw order over links is fixed (g, h, f, sr2, sd,
+    dr1), and the links not drawn are None.  A link's uniforms follow those
+    of the links before it, so a shorter prefix gives the same leading
+    links bit for bit.
     """
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
-    return ChannelSample(*_draw_links(stats, stream, n, links))
-
-
-def _draw_links(stats: ChannelStats, stream: RngStream, n: int, links: int) -> list[np.ndarray]:
-    """sample_channels' gains, unchecked: an overflowing link is left infinite."""
     gen = stream.generator()
-    return [_draw_exponential(gen, m, n) for m in _link_means(stats)[:links]]
+    gains = [_draw_unit_exponential(gen, n) for _ in range(links)]
+    with np.errstate(over="ignore"):
+        for x, m in zip(gains, _link_means(stats)):
+            x *= m
+    return ChannelSample(*gains)
 
 
 def _link_means(stats: ChannelStats) -> tuple[float, ...]:
@@ -140,26 +138,19 @@ class MeanPass:
     elementwise.  The row's estimate is that array's mean and standard error
     over n realizations.  Rows are given as a dict and read by its keys.
 
-    Each chunk draws unit-mean gains once, for the most links any row reads,
-    and a row scales them by its point's rho * m.  As ln(1 - U) * -1 * m
-    equals ln(1 - U) * -m exactly, every row gets the bits that
-    sample_channels(stats, ...) gives it.  Scaling is monotone, so the unit
-    gains' extremes tell in advance where a scaled gain is 0 or infinite.
-    A 0 (from a tiny rho * m) is redrawn by sample_channels, which shifts the
-    later uniforms, so that (point, chunk) draws its own gains once, for
-    the most links its rows read, and scales them by 1.0.  An infinite
-    gain, a RelaysecError of fn and a non-finite mean or variance each fail
-    only their row.  The pass runs on the first read.
+    Each chunk draws unit gains once, sample_channels(UNIT, ...), for the
+    most links any row reads, and a row multiplies them by its point's
+    rho * m: the same product that sample_channels(stats, ...) forms, so
+    every row gets its bits.  A link whose largest unit gain times m is
+    infinite, a RelaysecError of fn and a non-finite mean or variance each
+    fail only their row.  The pass runs on the first read.
     """
 
     def __init__(self, rows: dict, n: int, seed: int, workers: int = 1) -> None:
         if n < 1:
             raise DomainError(f"sample count must be >= 1, got {n}")
         self.n, self.seed, self.workers = n, seed, workers
-        #: stats -> {key: (fn, links)} of its rows, in first-seen order
-        self._points: dict[ChannelStats, dict] = {}
-        for key, (stats, fn, links) in rows.items():
-            self._points.setdefault(stats, {})[key] = fn, links
+        self._rows = rows
         self._results: dict | None = None
 
     def mean(self, key) -> tuple[float, float]:
@@ -172,12 +163,11 @@ class MeanPass:
         return result
 
     def _run(self) -> dict:
-        keys = [key for rows in self._points.values() for key in rows]
-        links = max(k for rows in self._points.values() for _, k in rows.values())
+        links = max(k for _, _, k in self._rows.values())
         chunks = _map_chunks(self.seed, self.n, self.workers,
                              lambda stream, length: self._chunk(stream, length, links))
         results: dict = {}
-        for i, key in enumerate(keys):
+        for i, key in enumerate(self._rows):
             parts = [c[i] for c in chunks]
             # a row that failed keeps its first failure, in chunk order
             failed = next((p for p in parts if isinstance(p, Exception)), None)
@@ -191,25 +181,19 @@ class MeanPass:
         """Each row's (sum, sum of squares) over one chunk, or its failure."""
         unit = sample_channels(UNIT, stream, length, links)
         names, gains = zip(*list(vars(unit).items())[:links])
-        lows = [float(v.min()) for v in gains]
         highs = [float(v.max()) for v in gains]
         buf = np.empty((links, min(length, BLOCK_SIZE)))
         values = np.empty(length)
         out: list = []
-        for stats, rows in self._points.items():
-            read = max(k for _, k in rows.values())
-            base, tops, scale = gains, highs, _link_means(stats)
-            if any(lo * m == 0.0 for lo, m in zip(lows[:read], scale)):
-                base = _draw_links(stats, stream, length, read)
-                tops, scale = [float(v.max()) for v in base], (1.0,) * read
-            for fn, k in rows.values():
-                try:
-                    for name, hi, m in zip(names[:k], tops, scale):
-                        if hi * m == math.inf:
-                            raise DomainError(f"channel gain {name} must be finite and >= 0")
-                    out.append(_blocked_moments(fn, base[:k], scale[:k], buf[:k], values))
-                except RelaysecError as exc:
-                    out.append(exc)
+        for stats, fn, k in self._rows.values():
+            scale = _link_means(stats)[:k]
+            try:
+                for name, hi, m in zip(names, highs, scale):
+                    if hi * m == math.inf:
+                        raise DomainError(f"channel gain {name} must be finite and >= 0")
+                out.append(_blocked_moments(fn, gains[:k], scale, buf[:k], values))
+            except RelaysecError as exc:
+                out.append(exc)
         return out
 
 

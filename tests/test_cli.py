@@ -32,7 +32,7 @@ from relaysec.cli import (
     make_parser,
     parse_config_file,
 )
-from relaysec import analytics
+from relaysec import analytics, cli
 from relaysec.errors import DomainError, NumericError
 from relaysec import montecarlo
 from relaysec.montecarlo import estimate_esr
@@ -432,13 +432,14 @@ def test_validate_draws_each_chunk_once(monkeypatch, tmp_path):
     # draws its unit gains once, for all six links; the only other draw is
     # the KS sample
     calls = []
-    draw_links = montecarlo._draw_links
+    draw = montecarlo.sample_channels
 
-    def spy(stats, stream, n, links):
+    def spy(stats, stream, n, links=6):
         calls.append((stats, links))
-        return draw_links(stats, stream, n, links)
+        return draw(stats, stream, n, links)
 
-    monkeypatch.setattr(montecarlo, "_draw_links", spy)
+    monkeypatch.setattr(montecarlo, "sample_channels", spy)
+    monkeypatch.setattr(cli, "sample_channels", spy)
     assert main(["validate", "--quick", "--output", str(tmp_path / "v.csv")]) == EXIT_OK
     chunks = -(-10**5 // montecarlo.CHUNK_SIZE)
     assert [c for c in calls if c[0] == montecarlo.UNIT] == [(montecarlo.UNIT, 6)] * chunks
@@ -462,6 +463,36 @@ def test_validate_on_underflowing_layout_prints_every_row(tmp_path, capsys):
     assert [r[0] for r in rows] == [r[0] for r in default_rows]
     failed = any(gating == "yes" and verdict != "pass" for _, gating, verdict in rows)
     assert status == (EXIT_NUMERIC if failed else EXIT_OK)
+
+
+def test_subnormal_hop_powers_keep_underflowed_gains_zero(tmp_path, capsys):
+    # g and f powers near 1e-321: up to 30 dB some unit gains times rho * m
+    # underflow to 0.  Exact SINRs read those zeros; high-SNR SINRs refuse them.
+    argv = ["sweep", "--topology=-1e119,-1,1,1e119", "--snr", "0:60:30", "--samples", "300001",
+            "--seed", "1", "--output", str(tmp_path / "s.csv")]
+    assert main([*argv, "--method", "mc-exact"]) == EXIT_OK
+    assert (tmp_path / "s.csv").read_text().strip().split("\n")[1:] == [
+        f"{snr},three-hop,mc-exact,0,0,300001,1" for snr in (0, 30, 60)]
+    capsys.readouterr()
+    assert main([*argv, "--method", "mc-highsnr"]) == EXIT_NUMERIC
+    assert (tmp_path / "s.csv").read_text().strip().split("\n")[1:] == [
+        "0,three-hop,mc-highsnr,nan,nan,0,1", "30,three-hop,mc-highsnr,nan,nan,0,1",
+        "60,three-hop,mc-highsnr,0,0,300001,1"]
+    assert capsys.readouterr().err.strip().split("\n") == [
+        f"numeric failure at {snr} dB / three-hop / mc-highsnr: "
+        "high-SNR SINRs need strictly positive gains" for snr in ("0.0", "30.0")]
+    out = tmp_path / "v.csv"
+    assert main(["validate", "--quick", "--topology=-1e119,-1,1,1e119", "--output", str(out)]) == \
+        EXIT_NUMERIC
+    rows = {r["check"]: r for r in csv.DictReader(out.read_text().strip().split("\n"))}
+    failing = ("P quadrature vs Monte Carlo", "T2 mean-ratio vs Monte Carlo")
+    assert capsys.readouterr().err.strip().split("\n") == [
+        f"numeric failure in check '{check}': high-SNR SINRs need strictly positive gains"
+        for check in failing]
+    for check in failing:
+        assert (rows[check]["closed_form"], rows[check]["verdict"]) == ("nan", "FAIL")
+    assert rows["T1 closed form vs Monte Carlo"]["oracle"] == "3.25194008e-320"
+    assert rows["E{XY/(X+Y)} quadrature vs Monte Carlo"]["oracle"] == "0.308312096"
 
 
 @pytest.mark.parametrize("dependency, failing_rows", [

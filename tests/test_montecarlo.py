@@ -1,12 +1,15 @@
+import contextlib
 import functools
 import operator
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaysec.analytics import cdf_harmonic, cdf_ratio, esr_lower_bound
-from relaysec.errors import DomainError, NumericError
+from relaysec.errors import DegenerateSampleError, DomainError, NumericError, RelaysecError
 from relaysec.model import TOPOLOGY_1, ChannelStats, db_to_linear, topology_to_stats
 import relaysec.montecarlo as montecarlo
 from relaysec.montecarlo import (
@@ -14,7 +17,6 @@ from relaysec.montecarlo import (
     UNIT,
     MeanPass,
     RngStream,
-    _draw_exponential,
     _reduce_chunks,
     empirical_cdf_ks,
     esr_rows,
@@ -55,20 +57,19 @@ def test_samples_nonnegative_and_strictly_positive_mode(stats_30db):
         assert np.all(gains > 0)
 
 
-def test_subnormal_mean_redraws_zeros():
-    # -m ln(U) rounds to 0 for about 40% of draws at the smallest subnormal
-    # mean; those are redrawn, so every gain stays > 0.
+def test_underflowed_gain_stays_zero():
+    # m ln(1 - U) * -1 rounds to 0 for about 40% of draws at the smallest
+    # subnormal mean; those gains stay 0 and shift no later uniform
     stats = ChannelStats(5e-324, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1.0)
     s = sample_channels(stats, RngStream(3), n=1000)
-    assert np.all(s.gamma_g > 0)
+    unit = sample_channels(UNIT, RngStream(3), n=1000)
+    assert 0 < np.count_nonzero(s.gamma_g == 0.0) < 1000
+    assert np.all(s.gamma_g >= 0.0)
+    assert np.array_equal(s.gamma_h, unit.gamma_h)
 
 
-@pytest.mark.parametrize("stats", [
-    topology_to_stats(TOPOLOGY_1, db_to_linear(30.0)),
-    # subnormal g and sr2 means: their zero redraws take extra uniforms
-    ChannelStats(5e-324, 1.0, 1.0, 5e-324, 1.0, 1.0, rho=1.0),
-], ids=["30dB", "redraws"])
-def test_link_prefix_matches_full_draw(stats):
+def test_link_prefix_matches_full_draw():
+    stats = topology_to_stats(TOPOLOGY_1, db_to_linear(30.0))
     full = sample_channels(stats, RngStream(4, 2), n=5000)
     for links in sorted(set(LINKS.values())):
         part = sample_channels(stats, RngStream(4, 2), n=5000, links=links)
@@ -83,7 +84,35 @@ def test_draw_matches_reference_transform():
     # the in-place draw against the out-of-place -mean * ln(1 - U)
     for mean in (1e-3, 1.0, 1e300):
         ref = -mean * np.log(1.0 - RngStream(6).generator().random(10_000))
-        assert np.array_equal(_draw_exponential(RngStream(6).generator(), mean, 10_000), ref)
+        stats = ChannelStats(mean, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1.0)
+        assert np.array_equal(sample_channels(stats, RngStream(6), 10_000, links=3).gamma_g, ref)
+
+
+#: Means a link may have: the smallest subnormal, a subnormal that never
+#: rounds a gain to 0, normal ones, and the largest finite float64.
+MEANS = st.one_of(st.sampled_from([5e-324, 1e-310, 1e-300, 1.0, 1e300, sys.float_info.max]),
+                  st.floats(min_value=5e-324, max_value=1e300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(means=st.lists(MEANS, min_size=6, max_size=6), links=st.integers(3, 6),
+       n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_draw_is_unit_draw_times_mean(means, links, n, seed):
+    # every drawn gain is the unit draw's gain times its link's rho * m, bit
+    # for bit; a product that overflows fails the draw, naming the link
+    stats = ChannelStats(*means, rho=1.0)
+    unit = sample_channels(UNIT, RngStream(seed), n, links)
+    names = list(vars(unit))[:links]
+    with np.errstate(over="ignore"):
+        expected = {name: getattr(unit, name) * m for name, m in zip(names, means)}
+    overflowed = [name for name in names if np.isinf(expected[name]).any()]
+    if overflowed:
+        with pytest.raises(DomainError, match=f"channel gain {overflowed[0]} "):
+            sample_channels(stats, RngStream(seed), n, links)
+        return
+    s = sample_channels(stats, RngStream(seed), n, links)
+    for name in names:
+        assert np.array_equal(getattr(s, name), expected[name]), name
 
 
 def test_ratio_distribution_ks(stats_30db):
@@ -198,12 +227,12 @@ def test_invalid_sample_counts(stats_30db):
 PAIRS = [(scheme, method) for scheme in SchemeKind for method in SinrMethod
          if has_method(scheme, method.value)]
 #: Subnormal means that never round a gain to 0, and the smallest one, which
-#: rounds about 40% of gains to 0 and so forces the point's own draw: on the
-#: first link, and on the fifth, which only direct and two-hop read.
+#: rounds about 40% of gains to 0: on the first link, which fails the
+#: high-SNR rows, and on the fifth, which only direct and two-hop read.
 SUBNORMAL = ChannelStats(1e-310, 1.0, 1.0, 1e-310, 1.0, 2.0, rho=1.0)
-REDRAWN = (ChannelStats(5e-324, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1.0),
+UNDERFLOWING = (ChannelStats(5e-324, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1.0),
            ChannelStats(1.0, 1.0, 1.0, 1.0, 5e-324, 1.0, rho=1.0))
-POINTS = [topology_to_stats(TOPOLOGY_1, db_to_linear(10.0)), SUBNORMAL, *REDRAWN]
+POINTS = [topology_to_stats(TOPOLOGY_1, db_to_linear(10.0)), SUBNORMAL, *UNDERFLOWING]
 
 
 def dominance(s):
@@ -218,12 +247,13 @@ def harmonic(s):
 
 
 #: name -> (fn, links) of the rows a point has besides its ESR rows: a raw
-#: gain, a boolean event, a T-term, and an infinite mean, which fails alone.
+#: gain, a boolean event, a T-term, and an infinite mean, which fails alone
+#: (h, which never rounds to 0 here, times infinity).
 OTHER_ROWS = {
     "gamma_sd": (operator.attrgetter("gamma_sd"), LINKS[SchemeKind.DIRECT]),
     "event": (dominance, 3),
     "harmonic": (harmonic, 3),
-    "infinite": (lambda s: s.gamma_g * np.inf, 3),
+    "infinite": (lambda s: s.gamma_h * np.inf, 3),
 }
 
 
@@ -237,35 +267,40 @@ def point_rows(stats):
 @functools.cache
 def reference_means(stats, n, seed):
     """key[1:] -> (mean, std_error) of every row of the point, or the type of
-    its failure; each chunk from the point's own draw, sample_channels(stats,
-    ...), with one unblocked call of the row's function."""
+    its first failure in chunk order; each chunk from the point's own draw,
+    sample_channels(stats, ...), with one unblocked call of the row's
+    function."""
     parts = {key[1:]: [] for key in point_rows(stats)}
+    failed = {}
     for k, start in enumerate(range(0, n, CHUNK_SIZE)):
         # all six links: each row reads its prefix, the same bits as a shorter draw
         s = sample_channels(stats, RngStream(seed, k), min(CHUNK_SIZE, n - start))
         for key, (_, fn, _) in point_rows(stats).items():
-            a = np.asarray(fn(s), dtype=float)
+            try:
+                a = np.asarray(fn(s), dtype=float)
+            except RelaysecError as exc:
+                failed.setdefault(key[1:], type(exc))
+                continue
             parts[key[1:]].append((float(np.sum(a)), float(np.sum(a * a))))
     out = {}
     for key, p in parts.items():
         try:
-            out[key] = _reduce_chunks(p, n)
+            out[key] = failed.get(key) or _reduce_chunks(p, n)
         except NumericError as exc:
             out[key] = type(exc)
     return out
 
 
 def spy_on_draws(monkeypatch):
-    """Record the stats of every draw of gains the pass makes: through
-    sample_channels, or a point's own draw."""
+    """Record the stats of every draw of gains the pass makes."""
     calls = []
-    draw_links = montecarlo._draw_links
+    draw = montecarlo.sample_channels
 
     def spy(stats, *args, **kwargs):
         calls.append(stats)
-        return draw_links(stats, *args, **kwargs)
+        return draw(stats, *args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "_draw_links", spy)
+    monkeypatch.setattr(montecarlo, "sample_channels", spy)
     return calls
 
 
@@ -287,18 +322,19 @@ def test_pass_matches_per_point_draws(n, workers, monkeypatch):
         if len(key) == 3:  # an ESR row
             est = estimate_esr(*key, n, 7, workers, shared)
             assert (est.mean, est.std_error, est.n_samples) == (*expected, n)
-    chunks = -(-n // CHUNK_SIZE)
-    assert calls.count(UNIT) == chunks
-    # only the points whose gains round to 0 draw again, once per chunk where
-    # one does, for all their rows (the first chunk holds at least 2^18 - 1 gains)
-    assert set(calls) <= {UNIT, *REDRAWN}
-    for stats in REDRAWN:
-        assert (1 if n > 1 else 0) <= calls.count(stats) <= chunks
-    # a pass of one row gives the same mean as the row of the shared pass
+    # one unit draw per chunk serves every row, also where gains round to 0,
+    # which they do in the first chunk's 2^18 - 1 or more g gains
+    assert calls == [UNIT] * -(-n // CHUNK_SIZE)
+    if n > 1:
+        expected = reference_means(UNDERFLOWING[0], n, 7)[SchemeKind.THREE_HOP, SinrMethod.HIGH_SNR]
+        assert expected is DegenerateSampleError
+    # a pass of one row gives the same mean, or failure, as the row of the shared pass
     for stats in POINTS:
-        p, _ = estimate_event_probability(stats, lambda b: b.gamma_r1_p1 > b.gamma_r2, n, 7,
-                                          workers=workers)
-        assert p == shared.mean((stats, "event"))[0]
+        expected = reference_means(stats, n, 7)["event",]
+        with pytest.raises(expected) if isinstance(expected, type) else contextlib.nullcontext():
+            p, _ = estimate_event_probability(stats, lambda b: b.gamma_r1_p1 > b.gamma_r2, n, 7,
+                                              workers=workers)
+            assert p == expected[0]
 
 
 def test_pass_runs_on_first_read(monkeypatch):
@@ -325,20 +361,23 @@ def test_pass_infinite_gain_fails_only_rows_reading_it():
     assert (est.mean, est.std_error) == _reduce_chunks([(np.sum(a), np.sum(a * a))], 1000)
 
 
-def test_pass_own_draw_fails_only_rows_reading_an_infinite_gain(monkeypatch):
-    # g rounds to 0 and sd overflows: the point's own draw holds infinite sd
-    # gains, which fail the direct row alone
+def test_pass_zero_and_infinite_gains_fail_only_the_rows_they_break(monkeypatch):
+    # g rounds to 0 on about 40% of the draws and sd overflows on 17%: the
+    # infinite sd gains fail the direct row, the zero g gains the high-SNR
+    # row, and the exact row reads the zeros as sample_channels gives them
     stats = ChannelStats(5e-324, 1.0, 1.0, 1.0, 1e308, 1.0, rho=1.0)
-    keys = [(stats, SchemeKind.THREE_HOP, method) for method in SinrMethod]
+    exact, highsnr, direct = ((stats, SchemeKind.THREE_HOP, SinrMethod.EXACT),
+                              (stats, SchemeKind.THREE_HOP, SinrMethod.HIGH_SNR),
+                              (stats, SchemeKind.DIRECT, SinrMethod.EXACT))
     calls = spy_on_draws(monkeypatch)
-    shared = MeanPass(esr_rows([*keys, (stats, SchemeKind.DIRECT, SinrMethod.EXACT)]), 1000, seed=3)
+    shared = MeanPass(esr_rows([exact, highsnr, direct]), 1000, seed=3)
     with pytest.raises(DomainError, match="gamma_sd"):
-        shared.mean((stats, SchemeKind.DIRECT, SinrMethod.EXACT))
-    assert calls == [UNIT, stats]
-    s = sample_channels(stats, RngStream(3, 0), 1000, links=3)
-    for key in keys:
-        a = secrecy_rate(s, *key[1:])
-        assert shared.mean(key) == _reduce_chunks([(np.sum(a), np.sum(a * a))], 1000)
+        shared.mean(direct)
+    with pytest.raises(DegenerateSampleError):
+        shared.mean(highsnr)
+    assert calls == [UNIT]
+    a = secrecy_rate(sample_channels(stats, RngStream(3, 0), 1000, links=3), *exact[1:])
+    assert shared.mean(exact) == _reduce_chunks([(np.sum(a), np.sum(a * a))], 1000)
 
 
 def test_pass_refuses_other_sample_count_or_seed(stats_30db):
