@@ -199,7 +199,6 @@ def cmd_sweep(spec: SweepSpec, out) -> int:
     """One CSV row per (SNR point, scheme, method the scheme has)."""
     status = EXIT_OK
     print(SWEEP_HEADER, file=out)
-    m_hops = topology_to_stats(spec.topology, 1.0)
     snrs = spec.snr_points_db()
     # Lazy, so a closed-form grid of up to MAX_SNR_POINTS holds no list of stats.
     points = (_point_stats(spec.topology, snr_db) for snr_db in snrs)
@@ -229,7 +228,7 @@ def cmd_sweep(spec: SweepSpec, out) -> int:
                     elif method == "closed-form-lb":
                         esr = analytics.esr_lower_bound(stats)
                     else:  # asymptote
-                        esr = analytics.esr_asymptote(stats.rho, m_hops.m_g, m_hops.m_h, m_hops.m_f)
+                        esr = analytics.esr_asymptote(stats.rho, stats.m_g, stats.m_h, stats.m_f)
                 except NUMERIC_FAILURES as exc:
                     print(f"numeric failure at {snr_db} dB / {scheme.value} / {method}: {exc}",
                           file=sys.stderr)
@@ -305,7 +304,7 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     """The closed-form vs oracle check list that ``validate`` prints.
 
     A row that meets a numeric failure reads nan with verdict FAIL; the
-    others are still computed, and values they share are computed once.
+    others are still computed.  Every Monte Carlo mean is a row of one pass.
     """
     rows: list[CheckRow] = []
     n_mc = 10**5 if quick else 10**6
@@ -336,18 +335,16 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
             bad += lhs != rhs
     rows.append(CheckRow("lah recurrence mismatches (n <= 10)", True, float(bad), 0.0, 0.0))
 
-    # K1 series error vs truncation order (informational trend table).
+    # K1 series error vs truncation order (informational trend table); the
+    # bare n >= 1 double sum is the series without its exp(-x)/x term.
     xs = np.linspace(0.5, 5.0, 19)
     k1 = bessel_k1(xs)
-
-    def series_err(m: int, leading: bool) -> float:
-        series = np.array([k1_series(x, m, include_leading_term=leading) for x in xs])
-        return float(np.mean(np.abs(series - k1) / k1))
-
     prev = math.inf
     trend_ok = True
     for m in (1, 5, 10, 20, 40):
-        err, bare = series_err(m, True), series_err(m, False)
+        series = np.array([k1_series(x, m) for x in xs])
+        err = float(np.mean(np.abs(series - k1) / k1))
+        bare = float(np.mean(np.abs(series - np.exp(-xs) / xs - k1) / k1))
         trend_ok = trend_ok and err <= prev * 1.05
         prev = err
         rows.append(CheckRow(f"k1_series mean rel err, order {m} (bare sum: {bare:.3g})", False,
@@ -355,128 +352,116 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     rows.append(CheckRow("k1_series error trend non-increasing in order", True, float(not trend_ok),
                          0.0, 0.0))
 
-    # A layout is a tuple of Topology fields, built inside point(), so a
-    # layout that cannot be built fails only the rows that read it.
-    layout = dataclasses.astuple(spec.topology)
-    asymmetric = (-3.0, -1.0, 1.5, 3.0, spec.topology.n)
+    # The points the checks read, each its stats or the failure its rows
+    # report.  The asymmetric layout is built inside a guard too, so a
+    # path-loss exponent it cannot take fails only its rows.
+    p10, p30, p50 = (_point_stats(spec.topology, db) for db in (10.0, 30.0, 50.0))
+    try:
+        asym = _point_stats(Topology(-3.0, -1.0, 1.5, 3.0, spec.topology.n), 30.0)
+    except NUMERIC_FAILURES as exc:
+        asym = exc
 
-    @functools.cache
-    def point(fields: tuple, db: float) -> ChannelStats | Exception:
-        try:
-            topology = Topology(*fields)
-        except NUMERIC_FAILURES as exc:
-            return exc
-        return _point_stats(topology, db)
-
-    def stats_at(db: float, fields: tuple = layout) -> ChannelStats:
+    def at(point: ChannelStats | Exception) -> ChannelStats:
         """The point's channel statistics; raises the point's failure, if it had one."""
-        stats = point(fields, db)
-        if isinstance(stats, Exception):
-            raise stats
-        return stats
+        if isinstance(point, Exception):
+            raise point
+        return point
 
-    def asym() -> ChannelStats:
-        return stats_at(30.0, asymmetric)
-
-    # Every Monte Carlo mean below is a row of one pass (pass_rows), which
-    # draws each chunk once and runs on the first read.  A point whose
-    # statistics fail gives no rows, and reading its rows re-raises its
-    # failure, as every row key holds the point's stats.
+    # Every Monte Carlo mean below is a row of one pass, which draws each
+    # chunk once and runs on the first read.  A point whose statistics fail
+    # gives no rows; its checks raise its failure before reading the pass.
     def dominates(b):
         return b.gamma_r1_p1 > b.gamma_r2
 
-    def rows_30(s: ChannelStats) -> dict:
-        def harmonic(t):
-            # E{XY/(X+Y)} with means 1.3 and 0.7: the g and h gains rescaled
-            x = 1.3 * (t.gamma_g / s.bar_g)
-            y = 0.7 * (t.gamma_h / s.bar_h)
-            return x * y / (x + y)
-
-        t_terms = {"T1": lambda t: np.log1p(t.gamma_g / t.gamma_h), "XY/(X+Y)": harmonic,
-                   "T2": lambda t: np.log1p(highsnr_sinrs(t).gamma_r2)}
-        return {**event_rows([(s, dominates, SinrMethod.HIGH_SNR)]),
-                **{(s, term): (s, fn, hops) for term, fn in t_terms.items()},
-                **esr_rows([(s, SchemeKind.THREE_HOP, SinrMethod.EXACT)])}
+    def harmonic(t):
+        # E{XY/(X+Y)} with means 1.3 and 0.7: the g and h gains rescaled
+        x = 1.3 * (t.gamma_g / p30.bar_g)
+        y = 0.7 * (t.gamma_h / p30.bar_h)
+        return x * y / (x + y)
 
     combinings = ("selection", "sum")
     links = ("gamma_h", "bar_h"), ("gamma_f", "bar_f")
     hops = LINKS[SchemeKind.THREE_HOP]  # g, h and f: all the T-term, KS and link-mean draws read
-    pass_rows = (  # (layout, SNR in dB, the point's rows from its stats)
-        (layout, 30.0, rows_30),
-        (layout, 10.0, lambda s: {(s, c): (s, functools.partial(
+    rows_of_pass: dict = {}
+    if isinstance(p30, ChannelStats):
+        t_terms = {"T1": lambda t: np.log1p(t.gamma_g / t.gamma_h), "XY/(X+Y)": harmonic,
+                   "T2": lambda t: np.log1p(highsnr_sinrs(t).gamma_r2)}
+        rows_of_pass.update(event_rows([(p30, dominates, SinrMethod.HIGH_SNR)]))
+        rows_of_pass.update({(p30, term): (p30, fn, hops) for term, fn in t_terms.items()})
+        rows_of_pass.update(esr_rows([(p30, SchemeKind.THREE_HOP, SinrMethod.EXACT)]))
+    if isinstance(p10, ChannelStats):
+        rows_of_pass.update({(p10, c): (p10, functools.partial(
             secrecy_rate, scheme=SchemeKind.TWO_HOP_CASE_I, method=SinrMethod.EXACT, combining=c),
-            LINKS[SchemeKind.TWO_HOP_CASE_I]) for c in combinings}),
-        (asymmetric, 30.0, lambda s: {(s, name): (s, operator.attrgetter(name), hops)
-                                      for name, _ in links}),
-    )
-    mc_pass = functools.cache(lambda: MeanPass(
-        {key: row for fields, db, rows_of in pass_rows
-         if isinstance(stats := point(fields, db), ChannelStats)
-         for key, row in rows_of(stats).items()},
-        n_mc, spec.seed, spec.workers))
+            LINKS[SchemeKind.TWO_HOP_CASE_I]) for c in combinings})
+    if isinstance(asym, ChannelStats):
+        rows_of_pass.update({(asym, name): (asym, operator.attrgetter(name), hops)
+                             for name, _ in links})
+    mc_pass = MeanPass(rows_of_pass, n_mc, spec.seed, spec.workers)
 
-    def mc_mean(key) -> float:
-        return mc_pass().mean(key)[0]
+    def within_3_se(closed_form: float, estimate: tuple[float, float]) -> tuple:
+        """A closed form vs a Monte Carlo (mean, standard error), gated at 3 standard errors."""
+        mean, std_error = estimate
+        return closed_form, mean, 3.0 * std_error
 
     # Dominance probability: exact closed form vs Monte Carlo (gating) and vs
     # the published series (informational; printed form is not scale-invariant).
-    def p_vs_mc():
-        p_mc, p_se = estimate_event_probability(stats_at(30.0), dominates, n_mc, spec.seed,
-                                                workers=spec.workers, mean_pass=mc_pass())
-        return analytics.prob_r1_dominates_oracle(stats_at(30.0)), p_mc, 3.0 * p_se
+    check("P quadrature vs Monte Carlo", True, lambda: within_3_se(
+        analytics.prob_r1_dominates_oracle(at(p30)),
+        estimate_event_probability(at(p30), dominates, n_mc, spec.seed, workers=spec.workers,
+                                   mean_pass=mc_pass)))
 
-    def p_series(db: float):
-        sp = analytics.prob_r1_dominates_series(stats_at(db))
-        return (sp.value, analytics.prob_r1_dominates_oracle(stats_at(db)), math.inf,
+    def p_series(stats: ChannelStats):
+        sp = analytics.prob_r1_dominates_series(stats)
+        return (sp.value, analytics.prob_r1_dominates_oracle(stats), math.inf,
                 "clamped" if sp.clamped else "")
 
-    check("P quadrature vs Monte Carlo", True, p_vs_mc)
-    for db in (10.0, 30.0, 50.0):
-        check(f"P first-term series vs quadrature at {db:.0f} dB", False, lambda: p_series(db))
+    for db, point in ((10.0, p10), (30.0, p30), (50.0, p50)):
+        check(f"P first-term series vs quadrature at {db:.0f} dB", False,
+              lambda: p_series(at(point)))
 
     # T1, E{XY/(X+Y)} and T2 against Monte Carlo means.
-    def t_mc(term: str) -> float:
-        return mc_mean((stats_at(30.0), term))
-
     check("T1 closed form vs Monte Carlo", True,
-          lambda: (analytics.t1_closed(stats_at(30.0)), t_mc("T1"), 0.005 * abs(t_mc("T1"))))
+          lambda: within_3_se(analytics.t1_closed(at(p30)), mc_pass.mean((at(p30), "T1"))))
     check("E{XY/(X+Y)} quadrature vs Monte Carlo", True,
-          lambda: (analytics.expected_harmonic_mean(1.3, 0.7), t_mc("XY/(X+Y)"),
-                   0.005 * abs(t_mc("XY/(X+Y)"))))
+          lambda: within_3_se(analytics.expected_harmonic_mean(1.3, 0.7),
+                              mc_pass.mean((at(p30), "XY/(X+Y)"))))
     # T2: the mean-ratio step is a rough approximation (1/gamma_f has no
     # finite mean), so its Monte Carlo deviation is reported, not gated;
     # the exact E{XY/(X+Y)} inside it is gated above.
     check("T2 mean-ratio vs Monte Carlo", False,
-          lambda: (analytics.t2(stats_at(30.0)), t_mc("T2"), math.inf))
+          lambda: (analytics.t2(at(p30)), mc_pass.mean((at(p30), "T2"))[0], math.inf))
     check("T2 printed closed form vs mean-ratio (asymmetric case)", False,
-          lambda: (analytics.t2_printed(asym()), analytics.t2(asym()), math.inf))
+          lambda: (analytics.t2_printed(at(asym)), analytics.t2(at(asym)), math.inf))
 
     # Eavesdropping rate scale invariance.
     def scale_invariance():
-        base = analytics.eavesdrop_rate(stats_at(30.0)).r_e
-        rescaled = (dataclasses.replace(stats_at(30.0), rho=stats_at(30.0).rho * c)
-                    for c in (0.01, 100.0))
+        base = analytics.eavesdrop_rate(at(p30)).r_e
+        rescaled = (dataclasses.replace(at(p30), rho=at(p30).rho * c) for c in (0.01, 100.0))
         return max(abs(analytics.eavesdrop_rate(s).r_e - base) for s in rescaled), 0.0, 1e-12
 
     check("eavesdrop rate scale invariance", True, scale_invariance)
 
     # ESR lower bound: production reading vs the literal extra pre-factor.
-    mc_esr = functools.cache(lambda: estimate_esr(stats_at(30.0), SchemeKind.THREE_HOP, SinrMethod.EXACT,
-                                                  n_mc, spec.seed, spec.workers, mc_pass()).mean)
-    lb = functools.cache(lambda: analytics.esr_lower_bound(stats_at(30.0)))
-    check("ESR lower bound vs Monte Carlo exact ESR (30 dB)", False, lambda: (lb(), mc_esr(), math.inf))
+    def esr_mc() -> float:
+        return estimate_esr(at(p30), SchemeKind.THREE_HOP, SinrMethod.EXACT, n_mc, spec.seed,
+                            spec.workers, mc_pass).mean
+
+    check("ESR lower bound vs Monte Carlo exact ESR (30 dB)", False,
+          lambda: (analytics.esr_lower_bound(at(p30)), esr_mc(), math.inf))
     check("literal extra 1/(3 ln 2) reading vs Monte Carlo", False,
-          lambda: (max(0.0, lb() / (3.0 * math.log(2.0))), mc_esr(), math.inf))
+          lambda: (max(0.0, analytics.esr_lower_bound(at(p30)) / (3.0 * math.log(2.0))), esr_mc(),
+                   math.inf))
 
     # Ratio / harmonic-mean CDFs vs empirical CDFs (KS distance).  The 0.01
     # budget is calibrated for 1e5 samples; quick mode scales it.
     ks_tol = 0.01 if n_ks >= 10**5 else 1.95 / math.sqrt(n_ks)
     # Stream 10**6 + 2 lies apart from the chunk streams (seed, k) above.
-    ks_sample = functools.cache(lambda: sample_channels(stats_at(30.0), RngStream(spec.seed, 10**6 + 2),
+    # Cached: the one draw two rows share.
+    ks_sample = functools.cache(lambda: sample_channels(at(p30), RngStream(spec.seed, 10**6 + 2),
                                                         n_ks, hops))
 
     def ks(stat, cdf):
-        x, y, st = ks_sample().gamma_g, ks_sample().gamma_h, stats_at(30.0)
+        x, y, st = ks_sample().gamma_g, ks_sample().gamma_h, at(p30)
         return empirical_cdf_ks(stat(x, y), lambda z: cdf(z, st.bar_g, st.bar_h)), 0.0, ks_tol
 
     check("KS distance, ratio CDF", True, lambda: ks(lambda x, y: x / y, analytics.cdf_ratio))
@@ -490,14 +475,15 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     # Two-hop idle eavesdropper combining sensitivity (selection vs sum).
     for combining in combinings:
         check(f"two-hop ESR with {combining} combining (10 dB)", False,
-              lambda: (mc_mean((stats_at(10.0), combining)),) * 2 + (math.inf,))
+              lambda: (mc_pass.mean((at(p10), combining))[0],) * 2 + (math.inf,))
 
     # Mean-SNR reading cross-check: sampled gain means vs rho * m per link
-    # (the corrected reading) on an asymmetric geometry.
+    # (the corrected reading) on an asymmetric geometry.  4 rho m / sqrt(n)
+    # is 4 standard errors of an exponential link's sample mean.
     for name, bar in links:
         check(f"sample mean of {name} vs rho*m of its own link", True,
-              lambda: (mc_mean((asym(), name)), getattr(asym(), bar),
-                       4.0 * getattr(asym(), bar) / math.sqrt(n_mc)))
+              lambda: (mc_pass.mean((at(asym), name))[0], getattr(at(asym), bar),
+                       4.0 * getattr(at(asym), bar) / math.sqrt(n_mc)))
     return rows
 
 

@@ -56,20 +56,19 @@ class EsrEstimate:
     n_samples: int
 
 
-def _draw_unit_exponential(gen: np.random.Generator, n: int) -> np.ndarray:
-    """Inverse-CDF unit exponential draws: ln(U) * -1 with U in (0, 1].
+def _draw_log_uniform(gen: np.random.Generator, n: int) -> np.ndarray:
+    """ln(U) with U in (0, 1): minus unit exponential draws, by inverse CDF.
 
     The explicit transform keeps golden values portable; it runs in place
     on one buffer.  U = 1 - random() avoids log(0).  The exact zeros of
-    U = 1, astronomically rare, are redrawn, so every unit gain is > 0.
+    U = 1, astronomically rare, are redrawn, so every value is < 0.
     """
     x = gen.random(n)
     np.subtract(1.0, x, out=x)
     np.log(x, out=x)
-    x *= -1.0
-    while x.min() == 0.0:  # x >= 0, and min is the cheapest test for a zero
+    while x.max() == 0.0:  # x <= 0, and max is the cheapest test for a zero
         zero = x == 0.0
-        x[zero] = -np.log(1.0 - gen.random(int(zero.sum())))
+        x[zero] = np.log(1.0 - gen.random(int(zero.sum())))
     return x
 
 
@@ -77,21 +76,21 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1,
                     links: int = 6) -> ChannelSample:
     """Draw n independent fading realizations of the first ``links`` links.
 
-    Each link draws unit exponentials ln(1 - U) * -1 and multiplies them by
-    its mean rho * m; that product equals -m * ln(1 - U) exactly.  A gain
-    that underflows stays 0, and one that overflows raises DomainError
-    naming its link.  The draw order over links is fixed (g, h, f, sr2, sd,
-    dr1), and the links not drawn are None.  A link's uniforms follow those
-    of the links before it, so a shorter prefix gives the same leading
-    links bit for bit.
+    Each link draws ln(1 - U) and multiplies it once by minus its mean
+    rho * m: the unit exponential -ln(1 - U) times rho * m, bit for bit, as
+    rounding is symmetric in sign.  A gain that underflows stays 0, and one
+    that overflows raises DomainError naming its link.  The draw order over
+    links is fixed (g, h, f, sr2, sd, dr1), and the links not drawn are
+    None.  A link's uniforms follow those of the links before it, so a
+    shorter prefix gives the same leading links bit for bit.
     """
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     gen = stream.generator()
-    gains = [_draw_unit_exponential(gen, n) for _ in range(links)]
+    gains = [_draw_log_uniform(gen, n) for _ in range(links)]
     with np.errstate(over="ignore"):
         for x, m in zip(gains, _link_means(stats)):
-            x *= m
+            x *= -m
     return ChannelSample(*gains)
 
 

@@ -75,17 +75,14 @@ def lambda_coeff(n: int, i: int) -> float:
     return (-1) ** (i + 1) * (2**i * lah(n, i)) / ((4 * n * n - 1) * math.factorial(n))
 
 
-def k1_series(x: float, order: int = DEFAULT_SERIES_ORDER,
-              include_leading_term: bool = True) -> float:
+def k1_series(x: float, order: int = DEFAULT_SERIES_ORDER) -> float:
     """Truncated exponential-series approximation of K1(x).
 
     exp(-x) * [1/x + sum_{n=1..M} sum_{i=1..n} Lambda(n, i) x^(i-1)].
 
     The 1/x piece is the (n=0, i=0) term of the generic series, which for
     order nu reduces to x^(-nu); without it the sum converges to
-    K1(x) - exp(-x)/x instead of K1 (checked numerically), so it is on by
-    default.  include_leading_term=False recovers the bare n >= 1 double
-    sum for diagnostic comparison.
+    K1(x) - exp(-x)/x instead of K1 (checked numerically).
     """
     m = int(order)
     if m < 1:
@@ -97,6 +94,5 @@ def k1_series(x: float, order: int = DEFAULT_SERIES_ORDER,
         for n in range(1, m + 1)
         for i in range(1, n + 1)
     ]
-    if include_leading_term:
-        terms.append(1.0 / x)
+    terms.append(1.0 / x)
     return math.exp(-x) * math.fsum(terms)

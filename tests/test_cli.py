@@ -354,7 +354,7 @@ def test_validate_monte_carlo_rows_pinned(tmp_path):
 
 #: sha256 of the whole validate --quick stdout: the K1, Lah and closed-form
 #: rows too, so a moved coefficient or closed form shows here.
-VALIDATE_QUICK_SHA256 = "dc2f0bb873248611091d3a8bdb33037ef81ca794ba206e67506bb0b178b8d04d"
+VALIDATE_QUICK_SHA256 = "09866a5f230715ad19f4ba54500671117d0868889dd5586bf497dc2c85fe5811"
 
 
 def test_validate_quick_bytes_pinned(tmp_path):
@@ -389,7 +389,7 @@ def test_validate_unbuildable_asymmetric_layout_fails_only_its_rows(capsys):
     assert main(["validate", "--quick", "--topology=0,1,2,3", "--pathloss", "500"]) == EXIT_NUMERIC
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "890b118618d03a9d8847f35d91c1e7837a240b557b5f7df37698858efa103efb")
+        "f9b94b4a5e186bb30a4fad2ee5d462e74f676a2d78616ea768b26d0794eecfa0")
     assert hashlib.sha256(err.encode()).hexdigest() == (
         "5f627140ccdb068bd3528e6af2a3219fe58617a664f5fd4dd4b2669c9fd9e6c8")
     rows = list(csv.DictReader(out.strip().split("\n")))
@@ -403,16 +403,48 @@ def test_validate_unbuildable_asymmetric_layout_fails_only_its_rows(capsys):
 def test_validate_ks_rows_on_huge_gains(capsys):
     # Gains near 1e165 overflowed x y in the harmonic mean, whose KS row
     # read nan with no numeric failure on stderr.  It is now finite, and
-    # any RuntimeWarning fails this suite.  T1 misses its gate here, so the
-    # exit status is still 3.
-    assert main(["validate", "--quick", "--topology=-1e-60,-1e-61,1e-61,1e-60"]) == EXIT_NUMERIC
+    # any RuntimeWarning fails this suite.  T1, gated at 3 standard errors
+    # of its Monte Carlo mean, passes too.
+    assert main(["validate", "--quick", "--topology=-1e-60,-1e-61,1e-61,1e-60"]) == EXIT_OK
     out, err = capsys.readouterr()
     assert err == ""
     rows = {r["check"]: r for r in csv.DictReader(out.strip().split("\n"))}
     for name in ("KS distance, ratio CDF", "KS distance, harmonic-mean CDF"):
         assert math.isfinite(float(rows[name]["closed_form"])) and rows[name]["verdict"] == "pass"
-    assert {name for name, r in rows.items() if r["verdict"] == "FAIL"} == {
-        "T1 closed form vs Monte Carlo"}
+    assert not [name for name, r in rows.items() if r["verdict"] == "FAIL"]
+
+
+@pytest.mark.parametrize("seed", ["4", "11", "13", "17", "21"])
+def test_validate_quick_passes_at_other_seeds(seed, tmp_path):
+    # T1 and E{XY/(X+Y)} are gated at 3 standard errors of their Monte Carlo
+    # means; a fixed 0.5% of the mean failed these seeds at 1e5 samples
+    status, rows = quick_validate(tmp_path, "--seed", seed)
+    assert status == EXIT_OK, [r for r in rows if r[2] == "FAIL"]
+
+
+def test_validate_with_every_point_failing_reads_no_pass(tmp_path, monkeypatch, capsys):
+    # rho * m_g overflows at every SNR point of this layout, and the
+    # asymmetric layout cannot be built at path-loss 500: the Monte Carlo
+    # pass holds no rows and is never read, and nothing is drawn
+    _, default_rows = quick_validate(tmp_path)
+    calls = []
+    monkeypatch.setattr(montecarlo, "sample_channels", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "sample_channels", lambda *args: calls.append(args))
+    capsys.readouterr()
+    assert main(["validate", "--quick", "--topology=0,0.242,1,2", "--pathloss", "500"]) == \
+        EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert calls == [] and "Traceback" not in err
+    rows = list(csv.DictReader(out.strip().split("\n")))
+    assert [r["check"] for r in rows] == [name for name, _, _ in default_rows]
+    assert len(rows) == 25
+    # the K1, Lah and K1-series rows read no setting
+    assert all(r["verdict"] == "pass" for r in rows[:8])
+    assert rows[0]["check"].startswith("bessel_k1") and rows[7]["check"].startswith("k1_series")
+    failed = [r["check"] for r in rows[8:]]
+    assert all(r["verdict"] == "FAIL" and r["closed_form"] == "nan" for r in rows[8:])
+    assert [line.split("'")[1] for line in err.strip().split("\n")] == failed
+    assert all(line.startswith("numeric failure in check '") for line in err.strip().split("\n"))
 
 
 def test_validate_non_finite_ks_is_a_numeric_failure(monkeypatch, capsys):

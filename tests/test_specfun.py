@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from relaysec.errors import DomainError
 from relaysec.specfun import (
@@ -138,10 +138,8 @@ def test_series_order_validation():
 
 
 def test_k1_series_order_one_closed_form():
-    # bare sum at order 1 is Lambda(1, 1) * exp(-x) = (2/3) exp(-x)
+    # at order 1 the double sum is Lambda(1, 1) = 2/3, beside the 1/x term
     for x in (0.5, 1.0, 3.0):
-        bare = k1_series(x, order=1, include_leading_term=False)
-        assert bare == pytest.approx((2.0 / 3.0) * math.exp(-x), rel=1e-12)
         full = k1_series(x, order=1)
         assert full == pytest.approx(math.exp(-x) * (1.0 / x + 2.0 / 3.0), rel=1e-12)
 
@@ -179,15 +177,6 @@ def test_k1_series_error_decreases_with_order():
 
     errors = [mean_err(m) for m in (1, 5, 10, 20, 40)]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(errors, errors[1:]))
-
-
-@settings(max_examples=30)
-@given(x=st.floats(min_value=0.3, max_value=6.0))
-def test_k1_series_leading_term_identity(x):
-    # the full series minus the bare double sum is exactly exp(-x)/x
-    full = k1_series(x, order=15)
-    bare = k1_series(x, order=15, include_leading_term=False)
-    assert full - bare == pytest.approx(math.exp(-x) / x, rel=1e-9)
 
 
 def test_k1_series_domain_error():
