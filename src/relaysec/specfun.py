@@ -17,20 +17,97 @@ from relaysec.errors import DomainError
 #: validate report for the error-vs-order table.
 DEFAULT_SERIES_ORDER = 40
 
+_EULER_GAMMA = 0.57721566490153286061
+
+#: bessel_k1 sums its power series at x <= _K1_SPLIT and its integral above.
+_K1_SPLIT = 1.5
+
+
+def _k1_power_coeffs(terms: int) -> tuple[list[float], list[float]]:
+    """a_k = 1/(k!(k+1)!) and b_k = (psi(k+1) + psi(k+2)) a_k, k < terms.
+
+    psi(k+1) = H_k - gamma; the harmonic part is divided as exact integers,
+    with n_k = k! H_k an integer.
+    """
+    a, b = [], []
+    n_k = 0
+    for k in range(terms):
+        f0, f1 = math.factorial(k), math.factorial(k + 1)
+        a.append(1 / (f0 * f1))
+        # H_k + H_{k+1} = (2 (k+1) n_k + k!) / (k+1)!
+        b.append((2 * (k + 1) * n_k + f0) / (f1 * f0 * f1) - 2 * _EULER_GAMMA * a[-1])
+        n_k = (k + 1) * n_k + f0
+    return a, b
+
+
+# 12 terms: the 13th is below 1e-21 of its sum at x = 1.5.
+_K1_A, _K1_B = _k1_power_coeffs(12)
+
+# Trapezoid nodes s = 6, 5.75, ..., 0 (smallest terms first) and weights
+# step * exp(-s^2); the s = 0 end carries half weight.
+_K1_STEP = 0.25
+_K1_S2 = (np.arange(24, -1, -1) * _K1_STEP) ** 2
+_K1_W = _K1_STEP * np.exp(-_K1_S2)
+_K1_W[-1] /= 2
+
+
+def _k1_power_series(x: np.ndarray) -> np.ndarray:
+    """K1 by A&S 9.6.11 at n = 1, for 0 < x <= _K1_SPLIT.
+
+    K1(x) = 1/x + ln(x/2) I1(x) - (x/4) sum_k b_k u^k, u = x^2/4, with
+    I1(x) = (x/2) sum_k a_k u^k; both sums by Horner.
+    """
+    u = 0.25 * x * x
+    i1 = np.full_like(x, _K1_A[-1])
+    psi = np.full_like(x, _K1_B[-1])
+    for a, b in zip(_K1_A[-2::-1], _K1_B[-2::-1]):
+        i1 *= u
+        i1 += a
+        psi *= u
+        psi += b
+    half = 0.5 * x
+    with np.errstate(over="ignore"):  # 1/x is inf below about 5.6e-309, its limit
+        inv = 1.0 / x
+    # x/2 is exact, so ln(x/2) escapes the cancellation of ln x - ln 2.  It is
+    # held off 0 at subnormal x, where the term is far below one ulp of 1/x.
+    ln_half = np.log(np.maximum(half, np.finfo(float).tiny))
+    return inv + ln_half * half * i1 - 0.5 * half * psi
+
+
+def _k1_trapezoid(x: np.ndarray) -> np.ndarray:
+    """K1 by the trapezoid rule after s = sqrt(2x) sinh(t/2), for x > _K1_SPLIT.
+
+    K1(x) = exp(-x) sqrt(2/x) integral_0^inf exp(-s^2) (1 + s^2/x)
+    / sqrt(1 + s^2/(2x)) ds.  The integrand's branch points at
+    s = +-i sqrt(2x) bound the step: 1/4 is 2e-17 off at x = 1.5, while 1/2
+    is 9e-10 off at x = 2.  Nodes past s = 6 would add under 2e-17.
+    """
+    inv = 1.0 / x
+    acc = np.zeros_like(x)
+    for s2, w in zip(_K1_S2, _K1_W):
+        q = s2 * inv
+        acc += w * (1.0 + q) / np.sqrt(1.0 + 0.5 * q)
+    return np.exp(-x) * np.sqrt(2.0 * inv) * acc
+
 
 def bessel_k1(x):
     """Modified Bessel function of the second kind, order 1, for x > 0.
 
-    Accepts scalars or numpy arrays; scalars come back as float.  scipy is
-    imported here, on first use, so that importing relaysec loads none of it.
+    Accepts scalars or numpy arrays; scalars come back as float, equal bit
+    for bit to the same value inside an array.  numpy only: a power series
+    at x <= 1.5 and a 25-node trapezoid rule above, within 4.1e-16 of
+    40-digit K1 over [1e-300, 705].  K1(inf) = 0 and, at the smallest
+    subnormal, K1 = inf, its limit; nan gives nan.
     """
-    from scipy import special
-
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise DomainError("bessel_k1 requires x > 0")
-    out = special.k1(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    xs = np.atleast_1d(arr)
+    out = np.empty_like(xs)
+    low = xs <= _K1_SPLIT
+    out[low] = _k1_power_series(xs[low])
+    out[~low] = _k1_trapezoid(xs[~low])
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def bessel_k1_quadrature(x: float) -> float:
@@ -40,7 +117,7 @@ def bessel_k1_quadrature(x: float) -> float:
     and analytic in t, so a fixed step is exact to rounding (Trefethen &
     Weideman, SIAM Review 56(3), 2014): step 1/64 up to one past
     acosh(760 / x), beyond which every term underflows, summed with fsum.
-    An oracle for bessel_k1 that shares none of scipy's code.
+    An oracle for bessel_k1 that shares none of its code.
     """
     if x <= 0:
         raise DomainError("bessel_k1_quadrature requires x > 0")

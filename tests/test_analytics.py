@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from relaysec.analytics import (
     EULER_GAMMA,
@@ -34,7 +34,6 @@ from relaysec.model import (
     topology_to_stats,
 )
 from relaysec.sinr import PRELOG, SchemeKind
-from relaysec.specfun import bessel_k1
 
 #: Exponential tail cut of the quadrature oracles in unit-mean coordinates.
 _TAIL = 60.0
@@ -65,13 +64,16 @@ def dblquad_dominance(my, mz):
 
 
 def tail_integral_harmonic_mean(m_a, m_b):
-    """E{XY/(X+Y)} as the integral of its survival function x K1(x) e^(-w/a-w/b)."""
+    """E{XY/(X+Y)} as the integral of its survival function x K1(x) e^(-w/a-w/b).
+
+    K1 is scipy's, so the oracle shares no code with relaysec.specfun.
+    """
     c = max(m_a, m_b)
     ma, mb = m_a / c, m_b / c
 
     def survival(w):
         x = 2.0 * w / math.sqrt(ma * mb)
-        return x * math.exp(-w / ma - w / mb) * bessel_k1(x) if w > 0 else 1.0
+        return x * math.exp(-w / ma - w / mb) * special.k1(x) if w > 0 else 1.0
 
     val, err = integrate.quad(survival, 0.0, _TAIL, epsabs=1e-10, epsrel=1e-10, limit=200)
     assert err <= 1e-8 * (ma + mb)

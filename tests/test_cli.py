@@ -354,7 +354,7 @@ def test_validate_monte_carlo_rows_pinned(tmp_path):
 
 #: sha256 of the whole validate --quick stdout: the K1, Lah and closed-form
 #: rows too, so a moved coefficient or closed form shows here.
-VALIDATE_QUICK_SHA256 = "09866a5f230715ad19f4ba54500671117d0868889dd5586bf497dc2c85fe5811"
+VALIDATE_QUICK_SHA256 = "951e20c6213969b5280a4a34519e1ff60f5d0141530a8a5b9f2e5bc7766da71b"
 
 
 def test_validate_quick_bytes_pinned(tmp_path):
@@ -370,7 +370,7 @@ def test_validate_failed_point_fails_only_its_rows(capsys):
     assert main(["validate", "--quick", "--topology=-3,-1e-114,4e-114,3"]) == EXIT_NUMERIC
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "dd3761c2789513c45f2ca37120239a0e366e7a865a2b89bf9db956bb2e6b44b0")
+        "5ab84380466b07c916a8451ddac4f0be945d1ed5521717deea674c0851b5b1f9")
     assert hashlib.sha256(err.encode()).hexdigest() == (
         "a817d41967dfba1e0f74beb480a121677605778c9c486eaf8ab11b604377fb82")
     rows = {r["check"]: r for r in csv.DictReader(out.strip().split("\n"))}
@@ -389,7 +389,7 @@ def test_validate_unbuildable_asymmetric_layout_fails_only_its_rows(capsys):
     assert main(["validate", "--quick", "--topology=0,1,2,3", "--pathloss", "500"]) == EXIT_NUMERIC
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "f9b94b4a5e186bb30a4fad2ee5d462e74f676a2d78616ea768b26d0794eecfa0")
+        "c33755ba66d0ad59cc8b76e8c65ea4c69cbfa649972281b5dc94c0bace2e8bb1")
     assert hashlib.sha256(err.encode()).hexdigest() == (
         "5f627140ccdb068bd3528e6af2a3219fe58617a664f5fd4dd4b2669c9fd9e6c8")
     rows = list(csv.DictReader(out.strip().split("\n")))
@@ -602,8 +602,8 @@ def test_perfbench_traced_sweep_records_expected_layers(workload, monkeypatch, t
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.special alone adds about 0.3 s to every command's start-up; only
-    # validate needs it.
+    # scipy is a test oracle only; scipy.special alone would add about 0.3 s
+    # to every command's start-up.
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import contextlib, io, sys\n"
             "from relaysec.cli import main\n"
@@ -625,6 +625,19 @@ def test_validate_loads_no_mpmath():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert main(['validate', '--quick']) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('mpmath')))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_validate_loads_no_scipy():
+    # bessel_k1 is numpy only, so the K1 rows and the KS CDFs load no scipy
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import contextlib, io, sys\n"
+            "from relaysec.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['validate', '--quick']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

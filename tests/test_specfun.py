@@ -1,10 +1,12 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from relaysec import specfun
 from relaysec.errors import DomainError
 from relaysec.specfun import (
     DEFAULT_SERIES_ORDER,
@@ -59,6 +61,46 @@ def test_k1_domain_errors():
         bessel_k1(np.array([1.0, -2.0]))
     with pytest.raises(DomainError):
         bessel_k1_quadrature(-1.0)
+
+
+#: The switch from bessel_k1's power series to its trapezoid rule, and x = 2,
+#: each with its two float neighbours.
+K1_SWITCH_POINTS = [v for c in (specfun._K1_SPLIT, 2.0)
+                    for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 3.0))]
+
+
+def test_k1_against_mpmath_to_rounding():
+    # 1,200 log-spaced points over [1e-300, 700], a dense stretch around the
+    # switch and the switch points, each within 1.5e-15 of 40-digit K1
+    import mpmath
+
+    grid = np.concatenate([np.logspace(-300, math.log10(700.0), 1200),
+                           np.linspace(0.5, 4.0, 100), K1_SWITCH_POINTS])
+    vals = bessel_k1(grid)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x, v in zip(grid, vals):
+            exact = mpmath.besselk(1, mpmath.mpf(float(x)))
+            worst = max(worst, float(abs((mpmath.mpf(float(v)) - exact) / exact)))
+    assert worst <= 1.5e-15
+
+
+def test_k1_edge_values_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(bessel_k1(math.nan))
+        assert bessel_k1(math.inf) == 0.0
+        assert bessel_k1(5e-324) == math.inf  # the x -> 0 limit
+        assert np.array_equal(bessel_k1(np.array([math.inf, 5e-324])), [0.0, math.inf])
+
+
+def test_k1_scalar_and_vector_agree_bitwise_across_the_switch():
+    grid = np.array(K1_SWITCH_POINTS + [1e-310, 0.3, 1.0, 3.0, 50.0, 700.0])
+    vec = bessel_k1(grid)
+    for x, v in zip(grid, vec):
+        scalar = bessel_k1(float(x))
+        assert type(scalar) is float
+        assert scalar == v, x
 
 
 def test_lah_base_values():
