@@ -222,8 +222,7 @@ def cmd_sweep(spec: SweepSpec, out) -> int:
                         raise stats
                     std_error, n = 0.0, 0  # closed forms have no sampling error
                     if method in MC_METHODS:
-                        est = estimate_esr(stats, scheme, MC_METHODS[method], spec.n_samples,
-                                           spec.seed, spec.workers, mc_pass)
+                        est = estimate_esr(mc_pass, stats, scheme, MC_METHODS[method])
                         esr, std_error, n = est.mean, est.std_error, est.n_samples
                     elif method == "closed-form-lb":
                         esr = analytics.esr_lower_bound(stats)
@@ -373,11 +372,13 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     def dominates(b):
         return b.gamma_r1_p1 > b.gamma_r2
 
+    def harmonic_mean(x, y):  # x y / (x + y) without the product, which can overflow
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        return lo / (1.0 + lo / hi)
+
     def harmonic(t):
         # E{XY/(X+Y)} with means 1.3 and 0.7: the g and h gains rescaled
-        x = 1.3 * (t.gamma_g / p30.bar_g)
-        y = 0.7 * (t.gamma_h / p30.bar_h)
-        return x * y / (x + y)
+        return harmonic_mean(1.3 * (t.gamma_g / p30.bar_g), 0.7 * (t.gamma_h / p30.bar_h))
 
     combinings = ("selection", "sum")
     links = ("gamma_h", "bar_h"), ("gamma_f", "bar_f")
@@ -407,8 +408,7 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     # the published series (informational; printed form is not scale-invariant).
     check("P quadrature vs Monte Carlo", True, lambda: within_3_se(
         analytics.prob_r1_dominates_oracle(at(p30)),
-        estimate_event_probability(at(p30), dominates, n_mc, spec.seed, workers=spec.workers,
-                                   mean_pass=mc_pass)))
+        estimate_event_probability(mc_pass, at(p30), dominates)))
 
     def p_series(stats: ChannelStats):
         sp = analytics.prob_r1_dominates_series(stats)
@@ -443,8 +443,7 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
 
     # ESR lower bound: production reading vs the literal extra pre-factor.
     def esr_mc() -> float:
-        return estimate_esr(at(p30), SchemeKind.THREE_HOP, SinrMethod.EXACT, n_mc, spec.seed,
-                            spec.workers, mc_pass).mean
+        return estimate_esr(mc_pass, at(p30), SchemeKind.THREE_HOP, SinrMethod.EXACT).mean
 
     check("ESR lower bound vs Monte Carlo exact ESR (30 dB)", False,
           lambda: (analytics.esr_lower_bound(at(p30)), esr_mc(), math.inf))
@@ -465,11 +464,6 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
         return empirical_cdf_ks(stat(x, y), lambda z: cdf(z, st.bar_g, st.bar_h)), 0.0, ks_tol
 
     check("KS distance, ratio CDF", True, lambda: ks(lambda x, y: x / y, analytics.cdf_ratio))
-
-    def harmonic_mean(x, y):  # x y / (x + y) without the product, which can overflow
-        lo, hi = np.minimum(x, y), np.maximum(x, y)
-        return lo / (1.0 + lo / hi)
-
     check("KS distance, harmonic-mean CDF", True, lambda: ks(harmonic_mean, analytics.cdf_harmonic))
 
     # Two-hop idle eavesdropper combining sensitivity (selection vs sum).

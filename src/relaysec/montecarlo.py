@@ -5,9 +5,9 @@ result of an estimate depends only on (seed, n) and never on how many
 workers processed the chunks.  MeanPass, the one engine, estimates the
 means of many rows, each an elementwise function of the fading at one SNR
 point, from one draw per chunk.  estimate_esr reads an ESR row (esr_rows)
-and estimate_event_probability an event row (event_rows), each from a pass
-that holds it, such as the one a sweep or validate builds for all its
-Monte Carlo means, or from a pass of that row alone.
+and estimate_event_probability an event row (event_rows) from a pass that
+holds it, such as the one a sweep or validate builds for all its Monte
+Carlo means.
 """
 
 from __future__ import annotations
@@ -229,8 +229,8 @@ def esr_rows(keys) -> dict:
 def event_rows(keys) -> dict:
     """MeanPass rows keyed (stats, event, method): the frequency of event.
 
-    event maps a SinrBundle (vectorized) of the three-hop SINRs by method
-    to a boolean array; it is part of the key, so give the same function
+    event maps the SinrBundle of the three-hop SINRs by method to a boolean
+    array, elementwise; it is part of the key, so give the same function
     object to the pass and to the read.
     """
     return {(stats, event, method):
@@ -243,42 +243,17 @@ def _event_indicator(sample: ChannelSample, event, method: SinrMethod) -> np.nda
     return event(three_hop_sinrs(sample, method))
 
 
-def _read_row(mean_pass: MeanPass | None, rows, key, n: int, seed: int,
-              workers: int) -> tuple[float, float]:
-    """The row ``key`` of mean_pass, a pass over the same n and seed; without
-    one, of a pass of rows([key]) alone."""
-    if mean_pass is None:
-        mean_pass = MeanPass(rows([key]), n, seed, workers)
-    elif (n, seed) != (mean_pass.n, mean_pass.seed):
-        raise DomainError(f"pass over n = {mean_pass.n}, seed = {mean_pass.seed} asked for "
-                          f"n = {n}, seed = {seed}")
-    return mean_pass.mean(key)
+def estimate_esr(mean_pass: MeanPass, stats: ChannelStats, scheme: SchemeKind,
+                 method: SinrMethod) -> EsrEstimate:
+    """The pass's ESR row; a (scheme, method) pair sinr.has_method refuses raises DomainError."""
+    return EsrEstimate(*mean_pass.mean((stats, scheme, method)), mean_pass.n)
 
 
-def estimate_esr(stats: ChannelStats, scheme: SchemeKind, method: SinrMethod,
-                 n: int, seed: int, workers: int = 1,
-                 mean_pass: MeanPass | None = None) -> EsrEstimate:
-    """Unbiased Monte Carlo ESR estimate over n fading realizations.
-
-    The row is read from ``mean_pass``, a pass over the same n and seed
-    that holds it (esr_rows); without one, a pass of this row alone runs.
-    A (scheme, method) pair that sinr.has_method refuses raises DomainError.
-    """
-    return EsrEstimate(*_read_row(mean_pass, esr_rows, (stats, scheme, method), n, seed, workers), n)
-
-
-def estimate_event_probability(stats: ChannelStats, event, n: int, seed: int,
-                               method: SinrMethod = SinrMethod.HIGH_SNR,
-                               workers: int = 1,
-                               mean_pass: MeanPass | None = None) -> tuple[float, float]:
-    """Empirical probability of a predicate over the three-hop SINR bundle.
-
-    event maps a SinrBundle (vectorized) to a boolean array.  Returns the
-    frequency and its binomial standard error.  The row is read from
-    ``mean_pass`` as estimate_esr reads its row, here from event_rows.
-    """
-    p, _ = _read_row(mean_pass, event_rows, (stats, event, method), n, seed, workers)
-    return p, math.sqrt(p * (1.0 - p) / n)
+def estimate_event_probability(mean_pass: MeanPass, stats: ChannelStats, event,
+                               method: SinrMethod = SinrMethod.HIGH_SNR) -> tuple[float, float]:
+    """The frequency of the pass's event row, and its binomial standard error."""
+    p, _ = mean_pass.mean((stats, event, method))
+    return p, math.sqrt(p * (1.0 - p) / mean_pass.n)
 
 
 def empirical_cdf_ks(samples, cdf) -> float:

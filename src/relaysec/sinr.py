@@ -1,19 +1,18 @@
 """The scheme rules: per-realization SINRs, pre-logs and secrecy rates.
 
-Covers the three-hop scheme (exact and high-SNR forms) and the two-hop /
-direct baselines; secrecy_rate gives the rate of any (scheme, method) and
-has_method says which pairs exist.  All functions are elementwise over
-numpy arrays, so a whole Monte Carlo chunk evaluates in one call.  Each
-kernel writes its steps with ``out=`` into one fresh workspace per call
-and never writes its inputs, which may be views of a caller's buffer.
+Covers the three-hop scheme (exact and high-SNR forms, and R1's phase-3
+SINR, which no rate reads) and the two-hop / direct baselines;
+secrecy_rate gives the rate of any (scheme, method) and has_method says
+which pairs exist.  All functions are elementwise over numpy arrays, so a
+whole Monte Carlo chunk evaluates in one call.  Each kernel writes its
+steps with ``out=`` into one fresh workspace per call and never writes its
+inputs, which may be views of a caller's buffer.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,26 +67,19 @@ def _workspace(rows: int, *arrays) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class SinrBundle:
-    """The instantaneous SINRs of the three-hop scheme.
+    """The instantaneous SINRs of the three-hop scheme that its rate reads.
 
     gamma_r1_p1: at R1 during phase 1; gamma_r2: at R2; gamma_d: at the
-    destination.  gamma_r1_p3, at R1 during phase 3, never exceeds gamma_r2
-    (exact_sinrs, highsnr_sinrs), so no rate reads it: ``phase3`` evaluates
-    it from the sample's gains each time it is read, so read it before
-    those arrays change.
+    destination.  R1's phase-3 SINR never exceeds gamma_r2, so no rate
+    reads it; phase3_r1_sinr computes it from the sample.
     """
 
     gamma_r1_p1: np.ndarray | float
     gamma_r2: np.ndarray | float
     gamma_d: np.ndarray | float
-    phase3: Callable[[], np.ndarray | float] = field(repr=False, compare=False)
-
-    @property
-    def gamma_r1_p3(self) -> np.ndarray | float:
-        return self.phase3()
 
     def max_leakage(self) -> np.ndarray | float:
-        """Largest relay SINR, max(gamma_r1_p1, gamma_r2), as gamma_r1_p3 <= gamma_r2."""
+        """Largest relay SINR, max(gamma_r1_p1, gamma_r2), as phase3_r1_sinr <= gamma_r2."""
         return np.maximum(self.gamma_r1_p1, self.gamma_r2)
 
 
@@ -98,11 +90,11 @@ def exact_sinrs(s: ChannelSample) -> SinrBundle:
     overflow.  A reciprocal gain only multiplies factors >= 1 such as f + 2,
     so a zero gain gives SINR 0, not 0 * inf = nan.
 
-    gamma_r1_p3 <= gamma_r2: with t = (g + 1)/(g h), the reciprocal of the
-    phase-3 R1 SINR exceeds that of gamma_r2 by at least t (f + g + 2) > 0,
+    phase3_r1_sinr <= gamma_r2: with t = (g + 1)/(g h), the reciprocal of
+    the phase-3 R1 SINR exceeds that of gamma_r2 by at least t (f + g + 2) > 0,
     since ((g + h + 1)/h)^2 - 1 >= 2 (g + 1)/h.  The relative gap is at least
     about (g + 1)/h, so only where h > ~1e16 (g + 1) can rounding lift the
-    computed gamma_r1_p3 above gamma_r2, by at most a few ulps.
+    computed phase-3 SINR above gamma_r2, by at most a few ulps.
     """
     # As arrays, scalar gains too divide by zero to inf instead of raising.
     g, h, f = (np.asarray(x, dtype=float) for x in (s.gamma_g, s.gamma_h, s.gamma_f))
@@ -124,12 +116,7 @@ def exact_sinrs(s: ChannelSample) -> SinrBundle:
         d += np.divide(r1_p1, f, out=r1_p1)
         np.divide(1.0, d, out=d)  # 1 / (3 ig + 2 t + (1 + 2 ig + t) / f)
         np.divide(g, np.add(h, 1.0, out=r1_p1), out=r1_p1)  # g / (h + 1)
-    return SinrBundle(r1_p1, r2, d, functools.partial(_exact_r1_p3, g, h, f, ig, t))
-
-
-def _exact_r1_p3(g, h, f, ig, t):
-    with np.errstate(divide="ignore", over="ignore"):
-        return 1.0 / (ig + (g + 1.0) * t + ((g + h + 1.0) / h) ** 2 * ((f + 1.0) * ig))
+    return SinrBundle(r1_p1, r2, d)
 
 
 def highsnr_sinrs(s: ChannelSample) -> SinrBundle:
@@ -157,11 +144,25 @@ def highsnr_sinrs(s: ChannelSample) -> SinrBundle:
         d += np.divide(2.0, h, out=tmp)
         d += np.divide(1.0, f, out=tmp)
         np.divide(1.0, d, out=d)  # 1 / (3 ig + 2/h + 1/f)
-    return SinrBundle(r1_p1, r2, d, functools.partial(_highsnr_r1_p3, f, ig, r1_p1))
+    return SinrBundle(r1_p1, r2, d)
 
 
-def _highsnr_r1_p3(f, ig, r1_p1):
+def phase3_r1_sinr(s: ChannelSample, method: SinrMethod):
+    """R1's SINR in phase 3 by ``method``, divided through like its bundle's.
+
+    It never exceeds gamma_r2 (exact_sinrs, highsnr_sinrs), so no rate reads
+    it.  The high-SNR form, like highsnr_sinrs, refuses a zero gain.
+    """
+    # As arrays, scalar gains too divide by zero to inf instead of raising.
+    g, h, f = (np.asarray(x, dtype=float) for x in (s.gamma_g, s.gamma_h, s.gamma_f))
+    if method is SinrMethod.HIGH_SNR and (np.any(g == 0) or np.any(h == 0) or np.any(f == 0)):
+        raise DegenerateSampleError("high-SNR SINRs need strictly positive gains")
     with np.errstate(divide="ignore", over="ignore"):
+        ig = 1.0 / g
+        if method is SinrMethod.EXACT:
+            t = (1.0 + ig) / h
+            return 1.0 / (ig + (g + 1.0) * t + ((g + h + 1.0) / h) ** 2 * ((f + 1.0) * ig))
+        r1_p1 = g / h
         return 1.0 / ((r1_p1 + 1.0) ** 2 * (f * ig) + 2.0 * r1_p1)
 
 

@@ -15,8 +15,9 @@ import pytest
 from relaysec.analytics import esr_asymptote, esr_lower_bound, prob_r1_dominates_oracle
 from relaysec.cli import SweepSpec, cmd_sweep, validate_checks
 from relaysec.model import TOPOLOGY_1, db_to_linear, topology_to_stats
-from relaysec.montecarlo import MeanPass, esr_rows, estimate_esr, estimate_event_probability
-from relaysec.sinr import SchemeKind, SinrMethod
+from relaysec.montecarlo import (MeanPass, esr_rows, estimate_esr, estimate_event_probability,
+                                 event_rows)
+from relaysec.sinr import LINKS, SchemeKind, SinrMethod, exact_sinrs, phase3_r1_sinr
 
 SEED = 1
 N_SWEEP = 1_000_000
@@ -39,9 +40,13 @@ def mc_exact_sweep(dbs, schemes):
     stats = {db: topology_to_stats(TOPOLOGY_1, db_to_linear(float(db))) for db in dbs}
     shared = MeanPass(esr_rows((stats[db], kind, SinrMethod.EXACT) for db in dbs for kind in schemes),
                       N_SWEEP, seed=SEED, workers=4)
-    return {(db, kind): (stats[db], estimate_esr(stats[db], kind, SinrMethod.EXACT, N_SWEEP,
-                                                 seed=SEED, workers=4, mean_pass=shared))
+    return {(db, kind): (stats[db], estimate_esr(shared, stats[db], kind, SinrMethod.EXACT))
             for db in dbs for kind in schemes}
+
+
+def one_row_pass(rows, n):
+    """A pass of ``rows``, a dict of one row, over n samples."""
+    return MeanPass(rows, n, seed=SEED, workers=4)
 
 
 @pytest.fixture(scope="module")
@@ -128,9 +133,11 @@ def test_criterion_4_scheme_ordering(three_hop_sweep, baseline_sweep, report):
 
 def test_criterion_5_relay_sinr_ordering(report):
     stats = topology_to_stats(TOPOLOGY_1, db_to_linear(30.0))
-    p, _ = estimate_event_probability(stats, lambda b: b.gamma_r2 >= b.gamma_r1_p3,
-                                      1_000_000, seed=SEED, method=SinrMethod.EXACT,
-                                      workers=4)
+    def r2_at_least_phase3(s):
+        return exact_sinrs(s).gamma_r2 >= phase3_r1_sinr(s, SinrMethod.EXACT)
+
+    row = {"ordering": (stats, r2_at_least_phase3, LINKS[SchemeKind.THREE_HOP])}
+    p, _ = one_row_pass(row, 1_000_000).mean("ordering")
     ok = p >= 0.99
     report(5, ok, f"Pr{{phase-2 relay SINR >= phase-3 relay SINR}} = {p:.6f} (floor 0.99)")
     assert ok, f"relay SINR ordering probability {p:.6f} below 0.99"
@@ -148,8 +155,11 @@ def test_criterion_7_oracle_suite(validate_rows, report):
     stats = topology_to_stats(TOPOLOGY_1, db_to_linear(30.0))
 
     p_cf = prob_r1_dominates_oracle(stats)
-    p_mc, p_se = estimate_event_probability(stats, lambda b: b.gamma_r1_p1 > b.gamma_r2,
-                                            10_000_000, seed=SEED, workers=4)
+    def dominates(b):
+        return b.gamma_r1_p1 > b.gamma_r2
+
+    rows = event_rows([(stats, dominates, SinrMethod.HIGH_SNR)])
+    p_mc, p_se = estimate_event_probability(one_row_pass(rows, 10_000_000), stats, dominates)
     p_ok = abs(p_cf - p_mc) <= 3.0 * p_se
 
     t1 = validate_rows["T1 closed form vs Monte Carlo"]

@@ -35,7 +35,7 @@ from relaysec.cli import (
 from relaysec import analytics, cli
 from relaysec.errors import DomainError, NumericError
 from relaysec import montecarlo
-from relaysec.montecarlo import estimate_esr
+from relaysec.montecarlo import MeanPass, esr_rows, estimate_esr
 from relaysec.sinr import SchemeKind, SinrMethod
 
 PRESETS = sorted((Path(__file__).resolve().parents[1] / "presets").glob("*.cfg"))
@@ -99,7 +99,8 @@ def test_scheme_method_pairs(scheme, method, stats_30db):
     assert status == EXIT_OK
     assert len(text.strip().split("\n")) == 1 + exists
     if method.startswith("mc-"):
-        estimate = lambda: estimate_esr(stats_30db, scheme, SinrMethod(method), 1000, seed=1)
+        key = (stats_30db, scheme, SinrMethod(method))
+        estimate = lambda: estimate_esr(MeanPass(esr_rows([key]), 1000, seed=1), *key)
         if exists:
             assert estimate().n_samples == 1000
         else:

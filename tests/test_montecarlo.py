@@ -28,6 +28,18 @@ from relaysec.montecarlo import (
 from relaysec.sinr import LINKS, SchemeKind, SinrMethod, has_method, secrecy_rate, three_hop_sinrs
 
 
+def esr_alone(stats, scheme, method, n, seed, workers=1):
+    """estimate_esr on a pass of that one row."""
+    return estimate_esr(MeanPass(esr_rows([(stats, scheme, method)]), n, seed, workers),
+                        stats, scheme, method)
+
+
+def event_alone(stats, event, n, seed, method=SinrMethod.HIGH_SNR, workers=1):
+    """estimate_event_probability on a pass of that one row."""
+    mean_pass = MeanPass(event_rows([(stats, event, method)]), n, seed, workers)
+    return estimate_event_probability(mean_pass, stats, event, method)
+
+
 def test_chunk_size_is_power_of_two():
     assert CHUNK_SIZE == 1 << 18
 
@@ -136,15 +148,15 @@ def test_ks_of_exact_uniform_grid():
 
 
 def test_estimate_deterministic(stats_30db):
-    a = estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 300_000, seed=42)
-    b = estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 300_000, seed=42)
+    a = esr_alone(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 300_000, seed=42)
+    b = esr_alone(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 300_000, seed=42)
     assert a.mean == b.mean
     assert a.std_error == b.std_error
 
 
 def test_estimate_worker_independent(stats_30db):
-    one = estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 600_000, seed=9, workers=1)
-    four = estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 600_000, seed=9, workers=4)
+    one = esr_alone(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 600_000, seed=9, workers=1)
+    four = esr_alone(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 600_000, seed=9, workers=4)
     assert one.mean == four.mean
     assert one.std_error == four.std_error
 
@@ -152,71 +164,71 @@ def test_estimate_worker_independent(stats_30db):
 def test_golden_regression_value():
     # frozen run: reference topology, 25 dB, exact SINRs, n = 1e6
     stats = topology_to_stats(TOPOLOGY_1, db_to_linear(25.0))
-    est = estimate_esr(stats, SchemeKind.THREE_HOP, SinrMethod.EXACT, 1_000_000, seed=20260823)
+    est = esr_alone(stats, SchemeKind.THREE_HOP, SinrMethod.EXACT, 1_000_000, seed=20260823)
     assert est.mean == pytest.approx(0.3315849171728737, rel=1e-13)
     assert est.std_error == pytest.approx(0.0003080072715357946, rel=1e-13)
 
 
 def test_seed_changes_value(stats_30db):
-    a = estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 100_000, seed=1)
-    b = estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 100_000, seed=2)
+    a = esr_alone(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 100_000, seed=1)
+    b = esr_alone(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 100_000, seed=2)
     assert a.mean != b.mean
     assert abs(a.mean - b.mean) < 6.0 * (a.std_error + b.std_error)
 
 
 def test_std_error_shrinks_with_n(stats_30db):
-    small = estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 100_000, seed=3)
-    big = estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 400_000, seed=3)
+    small = esr_alone(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 100_000, seed=3)
+    big = esr_alone(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 400_000, seed=3)
     assert big.std_error == pytest.approx(0.5 * small.std_error, rel=0.1)
 
 
 def test_single_sample_has_zero_std_error(stats_30db):
-    est = estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 1, seed=1)
+    est = esr_alone(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 1, seed=1)
     assert est.std_error == 0.0
     assert est.n_samples == 1
 
 
 def test_exact_below_highsnr_estimate(stats_30db):
-    ex = estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 200_000, seed=4)
-    hs = estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.HIGH_SNR, 200_000, seed=4)
+    ex = esr_alone(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 200_000, seed=4)
+    hs = esr_alone(stats_30db, SchemeKind.THREE_HOP, SinrMethod.HIGH_SNR, 200_000, seed=4)
     assert ex.mean <= hs.mean + 3.0 * (ex.std_error + hs.std_error)
 
 
 def test_lower_bound_below_estimate(stats_40db):
-    est = estimate_esr(stats_40db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 400_000, seed=8)
+    est = esr_alone(stats_40db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 400_000, seed=8)
     assert esr_lower_bound(stats_40db) <= est.mean + 3.0 * est.std_error
 
 
 def test_baselines_reject_highsnr_method(stats_30db):
     with pytest.raises(DomainError):
-        estimate_esr(stats_30db, SchemeKind.DIRECT, SinrMethod.HIGH_SNR, 100, seed=1)
+        esr_alone(stats_30db, SchemeKind.DIRECT, SinrMethod.HIGH_SNR, 100, seed=1)
 
 
 def test_three_hop_beats_baselines_at_20db():
     stats = topology_to_stats(TOPOLOGY_1, db_to_linear(20.0))
-    three = estimate_esr(stats, SchemeKind.THREE_HOP, SinrMethod.EXACT, 400_000, seed=12)
+    three = esr_alone(stats, SchemeKind.THREE_HOP, SinrMethod.EXACT, 400_000, seed=12)
     for kind in (SchemeKind.TWO_HOP_CASE_I, SchemeKind.TWO_HOP_CASE_II, SchemeKind.DIRECT):
-        base = estimate_esr(stats, kind, SinrMethod.EXACT, 400_000, seed=12)
+        base = esr_alone(stats, kind, SinrMethod.EXACT, 400_000, seed=12)
         assert three.mean > base.mean
 
 
 def test_event_probability_trivial_events(stats_30db):
-    p_true, se_true = estimate_event_probability(stats_30db, lambda b: b.gamma_d >= 0, 10_000, seed=1)
+    p_true, se_true = event_alone(stats_30db, lambda b: b.gamma_d >= 0, 10_000, seed=1)
     assert p_true == 1.0 and se_true == 0.0
-    p_false, _ = estimate_event_probability(stats_30db, lambda b: b.gamma_d < 0, 10_000, seed=1)
+    p_false, _ = event_alone(stats_30db, lambda b: b.gamma_d < 0, 10_000, seed=1)
     assert p_false == 0.0
 
 
 def test_event_probability_matches_cdf(stats_30db):
     # Pr{gamma_g / gamma_h <= 1} from samples vs the closed-form ratio CDF
-    p, se = estimate_event_probability(stats_30db, lambda b: b.gamma_r1_p1 <= 1.0, 500_000, seed=13)
+    p, se = event_alone(stats_30db, lambda b: b.gamma_r1_p1 <= 1.0, 500_000, seed=13)
     expected = cdf_ratio(1.0, stats_30db.bar_g, stats_30db.bar_h)
     assert p == pytest.approx(expected, abs=max(4.0 * se, 1e-3))
 
 
 def test_invalid_sample_counts(stats_30db):
     with pytest.raises(DomainError):
-        estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 0, seed=1)
+        esr_alone(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, 0, seed=1)
     with pytest.raises(DomainError):
         sample_channels(stats_30db, RngStream(1), n=0)
     with pytest.raises(DomainError):
@@ -320,7 +332,7 @@ def test_pass_matches_per_point_draws(n, workers, monkeypatch):
             continue
         assert shared.mean(key) == expected, key
         if len(key) == 3:  # an ESR row
-            est = estimate_esr(*key, n, 7, workers, shared)
+            est = estimate_esr(shared, *key)
             assert (est.mean, est.std_error, est.n_samples) == (*expected, n)
     # one unit draw per chunk serves every row, also where gains round to 0,
     # which they do in the first chunk's 2^18 - 1 or more g gains
@@ -332,8 +344,7 @@ def test_pass_matches_per_point_draws(n, workers, monkeypatch):
     for stats in POINTS:
         expected = reference_means(stats, n, 7)["event",]
         with pytest.raises(expected) if isinstance(expected, type) else contextlib.nullcontext():
-            p, _ = estimate_event_probability(stats, lambda b: b.gamma_r1_p1 > b.gamma_r2, n, 7,
-                                              workers=workers)
+            p, _ = event_alone(stats, lambda b: b.gamma_r1_p1 > b.gamma_r2, n, 7, workers=workers)
             assert p == expected[0]
 
 
@@ -354,8 +365,8 @@ def test_pass_infinite_gain_fails_only_rows_reading_it():
     shared = MeanPass(esr_rows([(stats, SchemeKind.THREE_HOP, SinrMethod.EXACT),
                                 (stats, SchemeKind.DIRECT, SinrMethod.EXACT)]), 1000, seed=3)
     with pytest.raises(DomainError, match="gamma_sd"):
-        estimate_esr(stats, SchemeKind.DIRECT, SinrMethod.EXACT, 1000, 3, mean_pass=shared)
-    est = estimate_esr(stats, SchemeKind.THREE_HOP, SinrMethod.EXACT, 1000, 3, mean_pass=shared)
+        estimate_esr(shared, stats, SchemeKind.DIRECT, SinrMethod.EXACT)
+    est = estimate_esr(shared, stats, SchemeKind.THREE_HOP, SinrMethod.EXACT)
     a = secrecy_rate(sample_channels(stats, RngStream(3, 0), 1000, links=3), SchemeKind.THREE_HOP,
                      SinrMethod.EXACT)
     assert (est.mean, est.std_error) == _reduce_chunks([(np.sum(a), np.sum(a * a))], 1000)
@@ -380,16 +391,6 @@ def test_pass_zero_and_infinite_gains_fail_only_the_rows_they_break(monkeypatch)
     assert shared.mean(exact) == _reduce_chunks([(np.sum(a), np.sum(a * a))], 1000)
 
 
-def test_pass_refuses_other_sample_count_or_seed(stats_30db):
-    shared = MeanPass({**esr_rows([(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT)]),
-                       **event_rows([(stats_30db, dominates, SinrMethod.HIGH_SNR)])}, 1000, seed=1)
-    for n, seed in ((999, 1), (1000, 2)):
-        with pytest.raises(DomainError):
-            estimate_esr(stats_30db, SchemeKind.THREE_HOP, SinrMethod.EXACT, n, seed, mean_pass=shared)
-        with pytest.raises(DomainError):
-            estimate_event_probability(stats_30db, dominates, n, seed, mean_pass=shared)
-
-
 def dominates(b):
     """The P event on a SinrBundle: R1's phase-1 SINR above R2's."""
     return b.gamma_r1_p1 > b.gamma_r2
@@ -400,12 +401,12 @@ def test_event_probability_reads_a_shared_pass(stats_30db, n, monkeypatch):
     # an event row beside rows reading more links gives a pass of its own
     # bit for bit, from one unit draw per chunk
     esr_key = (stats_30db, SchemeKind.TWO_HOP_CASE_I, SinrMethod.EXACT)
-    alone = estimate_event_probability(stats_30db, dominates, n, 5), estimate_esr(*esr_key, n, 5)
+    alone = event_alone(stats_30db, dominates, n, 5), esr_alone(*esr_key, n, 5)
     calls = spy_on_draws(monkeypatch)
     shared = MeanPass({**event_rows([(stats_30db, dominates, SinrMethod.HIGH_SNR)]),
                        **esr_rows([esr_key])}, n, seed=5)
-    assert (estimate_event_probability(stats_30db, dominates, n, 5, mean_pass=shared),
-            estimate_esr(*esr_key, n, 5, mean_pass=shared)) == alone
+    assert (estimate_event_probability(shared, stats_30db, dominates),
+            estimate_esr(shared, *esr_key)) == alone
     assert calls == [UNIT] * -(-n // CHUNK_SIZE)
 
 

@@ -21,6 +21,7 @@ from relaysec.sinr import (
     has_method,
     highsnr_sinrs,
     instantaneous_secrecy_rate,
+    phase3_r1_sinr,
     secrecy_rate,
     secrecy_rate_from_pair,
     three_hop_sinrs,
@@ -34,38 +35,44 @@ def sample(g, h, f, sr2=1.0, sd=1.0, dr1=1.0):
 
 
 def test_exact_sinrs_unit_gains():
-    b = exact_sinrs(sample(1.0, 1.0, 1.0))
+    s = sample(1.0, 1.0, 1.0)
+    b = exact_sinrs(s)
     assert b.gamma_r1_p1 == pytest.approx(1.0 / 2.0, rel=1e-12)
     assert b.gamma_r2 == pytest.approx(1.0 / 7.0, rel=1e-12)
-    assert b.gamma_r1_p3 == pytest.approx(1.0 / 23.0, rel=1e-12)
+    assert phase3_r1_sinr(s, SinrMethod.EXACT) == pytest.approx(1.0 / 23.0, rel=1e-12)
     assert b.gamma_d == pytest.approx(1.0 / 12.0, rel=1e-12)
 
 
 def test_exact_sinrs_zero_source_gain():
-    b = exact_sinrs(sample(0.0, 1.0, 1.0))
+    s = sample(0.0, 1.0, 1.0)
+    b = exact_sinrs(s)
     assert b.gamma_r1_p1 == 0.0
     assert b.gamma_r2 == 0.0
-    assert b.gamma_r1_p3 == 0.0
+    assert phase3_r1_sinr(s, SinrMethod.EXACT) == 0.0
     assert b.gamma_d == 0.0
 
 
 def test_exact_sinrs_zero_relay_gain():
     # h = 0: R1 cannot reach R2, so nothing gets past R1
-    b = exact_sinrs(sample(1.0, 0.0, 1.0))
+    s = sample(1.0, 0.0, 1.0)
+    b = exact_sinrs(s)
     assert b.gamma_r1_p1 == 1.0
-    assert (b.gamma_r2, b.gamma_r1_p3, b.gamma_d) == (0.0, 0.0, 0.0)
+    assert (b.gamma_r2, phase3_r1_sinr(s, SinrMethod.EXACT), b.gamma_d) == (0.0, 0.0, 0.0)
 
 
 def test_exact_sinrs_zero_destination_gain():
     # f = 0: D receives nothing; the relay SINRs keep their f -> 0 limits
-    b = exact_sinrs(sample(1.0, 1.0, 0.0))
+    s = sample(1.0, 1.0, 0.0)
+    b = exact_sinrs(s)
     assert b.gamma_d == 0.0
     assert b.gamma_r1_p1 == pytest.approx(1.0 / 2.0, rel=1e-15)
     assert b.gamma_r2 == pytest.approx(1.0 / 4.0, rel=1e-15)
-    assert b.gamma_r1_p3 == pytest.approx(1.0 / 14.0, rel=1e-15)
+    assert phase3_r1_sinr(s, SinrMethod.EXACT) == pytest.approx(1.0 / 14.0, rel=1e-15)
     for h, f in ((0.0, 0.0), (2.0, 0.0)):  # h = f = 0 would give 0 * inf naively
-        b = exact_sinrs(sample(0.5, h, f))
-        assert all(math.isfinite(v) for v in (b.gamma_r1_p1, b.gamma_r2, b.gamma_r1_p3, b.gamma_d))
+        s = sample(0.5, h, f)
+        b = exact_sinrs(s)
+        p3 = phase3_r1_sinr(s, SinrMethod.EXACT)
+        assert all(math.isfinite(v) for v in (b.gamma_r1_p1, b.gamma_r2, p3, b.gamma_d))
         assert b.gamma_d == 0.0
 
 
@@ -79,15 +86,17 @@ def test_exact_sinrs_huge_gains(c):
     unit = highsnr_sinrs(sample(1.3, 0.7, 2.1))
     assert b.gamma_d == pytest.approx(c * unit.gamma_d, rel=1e-12)
     assert b.gamma_r2 == pytest.approx(unit.gamma_r2, rel=1e-12)
-    assert hs.gamma_r1_p3 == pytest.approx(unit.gamma_r1_p3, rel=1e-12)
+    assert (phase3_r1_sinr(sample(1.3 * c, 0.7 * c, 2.1 * c), SinrMethod.HIGH_SNR)
+            == pytest.approx(phase3_r1_sinr(sample(1.3, 0.7, 2.1), SinrMethod.HIGH_SNR), rel=1e-12))
     assert hs.gamma_d == pytest.approx(c * unit.gamma_d, rel=1e-12)
 
 
 def test_highsnr_sinrs_unit_gains():
-    b = highsnr_sinrs(sample(1.0, 1.0, 1.0))
+    s = sample(1.0, 1.0, 1.0)
+    b = highsnr_sinrs(s)
     assert b.gamma_r1_p1 == pytest.approx(1.0, rel=1e-12)
     assert b.gamma_r2 == pytest.approx(1.0 / 2.0, rel=1e-12)
-    assert b.gamma_r1_p3 == pytest.approx(1.0 / 6.0, rel=1e-12)
+    assert phase3_r1_sinr(s, SinrMethod.HIGH_SNR) == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert b.gamma_d == pytest.approx(1.0 / 6.0, rel=1e-12)
 
 
@@ -119,8 +128,10 @@ def test_highsnr_homogeneity(g, h, f, c):
     # homogeneous of degree one in the gains
     a = highsnr_sinrs(sample(g, h, f))
     b = highsnr_sinrs(sample(c * g, c * h, c * f))
-    for name in ("gamma_r1_p1", "gamma_r2", "gamma_r1_p3"):
+    for name in ("gamma_r1_p1", "gamma_r2"):
         assert getattr(b, name) == pytest.approx(getattr(a, name), rel=1e-9)
+    assert (phase3_r1_sinr(sample(c * g, c * h, c * f), SinrMethod.HIGH_SNR)
+            == pytest.approx(phase3_r1_sinr(sample(g, h, f), SinrMethod.HIGH_SNR), rel=1e-9))
     assert b.gamma_d == pytest.approx(c * a.gamma_d, rel=1e-9)
 
 
@@ -401,8 +412,38 @@ def test_sinr_bundle_matches_expression_forms(method):
     s = sample_channels(STATS, RngStream(5), 1000, links=3)
     b = three_hop_sinrs(read_only(s), method)
     expected = expression_three_hop(s.gamma_g, s.gamma_h, s.gamma_f, method)
-    for got, want in zip((b.gamma_r1_p1, b.gamma_r2, b.gamma_r1_p3, b.gamma_d), expected):
+    for got, want in zip((b.gamma_r1_p1, b.gamma_r2, phase3_r1_sinr(s, method), b.gamma_d), expected):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", list(SinrMethod))
+def test_phase3_r1_sinr_matches_expression_form(method):
+    # On every (g, h, f) of SPECIAL (positive only for high SNR), one gain
+    # at a time and as one block, bit for bit, writing no input.  The
+    # high-SNR form is inf * 0 = nan where g / h overflows while f / g
+    # underflows, in both forms alike.
+    values = [v for v in SPECIAL if v > 0 or method is SinrMethod.EXACT]
+    grid = list(itertools.product(values, repeat=3))
+    with np.errstate(invalid="ignore"):
+        for g, h, f in grid:
+            got = phase3_r1_sinr(sample(g, h, f), method)
+            assert np.asarray(got).tobytes() == expression_three_hop(g, h, f, method)[2].tobytes()
+        block = read_only(sample(*(np.array(c) for c in zip(*grid))))
+        before = [np.asarray(v).tobytes() for v in vars(block).values()]
+        got = phase3_r1_sinr(block, method)
+        want = expression_three_hop(block.gamma_g, block.gamma_h, block.gamma_f, method)[2]
+    assert [np.asarray(v).tobytes() for v in vars(block).values()] == before
+    assert got.shape == (len(grid),) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("zero", range(3))
+@pytest.mark.parametrize("shape", [(), (4,)])
+def test_highsnr_phase3_r1_sinr_refuses_a_zero_gain(zero, shape):
+    gains = [np.full(shape, 2.0) for _ in range(3)]
+    gains[zero][...] = 0.0
+    with pytest.raises(DegenerateSampleError):
+        phase3_r1_sinr(sample(*gains), SinrMethod.HIGH_SNR)
+    assert np.isfinite(phase3_r1_sinr(sample(*gains), SinrMethod.EXACT)).all()
 
 
 exponent = st.floats(min_value=-3.0, max_value=3.0)
@@ -413,13 +454,14 @@ exponent = st.floats(min_value=-3.0, max_value=3.0)
        zero=st.tuples(st.booleans(), st.booleans(), st.booleans()),
        method=st.sampled_from(list(SinrMethod)))
 def test_phase3_sinr_never_sets_the_leakage(scale, spread, zero, method):
-    # gamma_r1_p3 <= gamma_r2 in both forms (exact_sinrs, highsnr_sinrs),
+    # phase3_r1_sinr <= gamma_r2 in both forms (exact_sinrs, highsnr_sinrs),
     # so the two-way max_leakage equals the three-way maximum bit for bit.
     # Gains span 1e-8..1e30, each link 10^+-3 about the scale; the exact
     # form also takes zero gains.
     gains = [0.0 if z and method is SinrMethod.EXACT else 10.0 ** (scale + e)
              for z, e in zip(zero, spread)]
     b = three_hop_sinrs(sample(*gains), method)
-    assert b.gamma_r1_p3 <= b.gamma_r2
-    three_way = np.maximum(b.gamma_r1_p1, np.maximum(b.gamma_r2, b.gamma_r1_p3))
+    r1_p3 = phase3_r1_sinr(sample(*gains), method)
+    assert r1_p3 <= b.gamma_r2
+    three_way = np.maximum(b.gamma_r1_p1, np.maximum(b.gamma_r2, r1_p3))
     assert np.asarray(b.max_leakage()).tobytes() == np.asarray(three_way).tobytes()
