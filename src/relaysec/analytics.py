@@ -1,8 +1,8 @@
 """Closed-form secrecy-rate expressions and their supporting distributions.
 
-Legitimate-rate lower bound, the eavesdropping-rate decomposition
-(P, T1, T2), the ESR lower bound, high-SNR slope / power offset /
-asymptote, and the CDFs of X/Y and XY/(X+Y) for independent exponentials.
+Legitimate-rate lower bound, the eavesdropping rate from P, T1 and T2,
+the ESR lower bound, high-SNR power offset and asymptote, and the CDFs
+of X/Y and XY/(X+Y) for independent exponentials.
 
 P and the E{XY/(X+Y)} inside T2 are exact elementary closed forms.  The
 first term of the published truncated series for P, which is not
@@ -34,42 +34,13 @@ _P_RATIO_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
-class EavesdropDecomposition:
-    """Ergodic eavesdropping rate split into its three ingredients.
-
-    p_dominates: probability that the phase-1 SINR at R1 exceeds the SINR
-    at R2; t1 / t2: conditional ergodic log-terms in nats; r_e: assembled
-    eavesdropping rate in bits/s/Hz.
-    """
-
-    p_dominates: float
-    t1: float
-    t2: float
-    r_e: float
-
-
-@dataclass(frozen=True)
 class AsymptoteParams:
-    """High-SNR slope (the pre-log) and power offset with the offset's three building blocks."""
+    """High-SNR power offset L_inf (log2-SNR units) and its building blocks a, b and c."""
 
-    s_infinity: float
     l_infinity: float
     a_term: float
     b_term: float
     c_term: float
-
-
-@dataclass(frozen=True)
-class SeriesProbability:
-    """Truncated-series estimate of the dominance probability.
-
-    value is clamped to [0, 1]; raw keeps the unclamped sum and clamped
-    flags whether clamping changed it.
-    """
-
-    value: float
-    raw: float
-    clamped: bool
 
 
 def _ratio_log(a: float, b: float) -> float:
@@ -116,20 +87,18 @@ def prob_r1_dominates_oracle(stats: ChannelStats) -> float:
     return min(max(p / sigma * ((1.0 + sigma) / (1.0 + p) - tail), 0.0), 1.0)
 
 
-def prob_r1_dominates_series(stats: ChannelStats) -> SeriesProbability:
+def prob_r1_dominates_series(stats: ChannelStats) -> float:
     """First term of the published truncated series for the dominance probability.
 
     8 sqrt(mx) mz^2.5 my / (3 (mz - my sqrt(mx mz) + 2 mz my)^2), evaluated
     divided through by mz^2 so that the squared denominator cannot
-    underflow.  Kept for the validate report only: the printed expression
-    is not invariant under common scaling of the means, unlike the true
-    probability.
+    underflow, and unclamped (above 1 on TOPOLOGY_1 at 30 dB).  Kept for
+    the validate report only: the printed expression is not invariant
+    under common scaling of the means, unlike the true probability.
     """
     mx, my, mz = stats.bar_f, stats.bar_h, stats.bar_g
     q = 1.0 - my * math.sqrt(mx / mz) + 2.0 * my
-    raw = 8.0 * math.sqrt(mx) * math.sqrt(mz) * my / (3.0 * q * q)
-    value = min(max(raw, 0.0), 1.0)
-    return SeriesProbability(value=value, raw=raw, clamped=(value != raw))
+    return 8.0 * math.sqrt(mx) * math.sqrt(mz) * my / (3.0 * q * q)
 
 
 def t1_closed(stats: ChannelStats) -> float:
@@ -208,13 +177,13 @@ def t2_printed(stats: ChannelStats) -> float:
     return math.log(arg) if arg > 0 else float("nan")
 
 
-def eavesdrop_rate(stats: ChannelStats) -> EavesdropDecomposition:
-    """Ergodic eavesdropping rate decomposition from the exact P, T1 and T2."""
+def eavesdrop_rate(stats: ChannelStats) -> float:
+    """Ergodic eavesdropping rate R_E, bits/s/Hz: (P T1 + (1 - P) T2) / (3 ln 2).
+
+    P is prob_r1_dominates_oracle, and T1 (t1_closed) and T2 (t2) are in nats.
+    """
     p = prob_r1_dominates_oracle(stats)
-    t1v = t1_closed(stats)
-    t2v = t2(stats)
-    r_e = (p * t1v + (1.0 - p) * t2v) / (3.0 * LN2)
-    return EavesdropDecomposition(p_dominates=p, t1=t1v, t2=t2v, r_e=r_e)
+    return (p * t1_closed(stats) + (1.0 - p) * t2(stats)) / (3.0 * LN2)
 
 
 def esr_lower_bound(stats: ChannelStats) -> float:
@@ -223,7 +192,7 @@ def esr_lower_bound(stats: ChannelStats) -> float:
     Both terms already carry the 1/(3 ln 2) pre-factor, so no further
     scaling is applied to their difference.
     """
-    return max(0.0, legit_rate_lower_bound(stats) - eavesdrop_rate(stats).r_e)
+    return max(0.0, legit_rate_lower_bound(stats) - eavesdrop_rate(stats))
 
 
 def high_snr_offset(m_g: float, m_h: float, m_f: float) -> AsymptoteParams:
@@ -242,13 +211,12 @@ def high_snr_offset(m_g: float, m_h: float, m_f: float) -> AsymptoteParams:
     g, h, f = math.ldexp(m_g, -k), math.ldexp(m_h, -k), math.ldexp(m_f, -k)
     c = math.log((g * h + f * h + g * f) / (f * (g + h)))
     l_inf = (m_h / (m_f + m_h) * b + m_f / (m_f + m_h) * c + a) / LN2
-    return AsymptoteParams(s_infinity=PRELOG[SchemeKind.THREE_HOP], l_infinity=l_inf,
-                           a_term=a, b_term=b, c_term=c)
+    return AsymptoteParams(l_infinity=l_inf, a_term=a, b_term=b, c_term=c)
 
 
 def esr_asymptote(rho: float, m_g: float, m_h: float, m_f: float) -> float:
-    """High-SNR ESR asymptote S_inf * (log2(rho) - L_inf), clamped at 0."""
+    """High-SNR ESR asymptote S_inf (log2(rho) - L_inf), clamped at 0; S_inf is the pre-log 1/3."""
     if rho <= 0:
         raise DomainError(f"transmit SNR rho must be > 0, got {rho}")
-    p = high_snr_offset(m_g, m_h, m_f)
-    return max(0.0, p.s_infinity * (math.log2(rho) - p.l_infinity))
+    l_inf = high_snr_offset(m_g, m_h, m_f).l_infinity
+    return max(0.0, PRELOG[SchemeKind.THREE_HOP] * (math.log2(rho) - l_inf))

@@ -101,6 +101,9 @@ class SweepSpec:
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise UsageError(f"unknown method {m!r}; choose from {ALL_METHODS}")
+        for key, items in (("scheme", [k.value for k in self.schemes]), ("method", self.methods)):
+            if len(set(items)) < len(items):
+                raise UsageError(f"a {key} is given more than once: {', '.join(items)}")
 
     def snr_points_db(self) -> list[float]:
         count = int(math.floor((self.snr_stop_db - self.snr_start_db) / self.snr_step_db + 1e-9)) + 1
@@ -250,7 +253,7 @@ def cmd_asymptote(spec: SweepSpec, out) -> int:
     stats = topology_to_stats(spec.topology, 1.0)
     p = analytics.high_snr_offset(stats.m_g, stats.m_h, stats.m_f)
     print("quantity,snr_db,value", file=out)
-    print(f"s_infinity,,{fmt(p.s_infinity)}", file=out)
+    print(f"s_infinity,,{fmt(PRELOG[SchemeKind.THREE_HOP])}", file=out)
     print(f"s_infinity_two_hop,,{fmt(PRELOG[SchemeKind.TWO_HOP_CASE_I])}", file=out)
     print(f"l_infinity,,{fmt(p.l_infinity)}", file=out)
     print(f"a_term,,{fmt(p.a_term)}", file=out)
@@ -279,7 +282,7 @@ class CheckRow:
     oracle: float
     tolerance: float
     note: str = ""
-    failed: bool = False  # the row met a numeric failure; its values are nan
+    failed: bool = False  # a side met a numeric failure; its value is nan
 
     @property
     def abs_dev(self) -> float:
@@ -288,7 +291,8 @@ class CheckRow:
     @property
     def rel_dev(self) -> float:
         scale = max(abs(self.oracle), abs(self.closed_form))
-        return self.abs_dev / scale if scale != 0 else 0.0
+        # scale is 0 when both sides are 0, or beside a nan side: max(0.0, nan) is 0.0
+        return self.abs_dev / scale if scale != 0 else self.abs_dev
 
     @property
     def passed(self) -> bool:
@@ -302,20 +306,28 @@ class CheckRow:
 def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     """The closed-form vs oracle check list that ``validate`` prints.
 
-    A row that meets a numeric failure reads nan with verdict FAIL; the
-    others are still computed.  Every Monte Carlo mean is a row of one pass.
+    A row's closed form and oracle are computed apart: a side that meets a
+    numeric failure reads nan, the other keeps its value, and the row's
+    verdict is FAIL; the other rows are still computed.  Every Monte Carlo
+    mean is a row of one pass.
     """
     rows: list[CheckRow] = []
     n_mc = 10**5 if quick else 10**6
     n_ks = 10**4 if quick else 10**5
 
-    def check(name: str, gating: bool, compute) -> None:
-        """Append the row of compute() -> (closed_form, oracle, tolerance[, note])."""
-        try:
-            rows.append(CheckRow(name, gating, *compute()))
-        except NUMERIC_FAILURES as exc:
-            print(f"numeric failure in check {name!r}: {exc}", file=sys.stderr)
-            rows.append(CheckRow(name, gating, math.nan, math.nan, math.nan, failed=True))
+    def check(name: str, gating: bool, closed_form, oracle) -> None:
+        """Append a row: closed_form() -> value or (value, note); oracle() -> (value, tolerance)."""
+        sides, failures = [(math.nan, ""), (math.nan, math.nan)], []
+        for i, compute in enumerate((closed_form, oracle)):
+            try:
+                value = compute()
+                sides[i] = value if isinstance(value, tuple) else (value, "")
+            except NUMERIC_FAILURES as exc:
+                failures.append(exc)
+        if failures:
+            print(f"numeric failure in check {name!r}: {failures[0]}", file=sys.stderr)
+        (value, note), (reference, tolerance) = sides
+        rows.append(CheckRow(name, gating, value, reference, tolerance, note, bool(failures)))
 
     # The K1 and Lah rows read no setting, so no input can make them fail.
     # Modified Bessel K1 against the trapezoid rule on its integral
@@ -399,57 +411,57 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
                              for name, _ in links})
     mc_pass = MeanPass(rows_of_pass, n_mc, spec.seed, spec.workers)
 
-    def within_3_se(closed_form: float, estimate: tuple[float, float]) -> tuple:
-        """A closed form vs a Monte Carlo (mean, standard error), gated at 3 standard errors."""
+    def within_3_se(estimate: tuple[float, float]) -> tuple[float, float]:
+        """A Monte Carlo (mean, standard error) as an oracle gated at 3 standard errors."""
         mean, std_error = estimate
-        return closed_form, mean, 3.0 * std_error
+        return mean, 3.0 * std_error
 
     # Dominance probability: exact closed form vs Monte Carlo (gating) and vs
     # the published series (informational; printed form is not scale-invariant).
-    check("P quadrature vs Monte Carlo", True, lambda: within_3_se(
-        analytics.prob_r1_dominates_oracle(at(p30)),
-        estimate_event_probability(mc_pass, at(p30), dominates)))
+    check("P quadrature vs Monte Carlo", True, lambda: analytics.prob_r1_dominates_oracle(at(p30)),
+          lambda: within_3_se(estimate_event_probability(mc_pass, at(p30), dominates)))
 
-    def p_series(stats: ChannelStats):
-        sp = analytics.prob_r1_dominates_series(stats)
-        return (sp.value, analytics.prob_r1_dominates_oracle(stats), math.inf,
-                "clamped" if sp.clamped else "")
+    def p_series(stats: ChannelStats) -> tuple[float, str]:
+        """The series' first term clamped to [0, 1], noted when the clamp changed it."""
+        raw = analytics.prob_r1_dominates_series(stats)
+        value = min(max(raw, 0.0), 1.0)
+        return value, "clamped" if value != raw else ""
 
     for db, point in ((10.0, p10), (30.0, p30), (50.0, p50)):
         check(f"P first-term series vs quadrature at {db:.0f} dB", False,
-              lambda: p_series(at(point)))
+              lambda: p_series(at(point)),
+              lambda: (analytics.prob_r1_dominates_oracle(at(point)), math.inf))
 
     # T1, E{XY/(X+Y)} and T2 against Monte Carlo means.
-    check("T1 closed form vs Monte Carlo", True,
-          lambda: within_3_se(analytics.t1_closed(at(p30)), mc_pass.mean((at(p30), "T1"))))
+    check("T1 closed form vs Monte Carlo", True, lambda: analytics.t1_closed(at(p30)),
+          lambda: within_3_se(mc_pass.mean((at(p30), "T1"))))
     check("E{XY/(X+Y)} quadrature vs Monte Carlo", True,
-          lambda: within_3_se(analytics.expected_harmonic_mean(1.3, 0.7),
-                              mc_pass.mean((at(p30), "XY/(X+Y)"))))
+          lambda: analytics.expected_harmonic_mean(1.3, 0.7),
+          lambda: within_3_se(mc_pass.mean((at(p30), "XY/(X+Y)"))))
     # T2: the mean-ratio step is a rough approximation (1/gamma_f has no
     # finite mean), so its Monte Carlo deviation is reported, not gated;
     # the exact E{XY/(X+Y)} inside it is gated above.
-    check("T2 mean-ratio vs Monte Carlo", False,
-          lambda: (analytics.t2(at(p30)), mc_pass.mean((at(p30), "T2"))[0], math.inf))
+    check("T2 mean-ratio vs Monte Carlo", False, lambda: analytics.t2(at(p30)),
+          lambda: (mc_pass.mean((at(p30), "T2"))[0], math.inf))
     check("T2 printed closed form vs mean-ratio (asymmetric case)", False,
-          lambda: (analytics.t2_printed(at(asym)), analytics.t2(at(asym)), math.inf))
+          lambda: analytics.t2_printed(at(asym)), lambda: (analytics.t2(at(asym)), math.inf))
 
     # Eavesdropping rate scale invariance.
     def scale_invariance():
-        base = analytics.eavesdrop_rate(at(p30)).r_e
+        base = analytics.eavesdrop_rate(at(p30))
         rescaled = (dataclasses.replace(at(p30), rho=at(p30).rho * c) for c in (0.01, 100.0))
-        return max(abs(analytics.eavesdrop_rate(s).r_e - base) for s in rescaled), 0.0, 1e-12
+        return max(abs(analytics.eavesdrop_rate(s) - base) for s in rescaled)
 
-    check("eavesdrop rate scale invariance", True, scale_invariance)
+    check("eavesdrop rate scale invariance", True, scale_invariance, lambda: (0.0, 1e-12))
 
     # ESR lower bound: production reading vs the literal extra pre-factor.
-    def esr_mc() -> float:
-        return estimate_esr(mc_pass, at(p30), SchemeKind.THREE_HOP, SinrMethod.EXACT).mean
+    def esr_mc() -> tuple[float, float]:
+        return estimate_esr(mc_pass, at(p30), SchemeKind.THREE_HOP, SinrMethod.EXACT).mean, math.inf
 
     check("ESR lower bound vs Monte Carlo exact ESR (30 dB)", False,
-          lambda: (analytics.esr_lower_bound(at(p30)), esr_mc(), math.inf))
+          lambda: analytics.esr_lower_bound(at(p30)), esr_mc)
     check("literal extra 1/(3 ln 2) reading vs Monte Carlo", False,
-          lambda: (max(0.0, analytics.esr_lower_bound(at(p30)) / (3.0 * math.log(2.0))), esr_mc(),
-                   math.inf))
+          lambda: max(0.0, analytics.esr_lower_bound(at(p30)) / (3.0 * math.log(2.0))), esr_mc)
 
     # Ratio / harmonic-mean CDFs vs empirical CDFs (KS distance).  The 0.01
     # budget is calibrated for 1e5 samples; quick mode scales it.
@@ -461,23 +473,26 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
 
     def ks(stat, cdf):
         x, y, st = ks_sample().gamma_g, ks_sample().gamma_h, at(p30)
-        return empirical_cdf_ks(stat(x, y), lambda z: cdf(z, st.bar_g, st.bar_h)), 0.0, ks_tol
+        return empirical_cdf_ks(stat(x, y), lambda z: cdf(z, st.bar_g, st.bar_h))
 
-    check("KS distance, ratio CDF", True, lambda: ks(lambda x, y: x / y, analytics.cdf_ratio))
-    check("KS distance, harmonic-mean CDF", True, lambda: ks(harmonic_mean, analytics.cdf_harmonic))
+    check("KS distance, ratio CDF", True, lambda: ks(lambda x, y: x / y, analytics.cdf_ratio),
+          lambda: (0.0, ks_tol))
+    check("KS distance, harmonic-mean CDF", True, lambda: ks(harmonic_mean, analytics.cdf_harmonic),
+          lambda: (0.0, ks_tol))
 
     # Two-hop idle eavesdropper combining sensitivity (selection vs sum).
     for combining in combinings:
         check(f"two-hop ESR with {combining} combining (10 dB)", False,
-              lambda: (mc_pass.mean((at(p10), combining))[0],) * 2 + (math.inf,))
+              lambda: mc_pass.mean((at(p10), combining))[0],
+              lambda: (mc_pass.mean((at(p10), combining))[0], math.inf))
 
     # Mean-SNR reading cross-check: sampled gain means vs rho * m per link
     # (the corrected reading) on an asymmetric geometry.  4 rho m / sqrt(n)
     # is 4 standard errors of an exponential link's sample mean.
     for name, bar in links:
         check(f"sample mean of {name} vs rho*m of its own link", True,
-              lambda: (mc_pass.mean((at(asym), name))[0], getattr(at(asym), bar),
-                       4.0 * getattr(at(asym), bar) / math.sqrt(n_mc)))
+              lambda: mc_pass.mean((at(asym), name))[0],
+              lambda: (getattr(at(asym), bar), 4.0 * getattr(at(asym), bar) / math.sqrt(n_mc)))
     return rows
 
 

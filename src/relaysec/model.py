@@ -72,17 +72,11 @@ class Topology:
                 except InvalidTopologyError as exc:
                     raise InvalidTopologyError(f"nodes {names[i]} and {names[j]}: {exc}") from None
 
-    def scaled(self, c: float) -> "Topology":
-        """Same layout with every position multiplied by c > 0."""
-        if c <= 0:
-            raise InvalidTopologyError(f"scale factor must be > 0, got {c}")
-        return Topology(c * self.x_s, c * self.x_r1, c * self.x_r2, c * self.x_d, self.n)
-
 
 #: Reference layouts used throughout the experiments: the second is the first
 #: shrunk by a factor of 3.
 TOPOLOGY_1 = Topology(-3.0, -1.0, 1.0, 3.0, 2.7)
-TOPOLOGY_2 = TOPOLOGY_1.scaled(1.0 / 3.0)
+TOPOLOGY_2 = Topology(-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0, 2.7)
 
 
 @dataclass(frozen=True)

@@ -70,17 +70,13 @@ class SinrBundle:
     """The instantaneous SINRs of the three-hop scheme that its rate reads.
 
     gamma_r1_p1: at R1 during phase 1; gamma_r2: at R2; gamma_d: at the
-    destination.  R1's phase-3 SINR never exceeds gamma_r2, so no rate
-    reads it; phase3_r1_sinr computes it from the sample.
+    destination.  R1's phase-3 SINR (phase3_r1_sinr) never exceeds
+    gamma_r2, so the rate's leakage is max(gamma_r1_p1, gamma_r2).
     """
 
     gamma_r1_p1: np.ndarray | float
     gamma_r2: np.ndarray | float
     gamma_d: np.ndarray | float
-
-    def max_leakage(self) -> np.ndarray | float:
-        """Largest relay SINR, max(gamma_r1_p1, gamma_r2), as phase3_r1_sinr <= gamma_r2."""
-        return np.maximum(self.gamma_r1_p1, self.gamma_r2)
 
 
 def exact_sinrs(s: ChannelSample) -> SinrBundle:
@@ -173,7 +169,8 @@ def three_hop_sinrs(s: ChannelSample, method: SinrMethod) -> SinrBundle:
 
 def instantaneous_secrecy_rate(b: SinrBundle):
     """Three-hop rate (1/3) [log2(1 + gamma_d) - log2(1 + max relay SINR)]^+."""
-    return secrecy_rate_from_pair(b.gamma_d, b.max_leakage(), PRELOG[SchemeKind.THREE_HOP])
+    leak = np.maximum(b.gamma_r1_p1, b.gamma_r2)  # phase3_r1_sinr <= gamma_r2
+    return secrecy_rate_from_pair(b.gamma_d, leak, PRELOG[SchemeKind.THREE_HOP])
 
 
 def secrecy_rate_from_pair(gamma_d, gamma_leak, prelog: float):

@@ -13,10 +13,6 @@ import numpy as np
 
 from relaysec.errors import DomainError
 
-#: Default truncation order for the K1 series; chosen empirically, see the
-#: validate report for the error-vs-order table.
-DEFAULT_SERIES_ORDER = 40
-
 _EULER_GAMMA = 0.57721566490153286061
 
 #: bessel_k1 sums its power series at x <= _K1_SPLIT and its integral above.
@@ -152,7 +148,7 @@ def lambda_coeff(n: int, i: int) -> float:
     return (-1) ** (i + 1) * (2**i * lah(n, i)) / ((4 * n * n - 1) * math.factorial(n))
 
 
-def k1_series(x: float, order: int = DEFAULT_SERIES_ORDER) -> float:
+def k1_series(x: float, order: int) -> float:
     """Truncated exponential-series approximation of K1(x).
 
     exp(-x) * [1/x + sum_{n=1..M} sum_{i=1..n} Lambda(n, i) x^(i-1)].

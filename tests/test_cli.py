@@ -371,7 +371,7 @@ def test_validate_failed_point_fails_only_its_rows(capsys):
     assert main(["validate", "--quick", "--topology=-3,-1e-114,4e-114,3"]) == EXIT_NUMERIC
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5ab84380466b07c916a8451ddac4f0be945d1ed5521717deea674c0851b5b1f9")
+        "a2e8d40f36750b9254870264237e13a0b47af5d1feb2df06e6149baa94bdc2e1")
     assert hashlib.sha256(err.encode()).hexdigest() == (
         "a817d41967dfba1e0f74beb480a121677605778c9c486eaf8ab11b604377fb82")
     rows = {r["check"]: r for r in csv.DictReader(out.strip().split("\n"))}
@@ -443,7 +443,14 @@ def test_validate_with_every_point_failing_reads_no_pass(tmp_path, monkeypatch, 
     assert all(r["verdict"] == "pass" for r in rows[:8])
     assert rows[0]["check"].startswith("bessel_k1") and rows[7]["check"].startswith("k1_series")
     failed = [r["check"] for r in rows[8:]]
-    assert all(r["verdict"] == "FAIL" and r["closed_form"] == "nan" for r in rows[8:])
+    assert all(r["verdict"] == "FAIL" and r["abs_dev"] == r["rel_dev"] == "nan" for r in rows[8:])
+    # each side is computed apart, so a side that reads no setting keeps its value
+    assert {r["check"]: r["closed_form"] for r in rows[8:] if r["closed_form"] != "nan"} == {
+        "E{XY/(X+Y)} quadrature vs Monte Carlo": "0.309015107"}
+    oracles = {r["check"]: (r["oracle"], r["tolerance"]) for r in rows[8:] if r["oracle"] != "nan"}
+    assert oracles == {"eavesdrop rate scale invariance": ("0", "1e-12"),
+                       "KS distance, ratio CDF": ("0", "0.0195"),
+                       "KS distance, harmonic-mean CDF": ("0", "0.0195")}
     assert [line.split("'")[1] for line in err.strip().split("\n")] == failed
     assert all(line.startswith("numeric failure in check '") for line in err.strip().split("\n"))
 
@@ -522,8 +529,10 @@ def test_subnormal_hop_powers_keep_underflowed_gains_zero(tmp_path, capsys):
     assert capsys.readouterr().err.strip().split("\n") == [
         f"numeric failure in check '{check}': high-SNR SINRs need strictly positive gains"
         for check in failing]
-    for check in failing:
-        assert (rows[check]["closed_form"], rows[check]["verdict"]) == ("nan", "FAIL")
+    # the closed forms read no high-SNR SINR, so they keep their values
+    assert [(rows[check]["closed_form"], rows[check]["oracle"], rows[check]["verdict"])
+            for check in failing] == [("1.47279972e-150", "nan", "FAIL"),
+                                      ("0.693147181", "nan", "FAIL")]
     assert rows["T1 closed form vs Monte Carlo"]["oracle"] == "3.25194008e-320"
     assert rows["E{XY/(X+Y)} quadrature vs Monte Carlo"]["oracle"] == "0.308312096"
 
@@ -538,6 +547,7 @@ def test_subnormal_hop_powers_keep_underflowed_gains_zero(tmp_path, capsys):
 def test_validate_failing_check_keeps_other_rows(dependency, failing_rows, tmp_path, monkeypatch,
                                                  capsys):
     _, default_rows = quick_validate(tmp_path)
+    default = {r["check"]: r for r in csv.DictReader((tmp_path / "validate.csv").open())}
 
     def broken(*args):
         raise NumericError("forced failure")
@@ -549,7 +559,11 @@ def test_validate_failing_check_keeps_other_rows(dependency, failing_rows, tmp_p
     assert list(rows) == [name for name, _, _ in default_rows]
     for name, r in rows.items():
         if name in failing_rows:
-            assert (r["closed_form"], r["oracle"], r["verdict"]) == ("nan", "nan", "FAIL")
+            # the oracle side is computed apart and keeps its value
+            assert (r["closed_form"], r["abs_dev"], r["rel_dev"]) == ("nan",) * 3
+            assert r["verdict"] == "FAIL"
+            assert (r["oracle"], r["tolerance"]) == (default[name]["oracle"],
+                                                     default[name]["tolerance"])
         else:
             assert r["verdict"] != "FAIL" and r["closed_form"] != "nan", name
     assert "forced failure" in capsys.readouterr().err
@@ -666,6 +680,8 @@ def test_presets_exist():
     ["sweep", "--snr", "0:1e10:1e-3"],
     ["sweep", "--samples", "1.5"],
     ["sweep", "--config", "/nonexistent/dir/run.cfg"],
+    ["sweep", "--scheme", "direct", "--scheme", "direct", "--method", "mc-exact",
+     "--method", "mc-exact"],
 ])
 def test_bad_argument_is_one_error_line(argv, capsys):
     assert main(argv) == EXIT_USAGE
@@ -704,6 +720,9 @@ def test_repeated_flag_replaces_config_list(tmp_path):
                  "--scheme", "two-hop-1", "--output", str(out)]) == EXIT_OK
     rows = [r.split(",")[1:3] for r in out.read_text().strip().split("\n")[1:]]
     assert rows == [["direct", "mc-exact"], ["two-hop-1", "mc-exact"]]
+    # a repeated value is a usage error in a file's list as in repeated flags
+    cfg.write_text("scheme = direct, direct\n")
+    assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == EXIT_USAGE
 
 
 def test_pathloss_alone_keeps_default_layout(tmp_path):

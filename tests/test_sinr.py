@@ -149,11 +149,6 @@ def test_exact_converges_to_highsnr():
         assert ex.gamma_d == pytest.approx(hs.gamma_d, rel=tol)
 
 
-def test_max_leakage():
-    b = exact_sinrs(sample(1.0, 1.0, 1.0))
-    assert b.max_leakage() == b.gamma_r1_p1
-
-
 def test_secrecy_rate_positive_case():
     rate = secrecy_rate_from_pair(7.0, 3.0, 1.0 / 3.0)
     assert rate == pytest.approx(1.0 / 3.0, rel=1e-12)  # log2(8/4) = 1
@@ -455,7 +450,8 @@ exponent = st.floats(min_value=-3.0, max_value=3.0)
        method=st.sampled_from(list(SinrMethod)))
 def test_phase3_sinr_never_sets_the_leakage(scale, spread, zero, method):
     # phase3_r1_sinr <= gamma_r2 in both forms (exact_sinrs, highsnr_sinrs),
-    # so the two-way max_leakage equals the three-way maximum bit for bit.
+    # so the rate, which reads max(gamma_r1_p1, gamma_r2), equals the rate at
+    # the three-way maximum bit for bit.
     # Gains span 1e-8..1e30, each link 10^+-3 about the scale; the exact
     # form also takes zero gains.
     gains = [0.0 if z and method is SinrMethod.EXACT else 10.0 ** (scale + e)
@@ -464,4 +460,5 @@ def test_phase3_sinr_never_sets_the_leakage(scale, spread, zero, method):
     r1_p3 = phase3_r1_sinr(sample(*gains), method)
     assert r1_p3 <= b.gamma_r2
     three_way = np.maximum(b.gamma_r1_p1, np.maximum(b.gamma_r2, r1_p3))
-    assert np.asarray(b.max_leakage()).tobytes() == np.asarray(three_way).tobytes()
+    at_three_way = secrecy_rate_from_pair(b.gamma_d, three_way, PRELOG[SchemeKind.THREE_HOP])
+    assert np.asarray(instantaneous_secrecy_rate(b)).tobytes() == np.asarray(at_three_way).tobytes()
