@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -60,6 +61,16 @@ NUMERIC_FAILURES = (RelaysecError, ArithmeticError)
 MAX_SNR_POINTS = 10**6
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, or os.cpu_count() where that is unknown."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+#: Worker threads by default: the usable CPUs, at most two.  The interpreter lock
+#: holds two threads to about 1.4x one, and each further one adds about 4 MB of scratch.
+DEFAULT_WORKERS = min(usable_cpus(), 2)
+
+
 def fmt(x: float) -> str:
     """Fixed 9-significant-digit float formatting for stable CSV."""
     return f"{x:.9g}"
@@ -77,7 +88,7 @@ class SweepSpec:
     methods: list[str] = field(default_factory=lambda: ["mc-exact", "closed-form-lb"])
     n_samples: int = 1_000_000
     seed: int = 1
-    workers: int = 1
+    workers: int = DEFAULT_WORKERS
     output: str | None = None
 
     def __post_init__(self) -> None:
@@ -101,6 +112,8 @@ class SweepSpec:
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise UsageError(f"unknown method {m!r}; choose from {ALL_METHODS}")
+        if not any(has_method(k, m) for k in self.schemes for m in self.methods):
+            raise UsageError("no scheme given has a method given; a baseline scheme has only mc-exact")
         for key, items in (("scheme", [k.value for k in self.schemes]), ("method", self.methods)):
             if len(set(items)) < len(items):
                 raise UsageError(f"a {key} is given more than once: {', '.join(items)}")
@@ -156,7 +169,7 @@ SETTINGS = {
     "method": ("method, repeatable: " + ", ".join(ALL_METHODS), "methods", str),
     "samples": ("Monte Carlo samples per sweep point", ("n_samples",), int),
     "seed": ("RNG seed, >= 0", ("seed",), int),
-    "workers": ("worker threads; never changes results", ("workers",), int),
+    "workers": ("worker threads, default the usable CPUs up to 2; never changes results", ("workers",), int),
     "output": ("write CSV here instead of stdout", ("output",), str),
 }
 

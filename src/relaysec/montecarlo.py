@@ -2,18 +2,20 @@
 
 Sampling is chunked with one counter-derived RNG stream per chunk, so the
 result of an estimate depends only on (seed, n) and never on how many
-workers processed the chunks.  MeanPass, the one engine, estimates the
-means of many rows, each an elementwise function of the fading at one SNR
-point, from one draw per chunk.  estimate_esr reads an ESR row (esr_rows)
-and estimate_event_probability an event row (event_rows) from a pass that
-holds it, such as the one a sweep or validate builds for all its Monte
-Carlo means.
+workers share a chunk's links and rows.  MeanPass, the one engine,
+estimates the means of many rows, each an elementwise function of the
+fading at one SNR point, from one draw per chunk.  estimate_esr reads an
+ESR row (esr_rows) and estimate_event_probability an event row
+(event_rows) from a pass that holds it, such as the one a sweep or
+validate builds for all its Monte Carlo means.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,8 +45,9 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id])))
+    def generator(self, offset: int = 0) -> np.random.Generator:
+        bits = np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id]))
+        return np.random.Generator(bits.advance(offset))
 
 
 @dataclass(frozen=True)
@@ -56,24 +59,54 @@ class EsrEstimate:
     n_samples: int
 
 
-def _draw_log_uniform(gen: np.random.Generator, n: int) -> np.ndarray:
-    """ln(U) with U in (0, 1): minus unit exponential draws, by inverse CDF.
+def _draw_log_uniform(gen: np.random.Generator, x: np.ndarray) -> bool:
+    """Fill x with ln(U), U in (0, 1): minus unit exponential draws, by inverse CDF.
 
-    The explicit transform keeps golden values portable; it runs in place
-    on one buffer.  U = 1 - random() avoids log(0).  The exact zeros of
-    U = 1, astronomically rare, are redrawn, so every value is < 0.
+    The explicit transform keeps golden values portable; it runs in place.
+    U = 1 - random() avoids log(0).  The exact zeros of U = 1, astronomically
+    rare, are redrawn, so every value is < 0; returns whether any was.
     """
-    x = gen.random(n)
+    gen.random(out=x)
     np.subtract(1.0, x, out=x)
     np.log(x, out=x)
+    redrew = False
     while x.max() == 0.0:  # x <= 0, and max is the cheapest test for a zero
         zero = x == 0.0
         x[zero] = np.log(1.0 - gen.random(int(zero.sum())))
-    return x
+        redrew = True
+    return redrew
 
 
-def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1,
-                    links: int = 6) -> ChannelSample:
+def _share(fn, count: int, executor: ThreadPoolExecutor | None = None, helpers: int = 0) -> list:
+    """[fn(i, w) for i in range(count)], with the tasks handed out one at a time.
+
+    The calling thread takes tasks as w = 0 and up to ``helpers`` loops on
+    the executor as w = 1, 2, ..., so no two tasks with one w run at once.
+    """
+    results: list = [None] * count
+    todo = iter(range(count))
+    lock = threading.Lock()
+
+    def work(w: int) -> None:
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            results[i] = fn(i, w)
+
+    loops = [executor.submit(work, w) for w in range(1, min(helpers, count - 1) + 1)] if executor else []
+    try:
+        work(0)
+    finally:
+        for loop in loops:
+            loop.result()
+    return results
+
+
+def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1, links: int = 6, *,
+                    out: np.ndarray | None = None,
+                    executor: ThreadPoolExecutor | None = None) -> ChannelSample:
     """Draw n independent fading realizations of the first ``links`` links.
 
     Each link draws ln(1 - U) and multiplies it once by minus its mean
@@ -83,14 +116,26 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1,
     links is fixed (g, h, f, sr2, sd, dr1), and the links not drawn are
     None.  A link's uniforms follow those of the links before it, so a
     shorter prefix gives the same leading links bit for bit.
+
+    The gains fill out[:links, :n] (fresh by default).  Link j starts j * n
+    uniforms into the stream, so the links are drawn apart, on the executor
+    too; the links after one that redrew a zero are redrawn after it.
     """
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
-    gen = stream.generator()
-    gains = [_draw_log_uniform(gen, n) for _ in range(links)]
-    with np.errstate(over="ignore"):
-        for x, m in zip(gains, _link_means(stats)):
-            x *= -m
+    gains = (np.empty((links, n)) if out is None else out)[:links, :n]
+    means = _link_means(stats)
+
+    def fill(gen: np.random.Generator, j: int) -> tuple[np.random.Generator, bool]:
+        redrew = _draw_log_uniform(gen, gains[j])
+        with np.errstate(over="ignore"):
+            gains[j] *= -means[j]
+        return gen, redrew
+
+    drawn = _share(lambda j, _: fill(stream.generator(j * n), j), links, executor, links - 1)
+    shifted = next((j for j, (_, redrew) in enumerate(drawn) if redrew), links)
+    for j in range(shifted + 1, links):
+        fill(drawn[shifted][0], j)
     return ChannelSample(*gains)
 
 
@@ -115,20 +160,6 @@ def _reduce_chunks(partials: list[tuple[float, float]], n: int) -> tuple[float, 
     return mean, math.sqrt(max(0.0, var) / n)
 
 
-def _map_chunks(seed: int, n: int, workers: int, fn) -> list:
-    """fn(stream, length) on each CHUNK_SIZE chunk of n samples, in chunk order.
-
-    Chunk k always draws from RngStream(seed, k), whatever the worker count.
-    """
-    starts = range(0, n, CHUNK_SIZE)
-    streams = [RngStream(seed, k) for k in range(len(starts))]
-    lengths = [min(CHUNK_SIZE, n - start) for start in starts]
-    if workers <= 1:
-        return list(map(fn, streams, lengths))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, streams, lengths))
-
-
 class MeanPass:
     """Monte Carlo means of many rows over one draw per chunk.
 
@@ -143,6 +174,10 @@ class MeanPass:
     every row gets its bits.  A link whose largest unit gain times m is
     infinite, a RelaysecError of fn and a non-finite mean or variance each
     fail only their row.  The pass runs on the first read.
+
+    One chunk is in flight at a time: the calling thread and min(workers,
+    rows) - 1 pool threads draw its links apart, then take its rows one at a
+    time, each whole, on their own scratch, allocated once per pass.
     """
 
     def __init__(self, rows: dict, n: int, seed: int, workers: int = 1) -> None:
@@ -158,65 +193,85 @@ class MeanPass:
             self._results = self._run()
         result = self._results[key]
         if isinstance(result, Exception):
-            raise result
+            raise result.with_traceback(None)  # a fresh traceback per read, not a growing one
         return result
 
     def _run(self) -> dict:
-        links = max(k for _, _, k in self._rows.values())
-        chunks = _map_chunks(self.seed, self.n, self.workers,
-                             lambda stream, length: self._chunk(stream, length, links))
+        rows = list(self._rows.values())
+        links = max(k for _, _, k in rows)
+        width = min(self.n, CHUNK_SIZE)
+        crew = min(self.workers, len(rows))
+        unit = np.empty((links, width))
+        scratch = [(np.empty((links, min(width, BLOCK_SIZE))), np.empty(min(width, BLOCK_SIZE)))
+                   for _ in range(crew)]
+        chunks = []
+        with ThreadPoolExecutor(crew - 1) if crew > 1 else contextlib.nullcontext() as pool:
+            for k, start in enumerate(range(0, self.n, CHUNK_SIZE)):
+                sample = sample_channels(UNIT, RngStream(self.seed, k), min(CHUNK_SIZE, self.n - start),
+                                         links, out=unit, executor=pool)
+                highs = [float(v.max()) for v in vars(sample).values() if v is not None]
+                chunks.append(_share(lambda i, w: _row_moments(rows[i], sample, highs, *scratch[w]),
+                                     len(rows), pool, crew - 1))
         results: dict = {}
-        for i, key in enumerate(self._rows):
-            parts = [c[i] for c in chunks]
+        for key, parts in zip(self._rows, zip(*chunks)):
             # a row that failed keeps its first failure, in chunk order
             failed = next((p for p in parts if isinstance(p, Exception)), None)
             try:
                 results[key] = failed or _reduce_chunks(parts, self.n)
-            except NumericError as exc:
-                results[key] = exc
+            except NumericError as exc:  # kept without its frames, which hold the pass's buffers
+                results[key] = exc.with_traceback(None)
         return results
 
-    def _chunk(self, stream: RngStream, length: int, links: int) -> list:
-        """Each row's (sum, sum of squares) over one chunk, or its failure."""
-        unit = sample_channels(UNIT, stream, length, links)
-        names, gains = zip(*list(vars(unit).items())[:links])
-        highs = [float(v.max()) for v in gains]
-        buf = np.empty((links, min(length, BLOCK_SIZE)))
-        values = np.empty(length)
-        out: list = []
-        for stats, fn, k in self._rows.values():
-            scale = _link_means(stats)[:k]
-            try:
-                for name, hi, m in zip(names, highs, scale):
-                    if hi * m == math.inf:
-                        raise DomainError(f"channel gain {name} must be finite and >= 0")
-                out.append(_blocked_moments(fn, gains[:k], scale, buf[:k], values))
-            except RelaysecError as exc:
-                out.append(exc)
-        return out
 
+def _row_moments(row, unit: ChannelSample, highs: list[float], buf: np.ndarray, values: np.ndarray):
+    """Row (stats, fn, links)'s (sum, sum of squares) over a chunk of unit gains, or its failure.
 
-def _blocked_moments(fn, gains, scale, buf: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """(sum, sum of squares) of fn over the gain arrays times scale (all finite).
-
-    Each BLOCK_SIZE block of every link is scaled into that link's row of
-    buf, and fn reads it through a ChannelSample of buf, checked once per
-    block length: later blocks rewrite buf in place.  fn's values fill
-    ``values``, which is summed whole, so blocking moves no bit; it is
-    squared in place, so it is read no more.  A sum or square that
-    overflows is left infinite, for _reduce_chunks to refuse.
+    A link whose largest unit gain (highs) times the row's m is infinite, or
+    a RelaysecError of fn, fails the row.  Each block (_pairwise) of every
+    link is scaled into that link's row of buf, and fn reads it through a
+    ChannelSample of buf, checked once per block length.  fn's values fill
+    ``values``, summed, then squared in place and summed.  A sum or square
+    that overflows is left infinite, for _reduce_chunks to refuse.
     """
+    stats, fn, read = row
+    names, gains = zip(*list(vars(unit).items())[:read])
+    scale = _link_means(stats)[:read]
     views: dict[int, ChannelSample] = {}
-    for start in range(0, values.size, BLOCK_SIZE):
-        stop = min(start + BLOCK_SIZE, values.size)
+
+    def block(start: int, stop: int) -> tuple[float, float]:
         size = stop - start
         for u, m, b in zip(gains, scale, buf):
             np.multiply(u[start:stop], m, out=b[:size])
         if size not in views:
-            views[size] = ChannelSample(*buf[:, :size])
-        values[start:stop] = fn(views[size])
-    with np.errstate(over="ignore"):
-        return float(np.sum(values)), float(np.sum(np.multiply(values, values, out=values)))
+            views[size] = ChannelSample(*buf[:read, :size])
+        v = values[:size]
+        v[...] = fn(views[size])
+        with np.errstate(over="ignore"):
+            return float(np.sum(v)), float(np.sum(np.multiply(v, v, out=v)))
+
+    try:
+        for name, hi, m in zip(names, highs, scale):
+            if hi * m == math.inf:
+                raise DomainError(f"channel gain {name} must be finite and >= 0")
+        return _pairwise(block, 0, gains[0].size)
+    except RelaysecError as exc:  # kept without its frames, which hold the pass's buffers
+        return exc.with_traceback(None)
+
+
+def _pairwise(block, start: int, stop: int) -> tuple[float, float]:
+    """The sums of block(start, stop) over [start, stop), added as np.sum adds.
+
+    np.sum halves a float array at half its length, rounded down to a
+    multiple of 8, until a piece has at most 128 values, and adds the
+    pieces' sums back up in pairs.  Halving only down to BLOCK_SIZE gives
+    the same bits.
+    """
+    n = stop - start
+    if n <= BLOCK_SIZE:
+        return block(start, stop)
+    mid = start + n // 2 - n // 2 % 8
+    (a, a2), (b, b2) = _pairwise(block, start, mid), _pairwise(block, mid, stop)
+    return a + b, a2 + b2
 
 
 def esr_rows(keys) -> dict:

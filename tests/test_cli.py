@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import hashlib
 import importlib.util
 import io
@@ -92,12 +93,18 @@ def test_sweep_closed_form_methods_skip_baselines():
 @pytest.mark.parametrize("method", ["mc-exact", "mc-highsnr", "closed-form-lb", "asymptote"])
 @pytest.mark.parametrize("scheme", list(SchemeKind), ids=lambda k: k.value)
 def test_scheme_method_pairs(scheme, method, stats_30db):
-    # three-hop has every method, each baseline only mc-exact
+    # three-hop has every method, each baseline only mc-exact; a sweep of
+    # no pair that exists is a usage error
     exists = scheme is SchemeKind.THREE_HOP or method == "mc-exact"
-    status, text = run_sweep(snr_start_db=30.0, snr_stop_db=30.0, schemes=[scheme],
-                             methods=[method], n_samples=1000)
-    assert status == EXIT_OK
-    assert len(text.strip().split("\n")) == 1 + exists
+    sweep = functools.partial(run_sweep, snr_start_db=30.0, snr_stop_db=30.0, schemes=[scheme],
+                              methods=[method], n_samples=1000)
+    if exists:
+        status, text = sweep()
+        assert status == EXIT_OK
+        assert len(text.strip().split("\n")) == 2
+    else:
+        with pytest.raises(UsageError, match="no scheme given has a method given"):
+            sweep()
     if method.startswith("mc-"):
         key = (stats_30db, scheme, SinrMethod(method))
         estimate = lambda: estimate_esr(MeanPass(esr_rows([key]), 1000, seed=1), *key)
@@ -474,9 +481,9 @@ def test_validate_draws_each_chunk_once(monkeypatch, tmp_path):
     calls = []
     draw = montecarlo.sample_channels
 
-    def spy(stats, stream, n, links=6):
+    def spy(stats, stream, n, links=6, **buffers):
         calls.append((stats, links))
-        return draw(stats, stream, n, links)
+        return draw(stats, stream, n, links, **buffers)
 
     monkeypatch.setattr(montecarlo, "sample_channels", spy)
     monkeypatch.setattr(cli, "sample_channels", spy)
@@ -488,11 +495,11 @@ def test_validate_draws_each_chunk_once(monkeypatch, tmp_path):
 
 def test_validate_worker_count_does_not_change_output(tmp_path):
     texts = []
-    for workers in ("1", "3"):
-        out = tmp_path / f"validate-{workers}.csv"
-        assert main(["validate", "--quick", "--workers", workers, "--output", str(out)]) == EXIT_OK
+    for workers in (["--workers", "1"], ["--workers", "3"], []):  # [] for the default
+        out = tmp_path / "validate.csv"
+        assert main(["validate", "--quick", *workers, "--output", str(out)]) == EXIT_OK
         texts.append(out.read_bytes())
-    assert texts[0] == texts[1]
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_validate_on_underflowing_layout_prints_every_row(tmp_path, capsys):
@@ -682,6 +689,7 @@ def test_presets_exist():
     ["sweep", "--config", "/nonexistent/dir/run.cfg"],
     ["sweep", "--scheme", "direct", "--scheme", "direct", "--method", "mc-exact",
      "--method", "mc-exact"],
+    ["sweep", "--scheme", "direct", "--method", "mc-highsnr", "--samples", "100", "--snr", "0:10:5"],
 ])
 def test_bad_argument_is_one_error_line(argv, capsys):
     assert main(argv) == EXIT_USAGE
@@ -812,3 +820,13 @@ def test_cli_property_exit_contract(case):
         assert status == EXIT_USAGE
     if status == EXIT_OK:
         assert "nan" not in out.getvalue(), (argv, out.getvalue())
+
+
+def test_default_workers_are_the_usable_cpus_up_to_two(monkeypatch):
+    assert SweepSpec().workers == cli.DEFAULT_WORKERS == min(cli.usable_cpus(), 2)
+    assert 1 <= cli.DEFAULT_WORKERS <= 2
+    # where the OS has no CPU affinity, the CPU count stands in, or 1 if unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, usable in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cli.usable_cpus() == usable

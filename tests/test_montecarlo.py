@@ -2,7 +2,10 @@ import contextlib
 import functools
 import operator
 import sys
+import threading
+import traceback
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from relaysec.errors import DegenerateSampleError, DomainError, NumericError, Re
 from relaysec.model import TOPOLOGY_1, ChannelStats, db_to_linear, topology_to_stats
 import relaysec.montecarlo as montecarlo
 from relaysec.montecarlo import (
+    BLOCK_SIZE,
     CHUNK_SIZE,
     UNIT,
     MeanPass,
@@ -418,7 +422,168 @@ def test_pass_overflowing_square_fails_the_row():
                        "g": (stats, operator.attrgetter("gamma_g"), 5)}, 1000, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        mean, std_error = shared.mean("g")
+        # stored, the failure holds none of the pass's frames and buffers
+        assert shared._results["sd"].__traceback__ is None
         with pytest.raises(NumericError, match="variance"):
             shared.mean("sd")
-        mean, std_error = shared.mean("g")
     assert mean > 0.0 and std_error > 0.0
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, 129, BLOCK_SIZE, BLOCK_SIZE + 1, 100_000, CHUNK_SIZE - 8, CHUNK_SIZE])
+def test_pairwise_blocks_sum_as_numpy_does(n):
+    # summed block by block along numpy's pairwise splits, a chunk's values
+    # and their squares give np.sum's bits over the whole array
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+    blocks = []
+
+    def block(start, stop):
+        assert stop - start <= BLOCK_SIZE
+        blocks.append((start, stop))
+        return float(np.sum(x[start:stop])), float(np.sum(x[start:stop] ** 2))
+
+    assert montecarlo._pairwise(block, 0, n) == (float(np.sum(x)), float(np.sum(x * x)))
+    # the blocks tile [0, n) in order
+    assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]] and blocks[-1][1] == n
+
+
+def test_one_chunk_and_few_rows_same_at_every_worker_count():
+    # a pass of one chunk, and one with fewer rows than workers, gives the
+    # same bits however many threads share its links and rows
+    stats = topology_to_stats(TOPOLOGY_1, db_to_linear(20.0))
+    rows = {key: row for key, row in point_rows(stats).items() if key[1:][0] != "infinite"}
+    two = dict(list(rows.items())[:2])
+    for case, n in ((rows, 10**5), (two, CHUNK_SIZE + 5000)):
+        got = [{key: MeanPass(case, n, seed=4, workers=w).mean(key) for key in case}
+               for w in (1, 2, 5)]
+        assert got[0] == got[1] == got[2]
+
+
+class ZeroAt:
+    """A stream's generator from ``offset`` on, with exact zeros at the given positions."""
+
+    def __init__(self, gen, offset, zeros):
+        self.gen, self.pos, self.zeros = gen, offset, zeros
+
+    def random(self, size=None, out=None):
+        x = self.gen.random(size, out=out)
+        x[[p - self.pos for p in self.zeros if self.pos <= p < self.pos + x.size]] = 0.0
+        self.pos += x.size
+        return x
+
+
+@pytest.mark.parametrize("zeros", [(), (1000 + 5,), (5, 3 * 1000 + 7, 5 * 1000 + 1)])
+def test_forced_zero_uniform_gives_the_sequential_draw(zeros, monkeypatch):
+    # a link that redraws a U = 0 shifts every later link's uniforms: drawn
+    # apart, from their own offsets, the links still get the bits of one
+    # generator drawing them in order
+    n, links = 1000, 6
+    generator = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator",
+                        lambda self, offset=0: ZeroAt(generator(self, offset), offset, zeros))
+    gen = RngStream(8).generator()
+    expected = []
+    for _ in range(links):
+        x = np.log(1.0 - gen.random(n))
+        while (x == 0.0).any():
+            x[x == 0.0] = np.log(1.0 - gen.random(int((x == 0.0).sum())))
+        expected.append(-x)
+    with ThreadPoolExecutor(2) as pool:
+        for executor in (None, pool):
+            out = np.full((links, 2 * n), np.nan)
+            s = sample_channels(UNIT, RngStream(8), n, links, out=out, executor=executor)
+            assert all(np.array_equal(v, e) for v, e in zip(vars(s).values(), expected, strict=True))
+            assert np.shares_memory(s.gamma_g, out) and np.isnan(out[:, n:]).all()
+    if zeros:  # the zero was redrawn, and a later link moved
+        assert (np.concatenate(expected) > 0.0).all()
+        monkeypatch.setattr(RngStream, "generator", generator)
+        assert not np.array_equal(sample_channels(UNIT, RngStream(8), n).gamma_dr1, expected[-1])
+
+
+def test_row_failing_in_a_middle_chunk_keeps_that_failure():
+    # the row fails in chunk 2 of 3 (DomainError) and again in chunk 3
+    # (DegenerateSampleError): every worker count reports chunk 2's
+    n = 2 * CHUNK_SIZE + 1000
+    marks = [sample_channels(UNIT, RngStream(2, k), CHUNK_SIZE if k < 2 else 1000, 3).gamma_g.max()
+             for k in (1, 2)]
+
+    def fails_later(s):
+        if (s.gamma_g == marks[0]).any():
+            raise DomainError("chunk 2")
+        if (s.gamma_g == marks[1]).any():
+            raise DegenerateSampleError("chunk 3")
+        return s.gamma_g
+
+    ones = ChannelStats(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1.0)
+    rows = {"fails": (ones, fails_later, 3), "g": (ones, operator.attrgetter("gamma_g"), 3),
+            "h": (ones, operator.attrgetter("gamma_h"), 3)}
+    means = set()
+    for workers in (1, 2, 3):
+        shared = MeanPass(rows, n, seed=2, workers=workers)
+        means.add((shared.mean("g"), shared.mean("h")))
+        # stored, the failure holds none of the pass's frames and buffers
+        assert shared._results["fails"].__traceback__ is None
+        with pytest.raises(DomainError, match="chunk 2"):
+            shared.mean("fails")
+    assert len(means) == 1
+    # a read adds no frames to the next read's traceback
+    frames = [raised_frames(lambda: shared.mean("fails")) for _ in range(2)]
+    assert frames[0] == frames[1] and "_row_moments" not in frames[0]
+
+
+def raised_frames(read):
+    """The function names in the traceback of the failure that read() raises."""
+    try:
+        read()
+    except RelaysecError as exc:
+        return [frame.name for frame in traceback.extract_tb(exc.__traceback__)]
+    raise AssertionError("read() raised nothing")
+
+
+def test_pool_threads_capped_by_row_count(monkeypatch):
+    # 64 workers on a 3-row pass: the calling thread and at most 2 pool threads
+    pools, idents = [], set()
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            pools.append(self)
+
+    def row(s):
+        idents.add(threading.get_ident())
+        return s.gamma_g
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+    rows = {k: (UNIT, row, 3) for k in "abc"}
+    alone = MeanPass(rows, CHUNK_SIZE + 1, seed=3).mean("a")
+    assert MeanPass(rows, CHUNK_SIZE + 1, seed=3, workers=64).mean("a") == alone
+    assert len(pools) == 1 and pools[0]._max_workers == 2 and len(pools[0]._threads) <= 2
+    assert len(idents) <= 3
+
+
+def test_pass_under_thread_switching_stress():
+    # more workers than cores and a switch interval of 1 us: every row still
+    # runs each block once, and the pass gives the one-worker bits
+    n, blocks = CHUNK_SIZE + 10, CHUNK_SIZE // montecarlo.BLOCK_SIZE + 1
+    calls = []
+
+    def scaled(j):
+        def fn(s):
+            calls.append(j)
+            return s.gamma_g * (j + 1.0)
+        return fn
+
+    rows = {j: (UNIT, scaled(j), 3) for j in range(16)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        means = []
+        for workers in (1, 8):
+            calls.clear()
+            shared = MeanPass(rows, n, seed=6, workers=workers)
+            means.append([shared.mean(j) for j in rows])
+            assert sorted(calls) == sorted(list(rows) * blocks)
+    finally:
+        sys.setswitchinterval(interval)
+    assert means[0] == means[1]
