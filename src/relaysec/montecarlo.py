@@ -59,24 +59,6 @@ class EsrEstimate:
     n_samples: int
 
 
-def _draw_log_uniform(gen: np.random.Generator, x: np.ndarray) -> bool:
-    """Fill x with ln(U), U in (0, 1): minus unit exponential draws, by inverse CDF.
-
-    The explicit transform keeps golden values portable; it runs in place.
-    U = 1 - random() avoids log(0).  The exact zeros of U = 1, astronomically
-    rare, are redrawn, so every value is < 0; returns whether any was.
-    """
-    gen.random(out=x)
-    np.subtract(1.0, x, out=x)
-    np.log(x, out=x)
-    redrew = False
-    while x.max() == 0.0:  # x <= 0, and max is the cheapest test for a zero
-        zero = x == 0.0
-        x[zero] = np.log(1.0 - gen.random(int(zero.sum())))
-        redrew = True
-    return redrew
-
-
 def _share(fn, count: int, executor: ThreadPoolExecutor | None = None, helpers: int = 0) -> list:
     """[fn(i, w) for i in range(count)], with the tasks handed out one at a time.
 
@@ -109,33 +91,36 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1, links: i
                     executor: ThreadPoolExecutor | None = None) -> ChannelSample:
     """Draw n independent fading realizations of the first ``links`` links.
 
-    Each link draws ln(1 - U) and multiplies it once by minus its mean
-    rho * m: the unit exponential -ln(1 - U) times rho * m, bit for bit, as
-    rounding is symmetric in sign.  A gain that underflows stays 0, and one
-    that overflows raises DomainError naming its link.  The draw order over
-    links is fixed (g, h, f, sr2, sd, dr1), and the links not drawn are
-    None.  A link's uniforms follow those of the links before it, so a
-    shorter prefix gives the same leading links bit for bit.
+    Each link draws ln(1 - U), U = random() in [0, 1), by the explicit
+    transform, which keeps golden values portable, and multiplies it once
+    by minus its mean rho * m: the unit exponential -ln(1 - U) times
+    rho * m, bit for bit, as rounding is symmetric in sign.  A U of exactly
+    0 (1 - U = 1) counts as the next grid value, 2^-53, so every unit gain
+    lies in [-ln(1 - 2^-53), 53 ln 2] and is > 0.  A gain that underflows
+    stays 0, and one that overflows raises DomainError naming its link.
+    The draw order over links is fixed (g, h, f, sr2, sd, dr1), and the
+    links not drawn are None.
 
-    The gains fill out[:links, :n] (fresh by default).  Link j starts j * n
-    uniforms into the stream, so the links are drawn apart, on the executor
-    too; the links after one that redrew a zero are redrawn after it.
+    The gains fill out[:links, :n] (fresh by default).  Link j reads
+    exactly uniforms j * n ... (j + 1) * n - 1 of the stream, so a shorter
+    prefix gives the same leading links bit for bit, and the links are
+    drawn apart, on the executor too.
     """
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     gains = (np.empty((links, n)) if out is None else out)[:links, :n]
     means = _link_means(stats)
 
-    def fill(gen: np.random.Generator, j: int) -> tuple[np.random.Generator, bool]:
-        redrew = _draw_log_uniform(gen, gains[j])
+    def fill(j: int, _) -> None:
+        x = gains[j]
+        stream.generator(j * n).random(out=x)
+        np.subtract(1.0, x, out=x)
+        np.minimum(x, 1.0 - 2.0**-53, out=x)
+        np.log(x, out=x)
         with np.errstate(over="ignore"):
-            gains[j] *= -means[j]
-        return gen, redrew
+            x *= -means[j]
 
-    drawn = _share(lambda j, _: fill(stream.generator(j * n), j), links, executor, links - 1)
-    shifted = next((j for j, (_, redrew) in enumerate(drawn) if redrew), links)
-    for j in range(shifted + 1, links):
-        fill(drawn[shifted][0], j)
+    _share(fill, links, executor, links - 1)
     return ChannelSample(*gains)
 
 
@@ -147,8 +132,11 @@ def _link_means(stats: ChannelStats) -> tuple[float, ...]:
 
 def _reduce_chunks(partials: list[tuple[float, float]], n: int) -> tuple[float, float]:
     """Combine per-chunk (sum, sum of squares) into mean and standard error."""
-    total = math.fsum(p[0] for p in partials)
-    total_sq = math.fsum(p[1] for p in partials)
+    try:
+        total = math.fsum(p[0] for p in partials)
+        total_sq = math.fsum(p[1] for p in partials)
+    except (OverflowError, ValueError):  # finite sums past the float64 maximum, or inf - inf
+        raise NumericError(f"Monte Carlo sum over {n} samples is not finite") from None
     mean = total / n
     if not math.isfinite(mean):
         raise NumericError(f"Monte Carlo mean over {n} samples is {mean}")

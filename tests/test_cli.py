@@ -554,7 +554,7 @@ def test_subnormal_hop_powers_keep_underflowed_gains_zero(tmp_path, capsys):
 def test_validate_failing_check_keeps_other_rows(dependency, failing_rows, tmp_path, monkeypatch,
                                                  capsys):
     _, default_rows = quick_validate(tmp_path)
-    default = {r["check"]: r for r in csv.DictReader((tmp_path / "validate.csv").open())}
+    default = {r["check"]: r for r in csv.DictReader((tmp_path / "validate.csv").read_text().splitlines())}
 
     def broken(*args):
         raise NumericError("forced failure")

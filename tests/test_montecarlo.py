@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import math
 import operator
 import sys
 import threading
@@ -75,7 +76,8 @@ def test_samples_nonnegative_and_strictly_positive_mode(stats_30db):
 
 def test_underflowed_gain_stays_zero():
     # m ln(1 - U) * -1 rounds to 0 for about 40% of draws at the smallest
-    # subnormal mean; those gains stay 0 and shift no later uniform
+    # subnormal mean; those gains stay 0, and h, drawn from its own
+    # uniforms, is the unit draw's
     stats = ChannelStats(5e-324, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1.0)
     s = sample_channels(stats, RngStream(3), n=1000)
     unit = sample_channels(UNIT, RngStream(3), n=1000)
@@ -430,6 +432,21 @@ def test_pass_overflowing_square_fails_the_row():
     assert mean > 0.0 and std_error > 0.0
 
 
+def test_pass_overflowing_total_fails_the_row():
+    # big: each chunk's sum of squares is finite, but their total is past
+    # the float64 maximum; opposite: at seed 1 one chunk's sum overflows to
+    # +inf and another's to -inf.  Each row fails alone, not the whole pass
+    shared = MeanPass({"big": (UNIT, lambda s: s.gamma_g * 1e151, 3),
+                       "opposite": (UNIT, lambda s: (s.gamma_g - s.gamma_h) * 4e305, 3),
+                       "g": (UNIT, operator.attrgetter("gamma_g"), 3)}, 4 * CHUNK_SIZE, seed=1)
+    mean, std_error = shared.mean("g")
+    for key in ("big", "opposite"):
+        assert shared._results[key].__traceback__ is None
+        with pytest.raises(NumericError, match="sum"):
+            shared.mean(key)
+    assert mean > 0.0 and std_error > 0.0
+
+
 @pytest.mark.parametrize("n", [1, 7, 9, 129, BLOCK_SIZE, BLOCK_SIZE + 1, 100_000, CHUNK_SIZE - 8, CHUNK_SIZE])
 def test_pairwise_blocks_sum_as_numpy_does(n):
     # summed block by block along numpy's pairwise splits, a chunk's values
@@ -474,31 +491,23 @@ class ZeroAt:
 
 
 @pytest.mark.parametrize("zeros", [(), (1000 + 5,), (5, 3 * 1000 + 7, 5 * 1000 + 1)])
-def test_forced_zero_uniform_gives_the_sequential_draw(zeros, monkeypatch):
-    # a link that redraws a U = 0 shifts every later link's uniforms: drawn
-    # apart, from their own offsets, the links still get the bits of one
-    # generator drawing them in order
+def test_forced_zero_uniform_gives_the_smallest_gain(zeros, monkeypatch):
+    # a U = 0 counts as 2^-53: its unit gain is -ln(1 - 2^-53), the smallest
+    # there is, and every other gain, drawn apart or not, keeps its bits
     n, links = 1000, 6
+    plain = np.stack(list(vars(sample_channels(UNIT, RngStream(8), n, links)).values())).ravel()
+    forced = np.isin(np.arange(links * n), zeros)
     generator = RngStream.generator
     monkeypatch.setattr(RngStream, "generator",
                         lambda self, offset=0: ZeroAt(generator(self, offset), offset, zeros))
-    gen = RngStream(8).generator()
-    expected = []
-    for _ in range(links):
-        x = np.log(1.0 - gen.random(n))
-        while (x == 0.0).any():
-            x[x == 0.0] = np.log(1.0 - gen.random(int((x == 0.0).sum())))
-        expected.append(-x)
     with ThreadPoolExecutor(2) as pool:
         for executor in (None, pool):
             out = np.full((links, 2 * n), np.nan)
             s = sample_channels(UNIT, RngStream(8), n, links, out=out, executor=executor)
-            assert all(np.array_equal(v, e) for v, e in zip(vars(s).values(), expected, strict=True))
+            got = np.stack(list(vars(s).values())).ravel()
+            assert (got[forced] == -math.log(1 - 2**-53)).all()
+            assert np.array_equal(got[~forced], plain[~forced])
             assert np.shares_memory(s.gamma_g, out) and np.isnan(out[:, n:]).all()
-    if zeros:  # the zero was redrawn, and a later link moved
-        assert (np.concatenate(expected) > 0.0).all()
-        monkeypatch.setattr(RngStream, "generator", generator)
-        assert not np.array_equal(sample_channels(UNIT, RngStream(8), n).gamma_dr1, expected[-1])
 
 
 def test_row_failing_in_a_middle_chunk_keeps_that_failure():
