@@ -412,7 +412,7 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     if isinstance(p30, ChannelStats):
         t_terms = {"T1": lambda t: np.log1p(t.gamma_g / t.gamma_h), "XY/(X+Y)": harmonic,
                    "T2": lambda t: np.log1p(highsnr_sinrs(t).gamma_r2)}
-        rows_of_pass.update(event_rows([(p30, dominates, SinrMethod.HIGH_SNR)]))
+        rows_of_pass.update(event_rows([(p30, dominates)]))
         rows_of_pass.update({(p30, term): (p30, fn, hops) for term, fn in t_terms.items()})
         rows_of_pass.update(esr_rows([(p30, SchemeKind.THREE_HOP, SinrMethod.EXACT)]))
     if isinstance(p10, ChannelStats):

@@ -23,14 +23,16 @@ import numpy as np
 
 from relaysec.errors import DomainError, NumericError, RelaysecError
 from relaysec.model import ChannelSample, ChannelStats
-from relaysec.sinr import LINKS, SchemeKind, SinrMethod, secrecy_rate, three_hop_sinrs
+from relaysec.sinr import LINKS, SchemeKind, SinrMethod, highsnr_sinrs, secrecy_rate
 
 #: Fixed chunk size; part of the determinism contract (results are chunked
 #: identically no matter how many workers run).
 CHUNK_SIZE = 1 << 18
 
-#: MeanPass evaluates each row in blocks of this many realizations; a rate
-#: kernel's one workspace per block holds a few 256 KiB rows (sinr).
+#: MeanPass evaluates each row in blocks of this many realizations, cut from
+#: the start of each chunk; a rate kernel's one workspace per block holds a
+#: few 256 KiB rows (sinr).  Part of the determinism contract too: a row's
+#: total is the correctly rounded sum (math.fsum) of its block sums.
 BLOCK_SIZE = 1 << 15
 
 #: Every mean 1: MeanPass draws these gains once per chunk and scales them
@@ -60,26 +62,23 @@ class EsrEstimate:
 
 
 def _share(fn, count: int, executor: ThreadPoolExecutor | None = None, helpers: int = 0) -> list:
-    """[fn(i, w) for i in range(count)], with the tasks handed out one at a time.
-
-    The calling thread takes tasks as w = 0 and up to ``helpers`` loops on
-    the executor as w = 1, 2, ..., so no two tasks with one w run at once.
-    """
+    """[fn(i) for i in range(count)], with the tasks handed out one at a time
+    to the calling thread and up to ``helpers`` loops on the executor."""
     results: list = [None] * count
     todo = iter(range(count))
     lock = threading.Lock()
 
-    def work(w: int) -> None:
+    def work() -> None:
         while True:
             with lock:
                 i = next(todo, None)
             if i is None:
                 return
-            results[i] = fn(i, w)
+            results[i] = fn(i)
 
-    loops = [executor.submit(work, w) for w in range(1, min(helpers, count - 1) + 1)] if executor else []
+    loops = [executor.submit(work) for _ in range(min(helpers, count - 1))] if executor else []
     try:
-        work(0)
+        work()
     finally:
         for loop in loops:
             loop.result()
@@ -111,7 +110,7 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1, links: i
     gains = (np.empty((links, n)) if out is None else out)[:links, :n]
     means = _link_means(stats)
 
-    def fill(j: int, _) -> None:
+    def fill(j: int) -> None:
         x = gains[j]
         stream.generator(j * n).random(out=x)
         np.subtract(1.0, x, out=x)
@@ -131,7 +130,8 @@ def _link_means(stats: ChannelStats) -> tuple[float, ...]:
 
 
 def _reduce_chunks(partials: list[tuple[float, float]], n: int) -> tuple[float, float]:
-    """Combine per-chunk (sum, sum of squares) into mean and standard error."""
+    """Combine every block's (sum, sum of squares) into mean and standard
+    error, adding up each column with one math.fsum."""
     try:
         total = math.fsum(p[0] for p in partials)
         total_sq = math.fsum(p[1] for p in partials)
@@ -165,7 +165,7 @@ class MeanPass:
 
     One chunk is in flight at a time: the calling thread and min(workers,
     rows) - 1 pool threads draw its links apart, then take its rows one at a
-    time, each whole, on their own scratch, allocated once per pass.
+    time, each whole, block by block; _reduce_chunks adds up the block sums.
     """
 
     def __init__(self, rows: dict, n: int, seed: int, workers: int = 1) -> None:
@@ -187,79 +187,63 @@ class MeanPass:
     def _run(self) -> dict:
         rows = list(self._rows.values())
         links = max(k for _, _, k in rows)
-        width = min(self.n, CHUNK_SIZE)
         crew = min(self.workers, len(rows))
-        unit = np.empty((links, width))
-        scratch = [(np.empty((links, min(width, BLOCK_SIZE))), np.empty(min(width, BLOCK_SIZE)))
-                   for _ in range(crew)]
+        unit = np.empty((links, min(self.n, CHUNK_SIZE)))
         chunks = []
         with ThreadPoolExecutor(crew - 1) if crew > 1 else contextlib.nullcontext() as pool:
             for k, start in enumerate(range(0, self.n, CHUNK_SIZE)):
                 sample = sample_channels(UNIT, RngStream(self.seed, k), min(CHUNK_SIZE, self.n - start),
                                          links, out=unit, executor=pool)
                 highs = [float(v.max()) for v in vars(sample).values() if v is not None]
-                chunks.append(_share(lambda i, w: _row_moments(rows[i], sample, highs, *scratch[w]),
+                chunks.append(_share(lambda i: _row_moments(rows[i], sample, highs),
                                      len(rows), pool, crew - 1))
         results: dict = {}
         for key, parts in zip(self._rows, zip(*chunks)):
             # a row that failed keeps its first failure, in chunk order
             failed = next((p for p in parts if isinstance(p, Exception)), None)
             try:
-                results[key] = failed or _reduce_chunks(parts, self.n)
+                results[key] = failed or _reduce_chunks([b for blocks in parts for b in blocks], self.n)
             except NumericError as exc:  # kept without its frames, which hold the pass's buffers
                 results[key] = exc.with_traceback(None)
         return results
 
 
-def _row_moments(row, unit: ChannelSample, highs: list[float], buf: np.ndarray, values: np.ndarray):
-    """Row (stats, fn, links)'s (sum, sum of squares) over a chunk of unit gains, or its failure.
+def _row_moments(row, unit: ChannelSample, highs: list[float]):
+    """Row (stats, fn, links)'s block (sum, sum of squares) list over a chunk, or its failure.
 
     A link whose largest unit gain (highs) times the row's m is infinite, or
-    a RelaysecError of fn, fails the row.  Each block (_pairwise) of every
-    link is scaled into that link's row of buf, and fn reads it through a
-    ChannelSample of buf, checked once per block length.  fn's values fill
-    ``values``, summed, then squared in place and summed.  A sum or square
-    that overflows is left infinite, for _reduce_chunks to refuse.
+    a RelaysecError of fn, fails the row.  Each BLOCK_SIZE block of every
+    link the row reads is scaled into that link's row of its own buffer,
+    and fn reads it through a ChannelSample of the buffer, checked once per
+    block length.  fn's values fill a values block, summed, then squared in
+    place and summed.  A sum or square that overflows, or a sum of inf and
+    -inf, is left non-finite, for _reduce_chunks to refuse.
     """
     stats, fn, read = row
     names, gains = zip(*list(vars(unit).items())[:read])
     scale = _link_means(stats)[:read]
+    width = gains[0].size
+    buf, values = np.empty((read, min(width, BLOCK_SIZE))), np.empty(min(width, BLOCK_SIZE))
     views: dict[int, ChannelSample] = {}
 
-    def block(start: int, stop: int) -> tuple[float, float]:
-        size = stop - start
+    def block(start: int) -> tuple[float, float]:
+        size = min(BLOCK_SIZE, width - start)
         for u, m, b in zip(gains, scale, buf):
-            np.multiply(u[start:stop], m, out=b[:size])
+            np.multiply(u[start:start + size], m, out=b[:size])
         if size not in views:
-            views[size] = ChannelSample(*buf[:read, :size])
+            views[size] = ChannelSample(*buf[:, :size])
         v = values[:size]
         v[...] = fn(views[size])
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return float(np.sum(v)), float(np.sum(np.multiply(v, v, out=v)))
 
     try:
         for name, hi, m in zip(names, highs, scale):
             if hi * m == math.inf:
                 raise DomainError(f"channel gain {name} must be finite and >= 0")
-        return _pairwise(block, 0, gains[0].size)
+        return [block(start) for start in range(0, width, BLOCK_SIZE)]
     except RelaysecError as exc:  # kept without its frames, which hold the pass's buffers
         return exc.with_traceback(None)
-
-
-def _pairwise(block, start: int, stop: int) -> tuple[float, float]:
-    """The sums of block(start, stop) over [start, stop), added as np.sum adds.
-
-    np.sum halves a float array at half its length, rounded down to a
-    multiple of 8, until a piece has at most 128 values, and adds the
-    pieces' sums back up in pairs.  Halving only down to BLOCK_SIZE gives
-    the same bits.
-    """
-    n = stop - start
-    if n <= BLOCK_SIZE:
-        return block(start, stop)
-    mid = start + n // 2 - n // 2 % 8
-    (a, a2), (b, b2) = _pairwise(block, start, mid), _pairwise(block, mid, stop)
-    return a + b, a2 + b2
 
 
 def esr_rows(keys) -> dict:
@@ -270,20 +254,19 @@ def esr_rows(keys) -> dict:
 
 
 def event_rows(keys) -> dict:
-    """MeanPass rows keyed (stats, event, method): the frequency of event.
+    """MeanPass rows keyed (stats, event): the frequency of event.
 
-    event maps the SinrBundle of the three-hop SINRs by method to a boolean
+    event maps the SinrBundle of the high-SNR three-hop SINRs to a boolean
     array, elementwise; it is part of the key, so give the same function
     object to the pass and to the read.
     """
-    return {(stats, event, method):
-            (stats, functools.partial(_event_indicator, event=event, method=method),
-             LINKS[SchemeKind.THREE_HOP])
-            for stats, event, method in keys}
+    return {(stats, event):
+            (stats, functools.partial(_event_indicator, event=event), LINKS[SchemeKind.THREE_HOP])
+            for stats, event in keys}
 
 
-def _event_indicator(sample: ChannelSample, event, method: SinrMethod) -> np.ndarray:
-    return event(three_hop_sinrs(sample, method))
+def _event_indicator(sample: ChannelSample, event) -> np.ndarray:
+    return event(highsnr_sinrs(sample))
 
 
 def estimate_esr(mean_pass: MeanPass, stats: ChannelStats, scheme: SchemeKind,
@@ -292,10 +275,9 @@ def estimate_esr(mean_pass: MeanPass, stats: ChannelStats, scheme: SchemeKind,
     return EsrEstimate(*mean_pass.mean((stats, scheme, method)), mean_pass.n)
 
 
-def estimate_event_probability(mean_pass: MeanPass, stats: ChannelStats, event,
-                               method: SinrMethod = SinrMethod.HIGH_SNR) -> tuple[float, float]:
+def estimate_event_probability(mean_pass: MeanPass, stats: ChannelStats, event) -> tuple[float, float]:
     """The frequency of the pass's event row, and its binomial standard error."""
-    p, _ = mean_pass.mean((stats, event, method))
+    p, _ = mean_pass.mean((stats, event))
     return p, math.sqrt(p * (1.0 - p) / mean_pass.n)
 
 

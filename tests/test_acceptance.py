@@ -158,7 +158,7 @@ def test_criterion_7_oracle_suite(validate_rows, report):
     def dominates(b):
         return b.gamma_r1_p1 > b.gamma_r2
 
-    rows = event_rows([(stats, dominates, SinrMethod.HIGH_SNR)])
+    rows = event_rows([(stats, dominates)])
     p_mc, p_se = estimate_event_probability(one_row_pass(rows, 10_000_000), stats, dominates)
     p_ok = abs(p_cf - p_mc) <= 3.0 * p_se
 

@@ -272,7 +272,8 @@ def rate_row(scheme, method=SinrMethod.EXACT, combining="selection", links=None)
                                1 << 18, CHUNK_SIZE + 1])
 def test_blocked_secrecy_rate_matches_one_pass(n):
     # MeanPass evaluates a row in BLOCK_SIZE blocks; the reference is one
-    # unblocked secrecy_rate call per chunk on the point's own draw
+    # unblocked secrecy_rate call per chunk on the point's own draw, its
+    # values summed in BLOCK_SIZE slices
     rows = {(scheme, method, combining): rate_row(scheme, method, combining)
             for scheme in SchemeKind for method in SinrMethod if has_method(scheme, method.value)
             for combining in ("selection", "sum")}
@@ -283,7 +284,8 @@ def test_blocked_secrecy_rate_matches_one_pass(n):
             length = min(CHUNK_SIZE, n - start)
             rate = secrecy_rate(sample_channels(STATS, RngStream(3, k), length, links), *key)
             assert rate.shape == (length,)
-            parts.append((float(np.sum(rate)), float(np.sum(rate * rate))))
+            parts += [(float(np.sum(b)), float(np.sum(b * b)))
+                      for b in np.split(rate, range(BLOCK_SIZE, length, BLOCK_SIZE))]
             positive = positive or bool(np.any(rate > 0))
         assert shared.mean(key) == _reduce_chunks(parts, n), key
         assert n == 1 or positive
