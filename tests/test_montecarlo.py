@@ -462,6 +462,29 @@ def test_pass_opposite_infinite_block_sums_fail_the_row():
     assert mean > 0.0 and std_error > 0.0
 
 
+@pytest.mark.parametrize("n", [1, 7, 9, 129, BLOCK_SIZE, BLOCK_SIZE + 1, 100_000, CHUNK_SIZE - 8, CHUNK_SIZE])
+def test_row_blocks_tile_the_chunk_and_sum_as_numpy_does(n):
+    # a row's partials are np.sum's bits of its unblocked values, and of
+    # their squares, over each BLOCK_SIZE slice from the chunk's start, in
+    # order; the row's fn sees only the links it reads, scaled by their means
+    rng = np.random.default_rng(n)
+    gains = rng.standard_exponential((3, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (3, n))
+    stats = ChannelStats(2.0, 0.5, 3.0, 1.0, 1.0, 1.0, rho=4.0)
+
+    def values(s):
+        return (s.gamma_g - s.gamma_h) * s.gamma_f
+
+    def fn(s):
+        assert s.gamma_sr2 is None and s.gamma_g.size <= BLOCK_SIZE
+        return values(s)
+
+    x = values(montecarlo.ChannelSample(*(g * m for g, m in zip(gains, montecarlo._link_means(stats)))))
+    want = [(float(np.sum(b)), float(np.sum(b * b))) for b in np.split(x, range(BLOCK_SIZE, n, BLOCK_SIZE))]
+    assert len(want) == -(-n // BLOCK_SIZE)
+    unit = montecarlo.ChannelSample(*gains)
+    assert montecarlo._row_moments((stats, fn, 3), unit, [float(g.max()) for g in gains]) == want
+
+
 @pytest.mark.xfail(strict=True, reason="squares of values below about 1.5e-162 underflow to 0")
 def test_pass_tiny_values_have_a_standard_error():
     # unequal values near 1e-200 have a positive sample variance, but their
