@@ -60,13 +60,17 @@ NUMERIC_FAILURES = (RelaysecError, ArithmeticError)
 #: A sweep grid longer than this is refused rather than built in memory.
 MAX_SNR_POINTS = 10**6
 
+#: More worker threads than this are refused: a pass may start this many.
+MAX_WORKERS = 64
+
 
 def usable_cpus() -> int:
     """The CPUs this process may run on, or os.cpu_count() where that is unknown."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-#: Worker threads by default: the usable CPUs, at most two.  The interpreter lock
+#: Worker threads by default: the usable CPUs, at most two.  A pass starts that many
+#: pool threads, at most one per row, and none at one worker.  The interpreter lock
 #: holds two threads to about 1.4x one, and each further one adds about 4 MB of scratch.
 DEFAULT_WORKERS = min(usable_cpus(), 2)
 
@@ -105,8 +109,8 @@ class SweepSpec:
             raise UsageError(f"sample count must be >= 1, got {self.n_samples}")
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise UsageError(f"worker count must be >= 1, got {self.workers}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise UsageError(f"worker count must be 1 to {MAX_WORKERS}, got {self.workers}")
         if not self.schemes or not self.methods:
             raise UsageError("at least one scheme and one method are needed")
         for m in self.methods:

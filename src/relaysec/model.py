@@ -16,8 +16,11 @@ from relaysec.errors import DomainError, InvalidTopologyError
 
 
 def db_to_linear(db: float) -> float:
-    """Convert a dB power ratio to linear scale."""
-    return 10.0 ** (db / 10.0)
+    """Convert a dB power ratio to linear scale; DomainError if that overflows float64."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise DomainError(f"{db} dB overflows float64 as a linear power ratio") from None
 
 
 def mean_power(pos_a: float, pos_b: float, n: float) -> float:

@@ -12,10 +12,8 @@ validate builds for all its Monte Carlo means.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -61,49 +59,26 @@ class EsrEstimate:
     n_samples: int
 
 
-def _share(fn, count: int, executor: ThreadPoolExecutor | None = None, helpers: int = 0) -> list:
-    """[fn(i) for i in range(count)], with the tasks handed out one at a time
-    to the calling thread and up to ``helpers`` loops on the executor."""
-    results: list = [None] * count
-    todo = iter(range(count))
-    lock = threading.Lock()
-
-    def work() -> None:
-        while True:
-            with lock:
-                i = next(todo, None)
-            if i is None:
-                return
-            results[i] = fn(i)
-
-    loops = [executor.submit(work) for _ in range(min(helpers, count - 1))] if executor else []
-    try:
-        work()
-    finally:
-        for loop in loops:
-            loop.result()
-    return results
-
-
 def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1, links: int = 6, *,
                     out: np.ndarray | None = None,
                     executor: ThreadPoolExecutor | None = None) -> ChannelSample:
     """Draw n independent fading realizations of the first ``links`` links.
 
     Each link draws ln(1 - U), U = random() in [0, 1), by the explicit
-    transform, which keeps golden values portable, and multiplies it once
-    by minus its mean rho * m: the unit exponential -ln(1 - U) times
-    rho * m, bit for bit, as rounding is symmetric in sign.  A U of exactly
-    0 (1 - U = 1) counts as the next grid value, 2^-53, so every unit gain
-    lies in [-ln(1 - 2^-53), 53 ln 2] and is > 0.  A gain that underflows
-    stays 0, and one that overflows raises DomainError naming its link.
-    The draw order over links is fixed (g, h, f, sr2, sd, dr1), and the
-    links not drawn are None.
+    transform and multiplies it once by minus its mean rho * m: the unit
+    exponential -ln(1 - U) times rho * m, bit for bit, as rounding is
+    symmetric in sign.  A U of exactly 0 (1 - U = 1) counts as the next
+    grid value, 2^-53, so every unit gain lies in [-ln(1 - 2^-53), 53 ln 2]
+    and is > 0.  A gain that underflows stays 0, and one that overflows
+    raises DomainError naming its link.  The draw order over links is fixed
+    (g, h, f, sr2, sd, dr1), and the links not drawn are None.  A gain's
+    last bits follow numpy's log, whose SIMD code differs between hosts;
+    the printed sweep cells did not move with AVX-512 and AVX2 disabled.
 
     The gains fill out[:links, :n] (fresh by default).  Link j reads
     exactly uniforms j * n ... (j + 1) * n - 1 of the stream, so a shorter
     prefix gives the same leading links bit for bit, and the links are
-    drawn apart, on the executor too.
+    drawn apart: one executor.map task each, or in turn without one.
     """
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
@@ -119,7 +94,7 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1, links: i
         with np.errstate(over="ignore"):
             x *= -means[j]
 
-    _share(fill, links, executor, links - 1)
+    list((executor.map if executor else map)(fill, range(links)))
     return ChannelSample(*gains)
 
 
@@ -163,9 +138,10 @@ class MeanPass:
     infinite, a RelaysecError of fn and a non-finite mean or variance each
     fail only their row.  The pass runs on the first read.
 
-    One chunk is in flight at a time: the calling thread and min(workers,
-    rows) - 1 pool threads draw its links apart, then take its rows one at a
-    time, each whole, block by block; _reduce_chunks adds up the block sums.
+    One chunk is in flight at a time.  A pool of min(workers, rows) threads,
+    one per pass, draws its links apart, then maps its rows, each whole,
+    block by block; at one worker both run on the calling thread.  Results
+    come back in row order, and _reduce_chunks adds up the block sums.
     """
 
     def __init__(self, rows: dict, n: int, seed: int, workers: int = 1) -> None:
@@ -190,13 +166,17 @@ class MeanPass:
         crew = min(self.workers, len(rows))
         unit = np.empty((links, min(self.n, CHUNK_SIZE)))
         chunks = []
-        with ThreadPoolExecutor(crew - 1) if crew > 1 else contextlib.nullcontext() as pool:
+        pool = ThreadPoolExecutor(crew) if crew > 1 else None
+        try:
             for k, start in enumerate(range(0, self.n, CHUNK_SIZE)):
                 sample = sample_channels(UNIT, RngStream(self.seed, k), min(CHUNK_SIZE, self.n - start),
                                          links, out=unit, executor=pool)
                 highs = [float(v.max()) for v in vars(sample).values() if v is not None]
-                chunks.append(_share(lambda i: _row_moments(rows[i], sample, highs),
-                                     len(rows), pool, crew - 1))
+                chunks.append(list((pool.map if pool else map)(
+                    lambda row: _row_moments(row, sample, highs), rows)))
+        finally:
+            if pool:
+                pool.shutdown()
         results: dict = {}
         for key, parts in zip(self._rows, zip(*chunks)):
             # a row that failed keeps its first failure, in chunk order

@@ -23,6 +23,7 @@ from relaysec.cli import (
     EXIT_OK,
     EXIT_USAGE,
     KEYS,
+    MAX_WORKERS,
     SWEEP_HEADER,
     SweepSpec,
     UsageError,
@@ -124,6 +125,9 @@ def test_spec_validation_errors():
         SweepSpec(methods=["not-a-method"])
     with pytest.raises(UsageError):
         SweepSpec(workers=0)
+    # refused before any pass, so no thread starts
+    with pytest.raises(UsageError, match=f"1 to {MAX_WORKERS}"):
+        SweepSpec(workers=MAX_WORKERS + 1)
 
 
 def test_snr_points_inclusive():
@@ -217,18 +221,25 @@ def test_extreme_snr_is_finite(tmp_path):
     assert rows["closed-form-lb"][3] == "329.239905"
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--snr=4000:4000:1", "--samples", "100", "--method", "mc-exact", "--method", "asymptote"],
-    ["sweep", "--snr=-4000:-4000:1", "--samples", "100"],
-    ["sweep", "--snr=-800:-800:1", "--samples", "100", "--topology=-3e100,-1,1,3e100"],
-    ["asymptote", "--snr=-4000:-4000:1"],
+@pytest.mark.parametrize("argv, cause", [
+    (["sweep", "--snr=4000:4000:1", "--samples", "100", "--method", "mc-exact", "--method", "asymptote"],
+     "4000.0 dB overflows float64"),
+    (["sweep", "--snr=-4000:-4000:1", "--samples", "100"], "rho must be finite and > 0, got 0.0"),
+    (["sweep", "--snr=-800:-800:1", "--samples", "100", "--topology=-3e100,-1,1,3e100"],
+     "rho * m_g = 1e-80 *"),
+    (["asymptote", "--snr=-4000:-4000:1"], "rho must be > 0, got 0.0"),
+    (["asymptote", "--snr=4000:4000:1"], "4000.0 dB overflows float64"),
 ])
-def test_snr_outside_float_range_gives_nan_rows(argv, tmp_path):
+def test_snr_outside_float_range_gives_nan_rows(argv, cause, tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(argv + ["--output", str(out)]) == EXIT_NUMERIC
     # skip asymptote's parameter rows, the ones with an empty second field
     rows = [r for r in out.read_text().strip().split("\n")[1:] if r.split(",")[1]]
     assert rows and all(",nan" in r for r in rows)
+    # one diagnostic per nan row, whose cause names the failing value
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == len(rows)
+    assert all(line.startswith("numeric failure at ") and cause in line.split(": ", 1)[1] for line in lines)
 
 
 def test_draw_overflow_gives_nan_row_without_warning(tmp_path, capsys):
@@ -301,6 +312,20 @@ SWEEP_SHA256 = [
 def test_sweep_bytes_pinned(flags, sha256, tmp_path):
     out = tmp_path / "pinned.csv"
     assert main(["sweep", *flags, "--samples", "300001", "--output", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("flags, sha256", SWEEP_SHA256, ids=["three-hop", "four-schemes"])
+def test_sweep_bytes_pinned_without_numpy_simd(flags, sha256, tmp_path):
+    # numpy's AVX2 and AVX-512 loops change the last bits of log, exp and so
+    # every sample, but not a printed cell; the setting acts on the child
+    # process only, and numpy ignores the names a host's build does not know
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    out = tmp_path / "pinned.csv"
+    subprocess.run([sys.executable, "-m", "relaysec.cli", "sweep", *flags, "--samples", "300001",
+                    "--output", str(out)], env=env, check=True)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
@@ -690,6 +715,8 @@ def test_presets_exist():
     ["sweep", "--scheme", "direct", "--scheme", "direct", "--method", "mc-exact",
      "--method", "mc-exact"],
     ["sweep", "--scheme", "direct", "--method", "mc-highsnr", "--samples", "100", "--snr", "0:10:5"],
+    ["sweep", "--workers", str(MAX_WORKERS + 1)],
+    ["validate", "--workers", str(MAX_WORKERS + 1)],
 ])
 def test_bad_argument_is_one_error_line(argv, capsys):
     assert main(argv) == EXIT_USAGE

@@ -106,6 +106,10 @@ def test_bar_gamma_identity():
 def test_db_to_linear():
     for db, lin in ((-10.0, 0.1), (0.0, 1.0), (25.0, 10.0**2.5), (60.0, 1e6)):
         assert db_to_linear(db) == pytest.approx(lin, rel=1e-15)
+    # past about 3083 dB 10^(dB/10) overflows float64; far below it underflows to 0
+    with pytest.raises(DomainError, match="4000.0 dB overflows float64"):
+        db_to_linear(4000.0)
+    assert db_to_linear(-4000.0) == 0.0
 
 
 def test_invalid_stats_rejected():

@@ -580,7 +580,9 @@ def raised_frames(read):
 
 
 def test_pool_threads_capped_by_row_count(monkeypatch):
-    # 64 workers on a 3-row pass: the calling thread and at most 2 pool threads
+    # one worker starts no pool: the rows run on the calling thread; 64
+    # workers on a 3-row pass start one pool of at most 3 threads, which
+    # runs every row, and shut it down
     pools, idents = [], set()
 
     class Recording(ThreadPoolExecutor):
@@ -595,9 +597,12 @@ def test_pool_threads_capped_by_row_count(monkeypatch):
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
     rows = {k: (UNIT, row, 3) for k in "abc"}
     alone = MeanPass(rows, CHUNK_SIZE + 1, seed=3).mean("a")
+    assert not pools and idents == {threading.get_ident()}
+    idents.clear()
     assert MeanPass(rows, CHUNK_SIZE + 1, seed=3, workers=64).mean("a") == alone
-    assert len(pools) == 1 and pools[0]._max_workers == 2 and len(pools[0]._threads) <= 2
-    assert len(idents) <= 3
+    assert len(pools) == 1 and pools[0]._max_workers == 3 and len(pools[0]._threads) <= 3
+    assert pools[0]._shutdown and not any(t.is_alive() for t in pools[0]._threads)
+    assert 1 <= len(idents) <= 3 and threading.get_ident() not in idents
 
 
 def test_pass_under_thread_switching_stress():
