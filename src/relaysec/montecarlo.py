@@ -5,9 +5,9 @@ result of an estimate depends only on (seed, n) and never on how many
 workers share a chunk's links and rows.  MeanPass, the one engine,
 estimates the means of many rows, each an elementwise function of the
 fading at one SNR point, from one draw per chunk.  estimate_esr reads an
-ESR row (esr_rows) and estimate_event_probability an event row
-(event_rows) from a pass that holds it, such as the one a sweep or
-validate builds for all its Monte Carlo means.
+ESR row (esr_rows) and estimate_event_probability a row of 0s and 1s
+from a pass that holds it, such as the one a sweep or validate builds
+for all its Monte Carlo means.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from relaysec.errors import DomainError, NumericError, RelaysecError
 from relaysec.model import ChannelSample, ChannelStats
-from relaysec.sinr import LINKS, SchemeKind, SinrMethod, highsnr_sinrs, secrecy_rate
+from relaysec.sinr import LINKS, SchemeKind, SinrMethod, secrecy_rate
 
 #: Fixed chunk size; part of the determinism contract (results are chunked
 #: identically no matter how many workers run).
@@ -140,8 +140,9 @@ class MeanPass:
 
     One chunk is in flight at a time.  A pool of min(workers, rows) threads,
     one per pass, draws its links apart, then maps its rows, each whole,
-    block by block; at one worker both run on the calling thread.  Results
-    come back in row order, and _reduce_chunks adds up the block sums.
+    block by block; at one worker both run on the calling thread.  A row
+    keeps its block sums, or its first failure, and _reduce_chunks adds up
+    the sums on each read of the row.
     """
 
     def __init__(self, rows: dict, n: int, seed: int, workers: int = 1) -> None:
@@ -158,7 +159,7 @@ class MeanPass:
         result = self._results[key]
         if isinstance(result, Exception):
             raise result.with_traceback(None)  # a fresh traceback per read, not a growing one
-        return result
+        return _reduce_chunks(result, self.n)
 
     def _run(self) -> dict:
         rows = list(self._rows.values())
@@ -177,15 +178,10 @@ class MeanPass:
         finally:
             if pool:
                 pool.shutdown()
-        results: dict = {}
-        for key, parts in zip(self._rows, zip(*chunks)):
-            # a row that failed keeps its first failure, in chunk order
-            failed = next((p for p in parts if isinstance(p, Exception)), None)
-            try:
-                results[key] = failed or _reduce_chunks([b for blocks in parts for b in blocks], self.n)
-            except NumericError as exc:  # kept without its frames, which hold the pass's buffers
-                results[key] = exc.with_traceback(None)
-        return results
+        # a row that failed keeps its first failure, in chunk order
+        return {key: next((p for p in parts if isinstance(p, Exception)), None)
+                or [b for blocks in parts for b in blocks]
+                for key, parts in zip(self._rows, zip(*chunks))}
 
 
 def _row_moments(row, unit: ChannelSample, highs: list[float]):
@@ -233,31 +229,15 @@ def esr_rows(keys) -> dict:
             for stats, scheme, method in keys}
 
 
-def event_rows(keys) -> dict:
-    """MeanPass rows keyed (stats, event): the frequency of event.
-
-    event maps the SinrBundle of the high-SNR three-hop SINRs to a boolean
-    array, elementwise; it is part of the key, so give the same function
-    object to the pass and to the read.
-    """
-    return {(stats, event):
-            (stats, functools.partial(_event_indicator, event=event), LINKS[SchemeKind.THREE_HOP])
-            for stats, event in keys}
-
-
-def _event_indicator(sample: ChannelSample, event) -> np.ndarray:
-    return event(highsnr_sinrs(sample))
-
-
 def estimate_esr(mean_pass: MeanPass, stats: ChannelStats, scheme: SchemeKind,
                  method: SinrMethod) -> EsrEstimate:
     """The pass's ESR row; a (scheme, method) pair sinr.has_method refuses raises DomainError."""
     return EsrEstimate(*mean_pass.mean((stats, scheme, method)), mean_pass.n)
 
 
-def estimate_event_probability(mean_pass: MeanPass, stats: ChannelStats, event) -> tuple[float, float]:
-    """The frequency of the pass's event row, and its binomial standard error."""
-    p, _ = mean_pass.mean((stats, event))
+def estimate_event_probability(mean_pass: MeanPass, key) -> tuple[float, float]:
+    """The frequency of the pass's boolean row ``key``, and its binomial standard error."""
+    p, _ = mean_pass.mean(key)
     return p, math.sqrt(p * (1.0 - p) / mean_pass.n)
 
 

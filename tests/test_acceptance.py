@@ -15,9 +15,8 @@ import pytest
 from relaysec.analytics import esr_asymptote, esr_lower_bound, prob_r1_dominates_oracle
 from relaysec.cli import SweepSpec, cmd_sweep, validate_checks
 from relaysec.model import TOPOLOGY_1, db_to_linear, topology_to_stats
-from relaysec.montecarlo import (MeanPass, esr_rows, estimate_esr, estimate_event_probability,
-                                 event_rows)
-from relaysec.sinr import LINKS, SchemeKind, SinrMethod, exact_sinrs, phase3_r1_sinr
+from relaysec.montecarlo import MeanPass, esr_rows, estimate_esr, estimate_event_probability
+from relaysec.sinr import LINKS, SchemeKind, SinrMethod, exact_sinrs, highsnr_sinrs, phase3_r1_sinr
 
 SEED = 1
 N_SWEEP = 1_000_000
@@ -155,11 +154,12 @@ def test_criterion_7_oracle_suite(validate_rows, report):
     stats = topology_to_stats(TOPOLOGY_1, db_to_linear(30.0))
 
     p_cf = prob_r1_dominates_oracle(stats)
-    def dominates(b):
+    def dominates(s):
+        b = highsnr_sinrs(s)
         return b.gamma_r1_p1 > b.gamma_r2
 
-    rows = event_rows([(stats, dominates)])
-    p_mc, p_se = estimate_event_probability(one_row_pass(rows, 10_000_000), stats, dominates)
+    row = {"P": (stats, dominates, LINKS[SchemeKind.THREE_HOP])}
+    p_mc, p_se = estimate_event_probability(one_row_pass(row, 10_000_000), "P")
     p_ok = abs(p_cf - p_mc) <= 3.0 * p_se
 
     t1 = validate_rows["T1 closed form vs Monte Carlo"]

@@ -37,7 +37,7 @@ from relaysec.cli import (
 from relaysec import analytics, cli
 from relaysec.errors import DomainError, NumericError
 from relaysec import montecarlo
-from relaysec.montecarlo import MeanPass, esr_rows, estimate_esr
+from relaysec.montecarlo import MeanPass, esr_rows, estimate_esr, estimate_event_probability
 from relaysec.sinr import SchemeKind, SinrMethod
 
 PRESETS = sorted((Path(__file__).resolve().parents[1] / "presets").glob("*.cfg"))
@@ -383,6 +383,24 @@ def test_validate_monte_carlo_rows_pinned(tmp_path):
     rows = {r["check"]: (r["closed_form"], r["oracle"])
             for r in csv.DictReader(out.read_text().strip().split("\n"))}
     assert {name: rows[name] for name in VALIDATE_MC_ROWS} == VALIDATE_MC_ROWS
+
+
+def test_validate_p_row_reads_as_a_pass_of_its_own(monkeypatch):
+    # validate's P row, read from the one pass it shares with every other
+    # Monte Carlo row, equals a pass of that row alone, bit for bit
+    passes = []
+
+    def spy(rows, *args):
+        passes.append((rows, MeanPass(rows, *args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(cli, "MeanPass", spy)
+    cli.validate_checks(SweepSpec(), quick=True)
+    [(rows, shared)] = passes
+    [key] = [key for key in rows if key[1:] == ("P",)]
+    alone = MeanPass({key: rows[key]}, shared.n, shared.seed)
+    assert len(rows) > 1
+    assert estimate_event_probability(shared, key) == estimate_event_probability(alone, key)
 
 
 #: sha256 of the whole validate --quick stdout: the K1, Lah and closed-form

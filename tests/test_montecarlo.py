@@ -27,10 +27,10 @@ from relaysec.montecarlo import (
     esr_rows,
     estimate_esr,
     estimate_event_probability,
-    event_rows,
     sample_channels,
 )
-from relaysec.sinr import LINKS, SchemeKind, SinrMethod, has_method, secrecy_rate, three_hop_sinrs
+from relaysec.sinr import (LINKS, SchemeKind, SinrMethod, has_method, highsnr_sinrs, secrecy_rate,
+                           three_hop_sinrs)
 
 
 def esr_alone(stats, scheme, method, n, seed, workers=1):
@@ -39,10 +39,15 @@ def esr_alone(stats, scheme, method, n, seed, workers=1):
                         stats, scheme, method)
 
 
+def event_row(stats, event):
+    """A row of 0s and 1s: event of the point's high-SNR three-hop SINRs."""
+    return stats, lambda s: event(highsnr_sinrs(s)), LINKS[SchemeKind.THREE_HOP]
+
+
 def event_alone(stats, event, n, seed, workers=1):
     """estimate_event_probability on a pass of that one row."""
-    mean_pass = MeanPass(event_rows([(stats, event)]), n, seed, workers)
-    return estimate_event_probability(mean_pass, stats, event)
+    return estimate_event_probability(MeanPass({"event": event_row(stats, event)}, n, seed, workers),
+                                      "event")
 
 
 def test_chunk_size_is_power_of_two():
@@ -410,11 +415,21 @@ def test_event_probability_reads_a_shared_pass(stats_30db, n, monkeypatch):
     esr_key = (stats_30db, SchemeKind.TWO_HOP_CASE_I, SinrMethod.EXACT)
     alone = event_alone(stats_30db, dominates, n, 5), esr_alone(*esr_key, n, 5)
     calls = spy_on_draws(monkeypatch)
-    shared = MeanPass({**event_rows([(stats_30db, dominates)]),
-                       **esr_rows([esr_key])}, n, seed=5)
-    assert (estimate_event_probability(shared, stats_30db, dominates),
+    shared = MeanPass({"event": event_row(stats_30db, dominates), **esr_rows([esr_key])}, n, seed=5)
+    assert (estimate_event_probability(shared, "event"),
             estimate_esr(shared, *esr_key)) == alone
     assert calls == [UNIT] * -(-n // CHUNK_SIZE)
+
+
+def fails_on_each_read(shared, key, match):
+    """Each of two reads of the row raises a new NumericError with the same message:
+    a reduction failure is raised when the row is read, and nothing is kept of it."""
+    raised = []
+    for _ in range(2):
+        with pytest.raises(NumericError, match=match) as info:
+            shared.mean(key)
+        raised.append(info.value)
+    assert raised[0] is not raised[1] and str(raised[0]) == str(raised[1])
 
 
 def test_pass_overflowing_square_fails_the_row():
@@ -426,10 +441,7 @@ def test_pass_overflowing_square_fails_the_row():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mean, std_error = shared.mean("g")
-        # stored, the failure holds none of the pass's frames and buffers
-        assert shared._results["sd"].__traceback__ is None
-        with pytest.raises(NumericError, match="variance"):
-            shared.mean("sd")
+        fails_on_each_read(shared, "sd", "variance")
     assert mean > 0.0 and std_error > 0.0
 
 
@@ -442,9 +454,7 @@ def test_pass_overflowing_total_fails_the_row():
                        "g": (UNIT, operator.attrgetter("gamma_g"), 3)}, 4 * CHUNK_SIZE, seed=1)
     mean, std_error = shared.mean("g")
     for key in ("big", "opposite"):
-        assert shared._results[key].__traceback__ is None
-        with pytest.raises(NumericError, match="sum"):
-            shared.mean(key)
+        fails_on_each_read(shared, key, "sum")
     assert mean > 0.0 and std_error > 0.0
 
 
@@ -456,9 +466,7 @@ def test_pass_opposite_infinite_block_sums_fail_the_row():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mean, std_error = shared.mean("g")
-        assert shared._results["d"].__traceback__ is None
-        with pytest.raises(NumericError):
-            shared.mean("d")
+        fails_on_each_read(shared, "d", None)
     assert mean > 0.0 and std_error > 0.0
 
 
