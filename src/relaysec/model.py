@@ -16,11 +16,15 @@ from relaysec.errors import DomainError, InvalidTopologyError
 
 
 def db_to_linear(db: float) -> float:
-    """Convert a dB power ratio to linear scale; DomainError if that overflows float64."""
+    """Convert a dB power ratio to linear scale; DomainError if that overflows
+    float64 or underflows to 0."""
     try:
-        return 10.0 ** (db / 10.0)
+        linear = 10.0 ** (db / 10.0)
     except OverflowError:
         raise DomainError(f"{db} dB overflows float64 as a linear power ratio") from None
+    if linear == 0.0:
+        raise DomainError(f"{db} dB underflows float64 as a linear power ratio")
+    return linear
 
 
 def mean_power(pos_a: float, pos_b: float, n: float) -> float:

@@ -224,10 +224,10 @@ def test_extreme_snr_is_finite(tmp_path):
 @pytest.mark.parametrize("argv, cause", [
     (["sweep", "--snr=4000:4000:1", "--samples", "100", "--method", "mc-exact", "--method", "asymptote"],
      "4000.0 dB overflows float64"),
-    (["sweep", "--snr=-4000:-4000:1", "--samples", "100"], "rho must be finite and > 0, got 0.0"),
+    (["sweep", "--snr=-4000:-4000:1", "--samples", "100"], "-4000.0 dB underflows float64"),
     (["sweep", "--snr=-800:-800:1", "--samples", "100", "--topology=-3e100,-1,1,3e100"],
      "rho * m_g = 1e-80 *"),
-    (["asymptote", "--snr=-4000:-4000:1"], "rho must be > 0, got 0.0"),
+    (["asymptote", "--snr=-4000:-4000:1"], "-4000.0 dB underflows float64"),
     (["asymptote", "--snr=4000:4000:1"], "4000.0 dB overflows float64"),
 ])
 def test_snr_outside_float_range_gives_nan_rows(argv, cause, tmp_path, capsys):
@@ -405,12 +405,24 @@ def test_validate_p_row_reads_as_a_pass_of_its_own(monkeypatch):
 
 #: sha256 of the whole validate --quick stdout: the K1, Lah and closed-form
 #: rows too, so a moved coefficient or closed form shows here.
-VALIDATE_QUICK_SHA256 = "951e20c6213969b5280a4a34519e1ff60f5d0141530a8a5b9f2e5bc7766da71b"
+VALIDATE_QUICK_SHA256 = "f6b7e55e59471c6888a5e23b024ac9dec5268c425a1881504ce1f00bd10b38b6"
 
 
 def test_validate_quick_bytes_pinned(tmp_path):
     out = tmp_path / "validate.csv"
     assert main(["validate", "--quick", "--output", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VALIDATE_QUICK_SHA256
+
+
+def test_validate_quick_bytes_pinned_without_numpy_simd(tmp_path):
+    # the K1 row prints the decade bound of its rounding noise, so numpy's
+    # baseline loops give the same report; the setting acts on the child only
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    out = tmp_path / "validate.csv"
+    subprocess.run([sys.executable, "-m", "relaysec.cli", "validate", "--quick", "--output", str(out)],
+                   env=env, check=True)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VALIDATE_QUICK_SHA256
 
 
@@ -421,7 +433,7 @@ def test_validate_failed_point_fails_only_its_rows(capsys):
     assert main(["validate", "--quick", "--topology=-3,-1e-114,4e-114,3"]) == EXIT_NUMERIC
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a2e8d40f36750b9254870264237e13a0b47af5d1feb2df06e6149baa94bdc2e1")
+        "62bcc1d7d9dbe24f33194bcf04cc66887a21ded0e4a594e5f79a449d00a3da6b")
     assert hashlib.sha256(err.encode()).hexdigest() == (
         "a817d41967dfba1e0f74beb480a121677605778c9c486eaf8ab11b604377fb82")
     rows = {r["check"]: r for r in csv.DictReader(out.strip().split("\n"))}
@@ -440,7 +452,7 @@ def test_validate_unbuildable_asymmetric_layout_fails_only_its_rows(capsys):
     assert main(["validate", "--quick", "--topology=0,1,2,3", "--pathloss", "500"]) == EXIT_NUMERIC
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c33755ba66d0ad59cc8b76e8c65ea4c69cbfa649972281b5dc94c0bace2e8bb1")
+        "05883973957bafb6695207e6ac7f2d6d556ac1cf82e34f91489069432dd4f277")
     assert hashlib.sha256(err.encode()).hexdigest() == (
         "5f627140ccdb068bd3528e6af2a3219fe58617a664f5fd4dd4b2669c9fd9e6c8")
     rows = list(csv.DictReader(out.strip().split("\n")))

@@ -106,10 +106,13 @@ def test_bar_gamma_identity():
 def test_db_to_linear():
     for db, lin in ((-10.0, 0.1), (0.0, 1.0), (25.0, 10.0**2.5), (60.0, 1e6)):
         assert db_to_linear(db) == pytest.approx(lin, rel=1e-15)
-    # past about 3083 dB 10^(dB/10) overflows float64; far below it underflows to 0
+    # past about 3083 dB 10^(dB/10) overflows float64; below about -3236 dB
+    # it rounds to 0, while -3236 dB still gives the smallest subnormal
     with pytest.raises(DomainError, match="4000.0 dB overflows float64"):
         db_to_linear(4000.0)
-    assert db_to_linear(-4000.0) == 0.0
+    with pytest.raises(DomainError, match="-4000.0 dB underflows float64"):
+        db_to_linear(-4000.0)
+    assert db_to_linear(-3236.0) == 5e-324
 
 
 def test_invalid_stats_rejected():
