@@ -352,8 +352,8 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     grid = np.logspace(-6, math.log10(50.0), 10 if quick else 50)
     ref = np.array([bessel_k1_quadrature(float(x)) for x in grid])
     worst = float(np.max(np.abs(bessel_k1(grid) - ref) / ref))
-    bound = 10.0 ** math.ceil(math.log10(worst)) if worst else 0.0
-    rows.append(CheckRow("bessel_k1 max rel err vs integral oracle", True, bound, 0.0, 1e-9))
+    rows.append(CheckRow("bessel_k1 max rel err vs integral oracle", True,
+                         10.0 ** math.ceil(math.log10(worst)), 0.0, 1e-9))
 
     # Lah recurrence L(n+1,i) = (n+i) L(n,i) + L(n,i-1).
     bad = 0

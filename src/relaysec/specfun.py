@@ -110,15 +110,14 @@ def bessel_k1_quadrature(x: float) -> float:
     """Reference K1 by the trapezoid rule on its integral form.
 
     K1(x) = e^-x integral_0^inf exp(-2x sinh^2(t/2)) cosh t dt, as
-    cosh t = 1 + 2 sinh^2(t/2).  The terms that carry the sum take exp of
-    an argument near 0, not near -x, so neither its rounding nor numpy's
-    SIMD exp moves them by more than an ulp or so: within 2.2e-16 of
-    40-digit K1 on validate's grid with or without AVX-512.  The integrand
-    is even and analytic in t, so a fixed step is exact to rounding
-    (Trefethen & Weideman, SIAM Review 56(3), 2014): step 1/64 up to one
-    past acosh(760 / x), beyond which every term is below e^-700 of the
-    sum, summed with fsum.  An oracle for bessel_k1 that shares none of its
-    code.
+    cosh t = 1 + 2 sinh^2(t/2): the terms that carry the sum take exp of an
+    argument near 0, not near -x, whose rounding error grows with x.  It is
+    within 2.2e-16 of 40-digit K1 on validate's grid with or without numpy's
+    AVX-512 loops.  The integrand is even and analytic in t, so a fixed step
+    is exact to rounding (Trefethen & Weideman, SIAM Review 56(3), 2014):
+    step 1/64 up to one past acosh(760 / x), beyond which every term is
+    below e^-700 of the sum, summed with fsum.  An oracle for bessel_k1
+    that shares none of its code.
     """
     if x <= 0:
         raise DomainError("bessel_k1_quadrature requires x > 0")
