@@ -19,9 +19,8 @@ import numpy as np
 from relaysec.errors import DomainError
 from relaysec.model import ChannelStats
 from relaysec.sinr import PRELOG, SchemeKind
-from relaysec.specfun import bessel_k1
+from relaysec.specfun import EULER_GAMMA, bessel_k1
 
-EULER_GAMMA = float(np.euler_gamma)
 LN2 = math.log(2.0)
 
 #: Relative distance below which the removable m_g = m_h singularity is

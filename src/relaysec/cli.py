@@ -156,7 +156,7 @@ def parse_config_file(path: str) -> dict[str, str]:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
                 key, _, val = line.partition("=")
                 values[key.strip()] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
 

@@ -80,10 +80,8 @@ class Topology:
                     raise InvalidTopologyError(f"nodes {names[i]} and {names[j]}: {exc}") from None
 
 
-#: Reference layouts used throughout the experiments: the second is the first
-#: shrunk by a factor of 3.
+#: The reference layout, the CLI's default.
 TOPOLOGY_1 = Topology(-3.0, -1.0, 1.0, 3.0, 2.7)
-TOPOLOGY_2 = Topology(-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0, 2.7)
 
 
 @dataclass(frozen=True)

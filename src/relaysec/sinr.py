@@ -1,12 +1,11 @@
 """The scheme rules: per-realization SINRs, pre-logs and secrecy rates.
 
-Covers the three-hop scheme (exact and high-SNR forms, and R1's phase-3
-SINR, which no rate reads) and the two-hop / direct baselines;
-secrecy_rate gives the rate of any (scheme, method) and has_method says
-which pairs exist.  All functions are elementwise over numpy arrays, so a
-whole Monte Carlo chunk evaluates in one call.  Each kernel writes its
-steps with ``out=`` into one fresh workspace per call and never writes its
-inputs, which may be views of a caller's buffer.
+Covers the three-hop scheme (exact and high-SNR forms) and the two-hop /
+direct baselines; secrecy_rate gives the rate of any (scheme, method) and
+has_method says which pairs exist.  All functions are elementwise over
+numpy arrays, so a whole Monte Carlo chunk evaluates in one call.  Each
+kernel writes its steps with ``out=`` into one fresh workspace per call
+and never writes its inputs, which may be views of a caller's buffer.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ class SinrBundle:
     """The instantaneous SINRs of the three-hop scheme that its rate reads.
 
     gamma_r1_p1: at R1 during phase 1; gamma_r2: at R2; gamma_d: at the
-    destination.  R1's phase-3 SINR (phase3_r1_sinr) never exceeds
-    gamma_r2, so the rate's leakage is max(gamma_r1_p1, gamma_r2).
+    destination.  R1's phase-3 SINR never exceeds gamma_r2 (exact_sinrs,
+    highsnr_sinrs), so the rate's leakage is max(gamma_r1_p1, gamma_r2).
     """
 
     gamma_r1_p1: np.ndarray | float
@@ -86,11 +85,12 @@ def exact_sinrs(s: ChannelSample) -> SinrBundle:
     overflow.  A reciprocal gain only multiplies factors >= 1 such as f + 2,
     so a zero gain gives SINR 0, not 0 * inf = nan.
 
-    phase3_r1_sinr <= gamma_r2: with t = (g + 1)/(g h), the reciprocal of
-    the phase-3 R1 SINR exceeds that of gamma_r2 by at least t (f + g + 2) > 0,
-    since ((g + h + 1)/h)^2 - 1 >= 2 (g + 1)/h.  The relative gap is at least
-    about (g + 1)/h, so only where h > ~1e16 (g + 1) can rounding lift the
-    computed phase-3 SINR above gamma_r2, by at most a few ulps.
+    The phase-3 R1 SINR g h^2 / (h^2 + h (g + 1)^2 + (g + h + 1)^2 (f + 1))
+    is at most gamma_r2: with t = (g + 1)/(g h), its reciprocal exceeds that
+    of gamma_r2 by at least t (f + g + 2) > 0, since ((g + h + 1)/h)^2 - 1
+    >= 2 (g + 1)/h.  The relative gap is at least about (g + 1)/h, so only
+    where h > ~1e16 (g + 1) can rounding lift the computed phase-3 SINR
+    above gamma_r2, by at most a few ulps.
     """
     # As arrays, scalar gains too divide by zero to inf instead of raising.
     g, h, f = (np.asarray(x, dtype=float) for x in (s.gamma_g, s.gamma_h, s.gamma_f))
@@ -143,25 +143,6 @@ def highsnr_sinrs(s: ChannelSample) -> SinrBundle:
     return SinrBundle(r1_p1, r2, d)
 
 
-def phase3_r1_sinr(s: ChannelSample, method: SinrMethod):
-    """R1's SINR in phase 3 by ``method``, divided through like its bundle's.
-
-    It never exceeds gamma_r2 (exact_sinrs, highsnr_sinrs), so no rate reads
-    it.  The high-SNR form, like highsnr_sinrs, refuses a zero gain.
-    """
-    # As arrays, scalar gains too divide by zero to inf instead of raising.
-    g, h, f = (np.asarray(x, dtype=float) for x in (s.gamma_g, s.gamma_h, s.gamma_f))
-    if method is SinrMethod.HIGH_SNR and (np.any(g == 0) or np.any(h == 0) or np.any(f == 0)):
-        raise DegenerateSampleError("high-SNR SINRs need strictly positive gains")
-    with np.errstate(divide="ignore", over="ignore"):
-        ig = 1.0 / g
-        if method is SinrMethod.EXACT:
-            t = (1.0 + ig) / h
-            return 1.0 / (ig + (g + 1.0) * t + ((g + h + 1.0) / h) ** 2 * ((f + 1.0) * ig))
-        r1_p1 = g / h
-        return 1.0 / ((r1_p1 + 1.0) ** 2 * (f * ig) + 2.0 * r1_p1)
-
-
 def three_hop_sinrs(s: ChannelSample, method: SinrMethod) -> SinrBundle:
     """The three-hop SINR bundle that ``method`` reads."""
     return exact_sinrs(s) if method is SinrMethod.EXACT else highsnr_sinrs(s)
@@ -169,7 +150,7 @@ def three_hop_sinrs(s: ChannelSample, method: SinrMethod) -> SinrBundle:
 
 def instantaneous_secrecy_rate(b: SinrBundle):
     """Three-hop rate (1/3) [log2(1 + gamma_d) - log2(1 + max relay SINR)]^+."""
-    leak = np.maximum(b.gamma_r1_p1, b.gamma_r2)  # phase3_r1_sinr <= gamma_r2
+    leak = np.maximum(b.gamma_r1_p1, b.gamma_r2)  # R1's phase-3 SINR <= gamma_r2
     return secrecy_rate_from_pair(b.gamma_d, leak, PRELOG[SchemeKind.THREE_HOP])
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from relaysec.errors import DomainError
 
-_EULER_GAMMA = 0.57721566490153286061
+EULER_GAMMA = 0.57721566490153286061
 
 #: bessel_k1 sums its power series at x <= _K1_SPLIT and its integral above.
 _K1_SPLIT = 1.5
@@ -31,7 +31,7 @@ def _k1_power_coeffs(terms: int) -> tuple[list[float], list[float]]:
         f0, f1 = math.factorial(k), math.factorial(k + 1)
         a.append(1 / (f0 * f1))
         # H_k + H_{k+1} = (2 (k+1) n_k + k!) / (k+1)!
-        b.append((2 * (k + 1) * n_k + f0) / (f1 * f0 * f1) - 2 * _EULER_GAMMA * a[-1])
+        b.append((2 * (k + 1) * n_k + f0) / (f1 * f0 * f1) - 2 * EULER_GAMMA * a[-1])
         n_k = (k + 1) * n_k + f0
     return a, b
 

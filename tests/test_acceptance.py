@@ -16,7 +16,9 @@ from relaysec.analytics import esr_asymptote, esr_lower_bound, prob_r1_dominates
 from relaysec.cli import SweepSpec, cmd_sweep, validate_checks
 from relaysec.model import TOPOLOGY_1, db_to_linear, topology_to_stats
 from relaysec.montecarlo import MeanPass, esr_rows, estimate_esr, estimate_event_probability
-from relaysec.sinr import LINKS, SchemeKind, SinrMethod, exact_sinrs, highsnr_sinrs, phase3_r1_sinr
+from relaysec.sinr import LINKS, SchemeKind, SinrMethod, exact_sinrs, highsnr_sinrs
+
+from reference import expression_three_hop
 
 SEED = 1
 N_SWEEP = 1_000_000
@@ -133,7 +135,8 @@ def test_criterion_4_scheme_ordering(three_hop_sweep, baseline_sweep, report):
 def test_criterion_5_relay_sinr_ordering(report):
     stats = topology_to_stats(TOPOLOGY_1, db_to_linear(30.0))
     def r2_at_least_phase3(s):
-        return exact_sinrs(s).gamma_r2 >= phase3_r1_sinr(s, SinrMethod.EXACT)
+        return (exact_sinrs(s).gamma_r2
+                >= expression_three_hop(s.gamma_g, s.gamma_h, s.gamma_f, SinrMethod.EXACT)[2])
 
     row = {"ordering": (stats, r2_at_least_phase3, LINKS[SchemeKind.THREE_HOP])}
     p, _ = one_row_pass(row, 1_000_000).mean("ordering")

@@ -28,13 +28,14 @@ from relaysec.cli import SweepSpec, cmd_asymptote
 from relaysec.errors import DomainError
 from relaysec.model import (
     TOPOLOGY_1,
-    TOPOLOGY_2,
     ChannelStats,
     Topology,
     db_to_linear,
     topology_to_stats,
 )
 from relaysec.sinr import PRELOG, SchemeKind
+
+from reference import TOPOLOGY_2
 
 #: Exponential tail cut of the quadrature oracles in unit-mean coordinates.
 _TAIL = 60.0

@@ -769,6 +769,16 @@ def test_config_key_not_read_is_usage_error(subcommand, text, tmp_path, capsys):
     assert err.startswith("relaysec: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("subcommand", ["sweep", "validate", "asymptote"])
+def test_config_file_not_utf8_is_usage_error(subcommand, tmp_path, capsys):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_bytes(b"seed = \xff\n")
+    assert main([subcommand, "--config", str(cfg)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("relaysec: error: cannot read config file ") and err.count("\n") == 1
+
+
 def test_settable_values_per_subcommand():
     sub = next(a for a in make_parser()._actions if a.choices)
     counts = {name: sum(1 for a in p._actions if a.dest != "help") for name, p in sub.choices.items()}

@@ -8,7 +8,6 @@ from hypothesis import example, given, strategies as st
 from relaysec.errors import DomainError, InvalidTopologyError
 from relaysec.model import (
     TOPOLOGY_1,
-    TOPOLOGY_2,
     ChannelSample,
     ChannelStats,
     Topology,
@@ -16,6 +15,8 @@ from relaysec.model import (
     mean_power,
     topology_to_stats,
 )
+
+from reference import TOPOLOGY_2
 
 finite_coord = st.floats(min_value=-100, max_value=100, allow_nan=False)
 

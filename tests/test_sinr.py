@@ -21,11 +21,12 @@ from relaysec.sinr import (
     has_method,
     highsnr_sinrs,
     instantaneous_secrecy_rate,
-    phase3_r1_sinr,
     secrecy_rate,
     secrecy_rate_from_pair,
     three_hop_sinrs,
 )
+
+from reference import expression_three_hop
 
 pos_gain = st.floats(min_value=1e-3, max_value=1e6)
 
@@ -39,7 +40,7 @@ def test_exact_sinrs_unit_gains():
     b = exact_sinrs(s)
     assert b.gamma_r1_p1 == pytest.approx(1.0 / 2.0, rel=1e-12)
     assert b.gamma_r2 == pytest.approx(1.0 / 7.0, rel=1e-12)
-    assert phase3_r1_sinr(s, SinrMethod.EXACT) == pytest.approx(1.0 / 23.0, rel=1e-12)
+    assert expression_three_hop(1.0, 1.0, 1.0, SinrMethod.EXACT)[2] == pytest.approx(1.0 / 23.0, rel=1e-12)
     assert b.gamma_d == pytest.approx(1.0 / 12.0, rel=1e-12)
 
 
@@ -48,7 +49,7 @@ def test_exact_sinrs_zero_source_gain():
     b = exact_sinrs(s)
     assert b.gamma_r1_p1 == 0.0
     assert b.gamma_r2 == 0.0
-    assert phase3_r1_sinr(s, SinrMethod.EXACT) == 0.0
+    assert expression_three_hop(0.0, 1.0, 1.0, SinrMethod.EXACT)[2] == 0.0
     assert b.gamma_d == 0.0
 
 
@@ -57,7 +58,8 @@ def test_exact_sinrs_zero_relay_gain():
     s = sample(1.0, 0.0, 1.0)
     b = exact_sinrs(s)
     assert b.gamma_r1_p1 == 1.0
-    assert (b.gamma_r2, phase3_r1_sinr(s, SinrMethod.EXACT), b.gamma_d) == (0.0, 0.0, 0.0)
+    p3 = expression_three_hop(1.0, 0.0, 1.0, SinrMethod.EXACT)[2]
+    assert (b.gamma_r2, p3, b.gamma_d) == (0.0, 0.0, 0.0)
 
 
 def test_exact_sinrs_zero_destination_gain():
@@ -67,11 +69,11 @@ def test_exact_sinrs_zero_destination_gain():
     assert b.gamma_d == 0.0
     assert b.gamma_r1_p1 == pytest.approx(1.0 / 2.0, rel=1e-15)
     assert b.gamma_r2 == pytest.approx(1.0 / 4.0, rel=1e-15)
-    assert phase3_r1_sinr(s, SinrMethod.EXACT) == pytest.approx(1.0 / 14.0, rel=1e-15)
+    assert expression_three_hop(1.0, 1.0, 0.0, SinrMethod.EXACT)[2] == pytest.approx(1.0 / 14.0, rel=1e-15)
     for h, f in ((0.0, 0.0), (2.0, 0.0)):  # h = f = 0 would give 0 * inf naively
         s = sample(0.5, h, f)
         b = exact_sinrs(s)
-        p3 = phase3_r1_sinr(s, SinrMethod.EXACT)
+        p3 = expression_three_hop(0.5, h, f, SinrMethod.EXACT)[2]
         assert all(math.isfinite(v) for v in (b.gamma_r1_p1, b.gamma_r2, p3, b.gamma_d))
         assert b.gamma_d == 0.0
 
@@ -86,8 +88,8 @@ def test_exact_sinrs_huge_gains(c):
     unit = highsnr_sinrs(sample(1.3, 0.7, 2.1))
     assert b.gamma_d == pytest.approx(c * unit.gamma_d, rel=1e-12)
     assert b.gamma_r2 == pytest.approx(unit.gamma_r2, rel=1e-12)
-    assert (phase3_r1_sinr(sample(1.3 * c, 0.7 * c, 2.1 * c), SinrMethod.HIGH_SNR)
-            == pytest.approx(phase3_r1_sinr(sample(1.3, 0.7, 2.1), SinrMethod.HIGH_SNR), rel=1e-12))
+    assert (expression_three_hop(1.3 * c, 0.7 * c, 2.1 * c, SinrMethod.HIGH_SNR)[2]
+            == pytest.approx(expression_three_hop(1.3, 0.7, 2.1, SinrMethod.HIGH_SNR)[2], rel=1e-12))
     assert hs.gamma_d == pytest.approx(c * unit.gamma_d, rel=1e-12)
 
 
@@ -96,7 +98,7 @@ def test_highsnr_sinrs_unit_gains():
     b = highsnr_sinrs(s)
     assert b.gamma_r1_p1 == pytest.approx(1.0, rel=1e-12)
     assert b.gamma_r2 == pytest.approx(1.0 / 2.0, rel=1e-12)
-    assert phase3_r1_sinr(s, SinrMethod.HIGH_SNR) == pytest.approx(1.0 / 6.0, rel=1e-12)
+    assert expression_three_hop(1.0, 1.0, 1.0, SinrMethod.HIGH_SNR)[2] == pytest.approx(1.0 / 6.0, rel=1e-12)
     assert b.gamma_d == pytest.approx(1.0 / 6.0, rel=1e-12)
 
 
@@ -130,8 +132,8 @@ def test_highsnr_homogeneity(g, h, f, c):
     b = highsnr_sinrs(sample(c * g, c * h, c * f))
     for name in ("gamma_r1_p1", "gamma_r2"):
         assert getattr(b, name) == pytest.approx(getattr(a, name), rel=1e-9)
-    assert (phase3_r1_sinr(sample(c * g, c * h, c * f), SinrMethod.HIGH_SNR)
-            == pytest.approx(phase3_r1_sinr(sample(g, h, f), SinrMethod.HIGH_SNR), rel=1e-9))
+    assert (expression_three_hop(c * g, c * h, c * f, SinrMethod.HIGH_SNR)[2]
+            == pytest.approx(expression_three_hop(g, h, f, SinrMethod.HIGH_SNR)[2], rel=1e-9))
     assert b.gamma_d == pytest.approx(c * a.gamma_d, rel=1e-9)
 
 
@@ -312,23 +314,6 @@ def test_rate_reading_an_undrawn_link_raises(n):
         MeanPass({"two-hop": rate_row(SchemeKind.TWO_HOP_CASE_I, links=5)}, n, seed=1).mean("two-hop")
 
 
-def expression_three_hop(g, h, f, method):
-    """exact_sinrs or highsnr_sinrs written as expressions, the reference the
-    in-place kernels match bit for bit: (r1_p1, r2, r1_p3, d)."""
-    g, h, f = (np.asarray(x, dtype=float) for x in (g, h, f))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ig = 1.0 / g
-        if method is SinrMethod.EXACT:
-            t = (1.0 + ig) / h
-            return (g / (h + 1.0), 1.0 / (ig * (f + 2.0) + t * (f + 1.0)),
-                    1.0 / (ig + (g + 1.0) * t + ((g + h + 1.0) / h) ** 2 * ((f + 1.0) * ig)),
-                    1.0 / (3.0 * ig + 2.0 * t + (1.0 + 2.0 * ig + t) / f))
-        r1_p1 = g / h
-        return (r1_p1, 1.0 / (f * (ig + 1.0 / h)),
-                1.0 / ((r1_p1 + 1.0) ** 2 * (f * ig) + 2.0 * r1_p1),
-                1.0 / (3.0 * ig + 2.0 / h + 1.0 / f))
-
-
 def expression_secrecy_rate(s, scheme, method, combining="selection"):
     """secrecy_rate written as expressions, with the three-hop leakage the
     maximum of all three relay SINRs."""
@@ -408,39 +393,9 @@ def test_secrecy_rate_matches_expression_forms(scheme, method, combining, source
 def test_sinr_bundle_matches_expression_forms(method):
     s = sample_channels(STATS, RngStream(5), 1000, links=3)
     b = three_hop_sinrs(read_only(s), method)
-    expected = expression_three_hop(s.gamma_g, s.gamma_h, s.gamma_f, method)
-    for got, want in zip((b.gamma_r1_p1, b.gamma_r2, phase3_r1_sinr(s, method), b.gamma_d), expected):
+    r1_p1, r2, _, gamma_d = expression_three_hop(s.gamma_g, s.gamma_h, s.gamma_f, method)
+    for got, want in zip((b.gamma_r1_p1, b.gamma_r2, b.gamma_d), (r1_p1, r2, gamma_d)):
         assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("method", list(SinrMethod))
-def test_phase3_r1_sinr_matches_expression_form(method):
-    # On every (g, h, f) of SPECIAL (positive only for high SNR), one gain
-    # at a time and as one block, bit for bit, writing no input.  The
-    # high-SNR form is inf * 0 = nan where g / h overflows while f / g
-    # underflows, in both forms alike.
-    values = [v for v in SPECIAL if v > 0 or method is SinrMethod.EXACT]
-    grid = list(itertools.product(values, repeat=3))
-    with np.errstate(invalid="ignore"):
-        for g, h, f in grid:
-            got = phase3_r1_sinr(sample(g, h, f), method)
-            assert np.asarray(got).tobytes() == expression_three_hop(g, h, f, method)[2].tobytes()
-        block = read_only(sample(*(np.array(c) for c in zip(*grid))))
-        before = [np.asarray(v).tobytes() for v in vars(block).values()]
-        got = phase3_r1_sinr(block, method)
-        want = expression_three_hop(block.gamma_g, block.gamma_h, block.gamma_f, method)[2]
-    assert [np.asarray(v).tobytes() for v in vars(block).values()] == before
-    assert got.shape == (len(grid),) and got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("zero", range(3))
-@pytest.mark.parametrize("shape", [(), (4,)])
-def test_highsnr_phase3_r1_sinr_refuses_a_zero_gain(zero, shape):
-    gains = [np.full(shape, 2.0) for _ in range(3)]
-    gains[zero][...] = 0.0
-    with pytest.raises(DegenerateSampleError):
-        phase3_r1_sinr(sample(*gains), SinrMethod.HIGH_SNR)
-    assert np.isfinite(phase3_r1_sinr(sample(*gains), SinrMethod.EXACT)).all()
 
 
 exponent = st.floats(min_value=-3.0, max_value=3.0)
@@ -451,7 +406,7 @@ exponent = st.floats(min_value=-3.0, max_value=3.0)
        zero=st.tuples(st.booleans(), st.booleans(), st.booleans()),
        method=st.sampled_from(list(SinrMethod)))
 def test_phase3_sinr_never_sets_the_leakage(scale, spread, zero, method):
-    # phase3_r1_sinr <= gamma_r2 in both forms (exact_sinrs, highsnr_sinrs),
+    # R1's phase-3 SINR <= gamma_r2 in both forms (exact_sinrs, highsnr_sinrs),
     # so the rate, which reads max(gamma_r1_p1, gamma_r2), equals the rate at
     # the three-way maximum bit for bit.
     # Gains span 1e-8..1e30, each link 10^+-3 about the scale; the exact
@@ -459,7 +414,7 @@ def test_phase3_sinr_never_sets_the_leakage(scale, spread, zero, method):
     gains = [0.0 if z and method is SinrMethod.EXACT else 10.0 ** (scale + e)
              for z, e in zip(zero, spread)]
     b = three_hop_sinrs(sample(*gains), method)
-    r1_p3 = phase3_r1_sinr(sample(*gains), method)
+    r1_p3 = expression_three_hop(*gains, method)[2]
     assert r1_p3 <= b.gamma_r2
     three_way = np.maximum(b.gamma_r1_p1, np.maximum(b.gamma_r2, r1_p3))
     at_three_way = secrecy_rate_from_pair(b.gamma_d, three_way, PRELOG[SchemeKind.THREE_HOP])
