@@ -114,6 +114,19 @@ def test_highsnr_rejects_zero_gain():
         highsnr_sinrs(sample(1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("zero", range(3))
+@pytest.mark.parametrize("shape", [(), (4,)])
+def test_highsnr_sinrs_refuse_a_zero_gain_on_any_link(zero, shape):
+    # One zero gain on any of g, h, f, scalar or in one element of a block,
+    # makes the high-SNR form refuse; the exact form stays finite there.
+    gains = [np.full(shape, 2.0) for _ in range(3)]
+    gains[zero][...] = 0.0
+    with pytest.raises(DegenerateSampleError):
+        highsnr_sinrs(sample(*gains))
+    b = exact_sinrs(sample(*gains))
+    assert all(np.isfinite(v).all() for v in (b.gamma_r1_p1, b.gamma_r2, b.gamma_d))
+
+
 @settings(max_examples=60)
 @given(g=pos_gain, h=pos_gain, f=pos_gain)
 def test_exact_below_highsnr_destination(g, h, f):
@@ -396,6 +409,26 @@ def test_sinr_bundle_matches_expression_forms(method):
     r1_p1, r2, _, gamma_d = expression_three_hop(s.gamma_g, s.gamma_h, s.gamma_f, method)
     for got, want in zip((b.gamma_r1_p1, b.gamma_r2, b.gamma_d), (r1_p1, r2, gamma_d)):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", list(SinrMethod))
+def test_sinr_bundle_matches_expression_forms_on_special_gains(method):
+    # On every (g, h, f) of SPECIAL (positive only for high SNR), one gain
+    # at a time and as one block, bit for bit, writing no input.
+    values = [v for v in SPECIAL if v > 0 or method is SinrMethod.EXACT]
+    grid = list(itertools.product(values, repeat=3))
+    for g, h, f in grid:
+        b = three_hop_sinrs(sample(g, h, f), method)
+        r1_p1, r2, _, gamma_d = expression_three_hop(g, h, f, method)
+        for got, want in zip((b.gamma_r1_p1, b.gamma_r2, b.gamma_d), (r1_p1, r2, gamma_d)):
+            assert np.asarray(got).tobytes() == want.tobytes(), (g, h, f)
+    block = read_only(sample(*(np.array(c) for c in zip(*grid))))
+    before = [np.asarray(v).tobytes() for v in vars(block).values()]
+    b = three_hop_sinrs(block, method)
+    r1_p1, r2, _, gamma_d = expression_three_hop(block.gamma_g, block.gamma_h, block.gamma_f, method)
+    assert [np.asarray(v).tobytes() for v in vars(block).values()] == before
+    for got, want in zip((b.gamma_r1_p1, b.gamma_r2, b.gamma_d), (r1_p1, r2, gamma_d)):
+        assert got.shape == (len(grid),) and got.tobytes() == want.tobytes()
 
 
 exponent = st.floats(min_value=-3.0, max_value=3.0)
