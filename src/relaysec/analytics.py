@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relaysec.errors import DomainError
 from relaysec.model import ChannelStats
 from relaysec.sinr import PRELOG, SchemeKind
 from relaysec.specfun import EULER_GAMMA, bessel_k1
@@ -44,8 +43,6 @@ class AsymptoteParams:
 
 def _ratio_log(a: float, b: float) -> float:
     """a * ln(a/b) / (a - b) with the removable a = b singularity handled."""
-    if a <= 0 or b <= 0:
-        raise DomainError(f"ratio_log requires positive arguments, got {a}, {b}")
     if abs(a - b) < _SINGULARITY_EPS * a:
         return 1.0 + (a - b) / (2.0 * b)
     return a * math.log(a / b) / (a - b)
@@ -90,14 +87,18 @@ def prob_r1_dominates_series(stats: ChannelStats) -> float:
     """First term of the published truncated series for the dominance probability.
 
     8 sqrt(mx) mz^2.5 my / (3 (mz - my sqrt(mx mz) + 2 mz my)^2), evaluated
-    divided through by mz^2 so that the squared denominator cannot
-    underflow, and unclamped (above 1 on TOPOLOGY_1 at 30 dB).  Kept for
-    the validate report only: the printed expression is not invariant
-    under common scaling of the means, unlike the true probability.
+    divided through by (mz s)^2, s = max(1, my), and unclamped (above 1 on
+    TOPOLOGY_1 at 30 dB): the squared denominator cannot underflow, nor a
+    large my overflow both numerator and denominator (inf/inf = nan).  At
+    my <= 1 s changes no bit.  Kept for the validate report only: the
+    printed expression is not invariant under common scaling of the means,
+    unlike the true probability.
     """
     mx, my, mz = stats.bar_f, stats.bar_h, stats.bar_g
-    q = 1.0 - my * math.sqrt(mx / mz) + 2.0 * my
-    return 8.0 * math.sqrt(mx) * math.sqrt(mz) * my / (3.0 * q * q)
+    s = max(1.0, my)
+    u = my / s
+    q = 1.0 / s - u * math.sqrt(mx / mz) + 2.0 * u
+    return 8.0 * math.sqrt(mx) / s * math.sqrt(mz) * u / (3.0 * q * q)
 
 
 def t1_closed(stats: ChannelStats) -> float:
@@ -107,22 +108,14 @@ def t1_closed(stats: ChannelStats) -> float:
 
 def cdf_ratio(z, m_x: float, m_y: float):
     """CDF of Z = X/Y for independent exponentials with means m_x, m_y."""
-    if m_x <= 0 or m_y <= 0:
-        raise DomainError("cdf_ratio requires positive means")
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise DomainError("cdf_ratio requires z >= 0")
     out = m_y * z / (m_y * z + m_x)
     return float(out) if out.ndim == 0 else out
 
 
 def cdf_harmonic(w, m_x: float, m_y: float):
     """CDF of W = XY/(X+Y) for independent exponentials with means m_x, m_y."""
-    if m_x <= 0 or m_y <= 0:
-        raise DomainError("cdf_harmonic requires positive means")
     w = np.asarray(w, dtype=float)
-    if np.any(w < 0):
-        raise DomainError("cdf_harmonic requires w >= 0")
     scalar = w.ndim == 0
     w = np.atleast_1d(w)
     out = np.zeros_like(w)
@@ -142,8 +135,6 @@ def expected_harmonic_mean(m_a: float, m_b: float) -> float:
     evaluated in r = min/max so that no product of the means overflows; for
     |s| < 1/2 the series ab/(a+b) sum_k>=1 2 s^(2k-2) / (4k^2 - 1) (a/3 at a = b).
     """
-    if m_a <= 0 or m_b <= 0:
-        raise DomainError("expected_harmonic_mean requires positive means")
     lo, hi = min(m_a, m_b), max(m_a, m_b)
     r = lo / hi
     s = (1.0 - r) / (1.0 + r)
@@ -196,8 +187,6 @@ def esr_lower_bound(stats: ChannelStats) -> float:
 
 def high_snr_offset(m_g: float, m_h: float, m_f: float) -> AsymptoteParams:
     """High-SNR power offset (in log2-SNR units) from the physical mean powers."""
-    if m_g <= 0 or m_h <= 0 or m_f <= 0:
-        raise DomainError("high_snr_offset requires positive mean powers")
     # ln(3/m_g + 2/m_h + 1/m_f) with the sum divided through by the smallest
     # power, so that subnormal powers cannot overflow it.
     lo = min(m_g, m_h, m_f)
@@ -215,7 +204,5 @@ def high_snr_offset(m_g: float, m_h: float, m_f: float) -> AsymptoteParams:
 
 def esr_asymptote(rho: float, m_g: float, m_h: float, m_f: float) -> float:
     """High-SNR ESR asymptote S_inf (log2(rho) - L_inf), clamped at 0; S_inf is the pre-log 1/3."""
-    if rho <= 0:
-        raise DomainError(f"transmit SNR rho must be > 0, got {rho}")
     l_inf = high_snr_offset(m_g, m_h, m_f).l_infinity
     return max(0.0, PRELOG[SchemeKind.THREE_HOP] * (math.log2(rho) - l_inf))

@@ -147,7 +147,7 @@ LIST_KEYS = ("scheme", "method")
 def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

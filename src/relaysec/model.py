@@ -146,6 +146,8 @@ class ChannelSample:
     and may be scalars or equally shaped numpy arrays.  The field order is
     the draw order.  A link that was not drawn is None, so a scheme that
     reads it raises; a zero-length array would broadcast silently at n = 1.
+    No gain is checked here: sample_channels refuses a drawn gain that
+    overflows, and MeanPass a row whose scaled unit gains would.
     """
 
     gamma_g: np.ndarray | float
@@ -154,13 +156,3 @@ class ChannelSample:
     gamma_sr2: np.ndarray | float | None = None
     gamma_sd: np.ndarray | float | None = None
     gamma_dr1: np.ndarray | float | None = None
-
-    def __post_init__(self) -> None:
-        for name, v in vars(self).items():
-            if v is None:
-                continue
-            v = np.asarray(v)
-            # min and max: two passes and no temporaries; nan fails the
-            # first test, and an empty array has nothing to check.
-            if v.size and not (0.0 <= v.min() and v.max() < math.inf):
-                raise DomainError(f"channel gain {name} must be finite and >= 0")

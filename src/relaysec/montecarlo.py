@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,16 +62,17 @@ class EsrEstimate:
 def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1, links: int = 6, *,
                     out: np.ndarray | None = None,
                     executor: ThreadPoolExecutor | None = None) -> ChannelSample:
-    """Draw n independent fading realizations of the first ``links`` links.
+    """Draw n >= 1 independent fading realizations of the first ``links`` links.
 
     Each link draws ln(1 - U), U = random() in [0, 1), by the explicit
     transform and multiplies it once by minus its mean rho * m: the unit
     exponential -ln(1 - U) times rho * m, bit for bit, as rounding is
     symmetric in sign.  A U of exactly 0 (1 - U = 1) counts as the next
     grid value, 2^-53, so every unit gain lies in [-ln(1 - 2^-53), 53 ln 2]
-    and is > 0.  A gain that underflows stays 0, and one that overflows
-    raises DomainError naming its link.  The draw order over links is fixed
-    (g, h, f, sr2, sd, dr1), and the links not drawn are None.  A gain's
+    and is > 0.  The draw order over links is fixed (g, h, f, sr2, sd, dr1),
+    and the links not drawn are None.  A gain that underflows stays 0, and
+    the first link in draw order with a gain that overflows raises
+    DomainError naming it: the one place a drawn gain is checked.  A gain's
     last bits follow numpy's log, whose SIMD code differs between hosts;
     the printed sweep cells did not move with AVX-512 and AVX2 disabled.
 
@@ -80,8 +81,6 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1, links: i
     prefix gives the same leading links bit for bit, and the links are
     drawn apart: one executor.map task each, or in turn without one.
     """
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
     gains = (np.empty((links, n)) if out is None else out)[:links, :n]
     means = _link_means(stats)
 
@@ -91,8 +90,12 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1, links: i
         np.subtract(1.0, x, out=x)
         np.minimum(x, 1.0 - 2.0**-53, out=x)
         np.log(x, out=x)
-        with np.errstate(over="ignore"):
-            x *= -means[j]
+        try:
+            with np.errstate(over="raise"):
+                x *= -means[j]
+        except FloatingPointError:
+            raise DomainError(f"channel gain {fields(ChannelSample)[j].name} "
+                              "must be finite and >= 0") from None
 
     list((executor.map if executor else map)(fill, range(links)))
     return ChannelSample(*gains)
@@ -129,7 +132,7 @@ class MeanPass:
     A row is (stats, fn, links): fn maps a ChannelSample of the first
     ``links`` links, drawn at the means of ``stats``, to one array,
     elementwise.  The row's estimate is that array's mean and standard error
-    over n realizations.  Rows are given as a dict and read by its keys.
+    over n >= 1 realizations.  Rows are given as a dict and read by its keys.
 
     Each chunk draws unit gains once, sample_channels(UNIT, ...), for the
     most links any row reads, and a row multiplies them by its point's
@@ -146,8 +149,6 @@ class MeanPass:
     """
 
     def __init__(self, rows: dict, n: int, seed: int, workers: int = 1) -> None:
-        if n < 1:
-            raise DomainError(f"sample count must be >= 1, got {n}")
         self.n, self.seed, self.workers = n, seed, workers
         self._rows = rows
         self._results: dict | None = None
@@ -190,26 +191,23 @@ def _row_moments(row, unit: ChannelSample, highs: list[float]):
     A link whose largest unit gain (highs) times the row's m is infinite, or
     a RelaysecError of fn, fails the row.  Each BLOCK_SIZE block of every
     link the row reads is scaled into that link's row of its own buffer,
-    and fn reads it through a ChannelSample of the buffer, checked once per
-    block length.  fn's values fill a values block, summed, then squared in
-    place and summed.  A sum or square that overflows, or a sum of inf and
-    -inf, is left non-finite, for _reduce_chunks to refuse.
+    and fn reads it through a ChannelSample of the buffer.  fn's values fill
+    a values block, summed, then squared in place and summed.  A sum or
+    square that overflows, or a sum of inf and -inf, is left non-finite,
+    for _reduce_chunks to refuse.
     """
     stats, fn, read = row
     names, gains = zip(*list(vars(unit).items())[:read])
     scale = _link_means(stats)[:read]
     width = gains[0].size
     buf, values = np.empty((read, min(width, BLOCK_SIZE))), np.empty(min(width, BLOCK_SIZE))
-    views: dict[int, ChannelSample] = {}
 
     def block(start: int) -> tuple[float, float]:
         size = min(BLOCK_SIZE, width - start)
         for u, m, b in zip(gains, scale, buf):
             np.multiply(u[start:start + size], m, out=b[:size])
-        if size not in views:
-            views[size] = ChannelSample(*buf[:, :size])
         v = values[:size]
-        v[...] = fn(views[size])
+        v[...] = fn(ChannelSample(*buf[:, :size]))
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.sum(v)), float(np.sum(np.multiply(v, v, out=v)))
 
@@ -231,7 +229,7 @@ def esr_rows(keys) -> dict:
 
 def estimate_esr(mean_pass: MeanPass, stats: ChannelStats, scheme: SchemeKind,
                  method: SinrMethod) -> EsrEstimate:
-    """The pass's ESR row; a (scheme, method) pair sinr.has_method refuses raises DomainError."""
+    """The pass's ESR row, one of esr_rows' (stats, scheme, method) keys."""
     return EsrEstimate(*mean_pass.mean((stats, scheme, method)), mean_pass.n)
 
 
@@ -248,8 +246,6 @@ def empirical_cdf_ks(samples, cdf) -> float:
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
-    if n == 0:
-        raise DomainError("empirical_cdf_ks requires a non-empty sample")
     f = np.asarray(cdf(x), dtype=float)
     grid = np.arange(1, n + 1) / n
     d_plus = np.max(grid - f)

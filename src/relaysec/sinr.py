@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relaysec.errors import DegenerateSampleError, DomainError
+from relaysec.errors import DegenerateSampleError
 from relaysec.model import ChannelSample
 
 
@@ -171,14 +171,13 @@ def has_method(scheme: SchemeKind, method: str) -> bool:
 
 def secrecy_rate(s: ChannelSample, scheme: SchemeKind, method: SinrMethod,
                  combining: str = "selection"):
-    """Instantaneous secrecy rate of any (scheme, method), bits/s/Hz.
+    """Instantaneous secrecy rate of a (scheme, method) that has_method allows, bits/s/Hz.
 
+    A baseline has only exact SINRs, so it does not read ``method``.
     ``combining`` is the two-hop idle eavesdropper's rule (baseline_sinrs).
     Every operation is elementwise, so any block of a sample gives the same
     values as the whole sample.
     """
-    if not has_method(scheme, method.value):
-        raise DomainError(f"{scheme.value} supports only the exact SINR method")
     if scheme is SchemeKind.THREE_HOP:
         return instantaneous_secrecy_rate(three_hop_sinrs(s, method))
     return secrecy_rate_from_pair(*baseline_sinrs(s, scheme, combining), PRELOG[scheme])
@@ -194,11 +193,6 @@ def baseline_sinrs(s: ChannelSample, kind: SchemeKind, combining: str = "selecti
     (sensitivity variant reported by validate).  Direct: single phase, no
     jammer, both relays are pure eavesdroppers.
     """
-    if kind is SchemeKind.THREE_HOP:
-        raise DomainError("baseline_sinrs handles baseline schemes only; use exact_sinrs")
-    if combining not in ("selection", "sum"):
-        raise DomainError(f"unknown combining rule {combining!r}")
-
     # By reciprocity g, h and f are also the links R1-S, R2-R1 and D-R2.
     if kind is SchemeKind.DIRECT:
         return s.gamma_sd, np.maximum(s.gamma_g, s.gamma_sr2)

@@ -25,7 +25,6 @@ from relaysec.analytics import (
     t2_printed,
 )
 from relaysec.cli import SweepSpec, cmd_asymptote
-from relaysec.errors import DomainError
 from relaysec.model import (
     TOPOLOGY_1,
     ChannelStats,
@@ -387,16 +386,3 @@ def test_asymptote_root_and_slope():
     # 10 dB is log2(10) ~ 3.3219 in log2-SNR; slope 1/3
     assert r60 - r50 == pytest.approx(math.log2(10.0) / 3.0, rel=1e-9)
     assert esr_asymptote(1e-6, s.m_g, s.m_h, s.m_f) == 0.0
-
-
-def test_domain_errors():
-    with pytest.raises(DomainError):
-        high_snr_offset(0.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        esr_asymptote(0.0, 1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        cdf_ratio(-1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        cdf_harmonic(1.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        expected_harmonic_mean(-1.0, 1.0)

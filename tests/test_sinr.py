@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relaysec.errors import DegenerateSampleError, DomainError
+from relaysec.errors import DegenerateSampleError
 from relaysec.model import ChannelSample, ChannelStats
 from relaysec.montecarlo import (BLOCK_SIZE, CHUNK_SIZE, MeanPass, RngStream, _reduce_chunks,
                                  sample_channels)
@@ -262,14 +262,6 @@ def test_direct_baseline():
     gamma_d, gamma_leak = baseline_sinrs(s, SchemeKind.DIRECT)
     assert gamma_d == 2.5
     assert gamma_leak == 0.9
-
-
-def test_baseline_rejects_three_hop_and_bad_combining():
-    s = ChannelSample(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        baseline_sinrs(s, SchemeKind.THREE_HOP)
-    with pytest.raises(DomainError):
-        baseline_sinrs(s, SchemeKind.DIRECT, combining="mrc")
 
 
 #: Mean SNRs of all six links that give a positive secrecy rate in a good

@@ -37,3 +37,32 @@ def test_every_top_level_name_is_read_by_program_code():
               if not (name.startswith("__") and name.endswith("__"))
               and not any(name in r for j, r in enumerate(reads) if j != i)]
     assert unread == [], f"top-level names that no program code reads: {unread}"
+
+
+def imported_names(tree):
+    """(name, line) of every name an import binds; __future__ imports bind none."""
+    return [((a.asname or a.name).split(".")[0], n.lineno) for n in ast.walk(tree)
+            if isinstance(n, ast.Import)
+            or isinstance(n, ast.ImportFrom) and n.module != "__future__"
+            for a in n.names]
+
+
+def unused_imports(source):
+    """'name (line)' of each imported name that the module never reads."""
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in imported_names(tree) if name not in read]
+
+
+def test_unused_import_check_finds_an_unused_name():
+    assert unused_imports("import os\nfrom math import pi as p, tau\nprint(tau)\n") == [
+        "os (line 1)", "p (line 2)"]
+    assert unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == []
+
+
+def test_every_import_is_read():
+    # Each name a module of src/relaysec imports must be read in it, as a
+    # bare name or the base of an attribute; annotations count.
+    unused = {path.stem: found for path in sorted(SRC.glob("*.py"))
+              if (found := unused_imports(path.read_text(encoding="utf-8")))}
+    assert unused == {}, f"imported names that no code of their module reads: {unused}"
