@@ -24,7 +24,8 @@ from relaysec.analytics import (
     t2,
     t2_printed,
 )
-from relaysec.cli import SweepSpec, cmd_asymptote
+from relaysec.cli import EXIT_NUMERIC, SweepSpec, cmd_asymptote, cmd_sweep
+from relaysec.errors import DomainError
 from relaysec.model import (
     TOPOLOGY_1,
     ChannelStats,
@@ -386,3 +387,25 @@ def test_asymptote_root_and_slope():
     # 10 dB is log2(10) ~ 3.3219 in log2-SNR; slope 1/3
     assert r60 - r50 == pytest.approx(math.log2(10.0) / 3.0, rel=1e-9)
     assert esr_asymptote(1e-6, s.m_g, s.m_h, s.m_f) == 0.0
+
+
+def test_domain_errors(capsys):
+    # the closed forms take rho and every mean finite and > 0 on trust:
+    # ChannelStats refuses any other mean, and an SNR whose linear value
+    # rounds to 0 gives each closed-form row a failure, exit 3, instead of
+    # evaluating the closed form at rho = 0
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ChannelStats(1.0, 1.0, 1.0, bad, 1.0, 1.0, rho=1.0)
+        with pytest.raises(DomainError):
+            ChannelStats(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, rho=bad)
+    spec = SweepSpec(snr_start_db=-4000.0, snr_stop_db=-4000.0,
+                     methods=["closed-form-lb", "asymptote"])
+    buf = io.StringIO()
+    assert cmd_sweep(spec, buf) == EXIT_NUMERIC
+    assert buf.getvalue().strip().split("\n")[1:] == [
+        "-4000,three-hop,closed-form-lb,nan,nan,0,1", "-4000,three-hop,asymptote,nan,nan,0,1"]
+    buf = io.StringIO()
+    assert cmd_asymptote(spec, buf) == EXIT_NUMERIC
+    assert buf.getvalue().strip().split("\n")[-1] == "esr_asymptote,-4000,nan"
+    assert capsys.readouterr().err.count("-4000.0 dB underflows float64") == 3

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import io
 import math
 import operator
 import sys
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from relaysec.analytics import cdf_harmonic, cdf_ratio, esr_lower_bound
 from relaysec.errors import DegenerateSampleError, DomainError, NumericError, RelaysecError
 from relaysec.model import TOPOLOGY_1, ChannelStats, db_to_linear, topology_to_stats
+from relaysec import cli
 import relaysec.montecarlo as montecarlo
 from relaysec.montecarlo import (
     BLOCK_SIZE,
@@ -222,6 +224,34 @@ def test_lower_bound_below_estimate(stats_40db):
     assert esr_lower_bound(stats_40db) <= est.mean + 3.0 * est.std_error
 
 
+def test_baselines_reject_highsnr_method(monkeypatch):
+    # only the sweep's pair filter keeps a baseline off the high-SNR SINRs:
+    # a sweep of three-hop and direct under both Monte Carlo methods builds
+    # and prints no direct mc-highsnr row, and a sweep of baselines alone
+    # under mc-highsnr is refused before any pass
+    built = []
+    def spy(keys):
+        keys = list(keys)
+        built.extend((scheme, method) for _, scheme, method in keys)
+        return esr_rows(keys)
+    monkeypatch.setattr(cli, "esr_rows", spy)
+    spec = cli.SweepSpec(snr_start_db=20.0, snr_stop_db=20.0,
+                         schemes=[SchemeKind.THREE_HOP, SchemeKind.DIRECT],
+                         methods=["mc-exact", "mc-highsnr"], n_samples=1000)
+    buf = io.StringIO()
+    assert cli.cmd_sweep(spec, buf) == cli.EXIT_OK
+    assert len(built) == 3
+    assert set(built) == {(SchemeKind.THREE_HOP, SinrMethod.EXACT),
+                          (SchemeKind.THREE_HOP, SinrMethod.HIGH_SNR),
+                          (SchemeKind.DIRECT, SinrMethod.EXACT)}
+    printed = {tuple(r.split(",")[1:3]) for r in buf.getvalue().strip().split("\n")[1:]}
+    assert printed == {("three-hop", "mc-exact"), ("three-hop", "mc-highsnr"),
+                       ("direct", "mc-exact")}
+    with pytest.raises(cli.UsageError, match="a baseline scheme has only mc-exact"):
+        cli.SweepSpec(schemes=[SchemeKind.DIRECT, SchemeKind.TWO_HOP_CASE_I],
+                      methods=["mc-highsnr"])
+
+
 def test_three_hop_beats_baselines_at_20db():
     stats = topology_to_stats(TOPOLOGY_1, db_to_linear(20.0))
     three = esr_alone(stats, SchemeKind.THREE_HOP, SinrMethod.EXACT, 400_000, seed=12)
@@ -242,6 +272,21 @@ def test_event_probability_matches_cdf(stats_30db):
     p, se = event_alone(stats_30db, lambda b: b.gamma_r1_p1 <= 1.0, 500_000, seed=13)
     expected = cdf_ratio(1.0, stats_30db.bar_g, stats_30db.bar_h)
     assert p == pytest.approx(expected, abs=max(4.0 * se, 1e-3))
+
+
+def test_invalid_sample_counts(capsys, tmp_path):
+    # a pass only ever gets n >= 1: SweepSpec refuses a smaller count from a
+    # flag or a config file alike, and the command exits 2 naming it
+    for n in (0, -1):
+        with pytest.raises(cli.UsageError, match=f"sample count must be >= 1, got {n}"):
+            cli.SweepSpec(n_samples=n)
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("samples = 0\n", encoding="utf-8")
+    for argv in (["sweep", "--samples", "0"], ["sweep", "--config", str(cfg)]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "relaysec: error: sample count must be >= 1, got 0\n"
 
 
 #: Every (scheme, method) pair that exists.
