@@ -42,10 +42,17 @@ class AsymptoteParams:
 
 
 def _ratio_log(a: float, b: float) -> float:
-    """a * ln(a/b) / (a - b) with the removable a = b singularity handled."""
+    """a * ln(a/b) / (a - b) with the removable a = b singularity handled.
+
+    Finite wherever the true value is: ln a - ln b where a/b leaves the
+    float range, and a/(a - b) formed first where a * ln(a/b) overflows.
+    """
     if abs(a - b) < _SINGULARITY_EPS * a:
         return 1.0 + (a - b) / (2.0 * b)
-    return a * math.log(a / b) / (a - b)
+    r = a / b
+    ln_r = math.log(r) if 0.0 < r < math.inf else math.log(a) - math.log(b)
+    value = a * ln_r / (a - b)
+    return value if math.isfinite(value) else a / (a - b) * ln_r
 
 
 def legit_rate_lower_bound(stats: ChannelStats) -> float:

@@ -4,7 +4,8 @@ Output is CSV with a fixed column order and 9-significant-digit floats, so
 identical configuration and seed give byte-identical files regardless of
 worker count.
 
-Exit codes: 0 success, 2 usage error, 3 numeric failure.
+Exit codes: 0 success, 2 an error while flags and config are read, 3 an
+error while computing.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ MC_METHODS = {m.value: m for m in SinrMethod}
 ALL_METHODS = tuple(MC_METHODS) + ("closed-form-lb", "asymptote")
 
 SCHEME_BY_NAME = {k.value: k for k in SchemeKind}
-
-
-class UsageError(RelaysecError):
-    """Bad flags or config file content."""
 
 
 #: Failures of a computation on valid input: reported as exit 3, and in a
@@ -97,29 +94,29 @@ class SweepSpec:
     def __post_init__(self) -> None:
         snr = (self.snr_start_db, self.snr_stop_db, self.snr_step_db)
         if not all(map(math.isfinite, snr)):
-            raise UsageError(f"SNR start, stop and step must be finite, got {snr}")
+            raise RelaysecError(f"SNR start, stop and step must be finite, got {snr}")
         if self.snr_step_db <= 0:
-            raise UsageError(f"SNR step must be > 0 dB, got {self.snr_step_db}")
+            raise RelaysecError(f"SNR step must be > 0 dB, got {self.snr_step_db}")
         if self.snr_start_db > self.snr_stop_db:
-            raise UsageError("SNR start must not exceed SNR stop")
+            raise RelaysecError("SNR start must not exceed SNR stop")
         if (self.snr_stop_db - self.snr_start_db) / self.snr_step_db >= MAX_SNR_POINTS:
-            raise UsageError(f"SNR range has more than {MAX_SNR_POINTS} points")
+            raise RelaysecError(f"SNR range has more than {MAX_SNR_POINTS} points")
         if self.n_samples < 1:
-            raise UsageError(f"sample count must be >= 1, got {self.n_samples}")
+            raise RelaysecError(f"sample count must be >= 1, got {self.n_samples}")
         if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
+            raise RelaysecError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.workers <= MAX_WORKERS:
-            raise UsageError(f"worker count must be 1 to {MAX_WORKERS}, got {self.workers}")
+            raise RelaysecError(f"worker count must be 1 to {MAX_WORKERS}, got {self.workers}")
         if not self.schemes or not self.methods:
-            raise UsageError("at least one scheme and one method are needed")
+            raise RelaysecError("at least one scheme and one method are needed")
         for m in self.methods:
             if m not in ALL_METHODS:
-                raise UsageError(f"unknown method {m!r}; choose from {ALL_METHODS}")
+                raise RelaysecError(f"unknown method {m!r}; choose from {ALL_METHODS}")
         if not any(has_method(k, m) for k in self.schemes for m in self.methods):
-            raise UsageError("no scheme given has a method given; a baseline scheme has only mc-exact")
+            raise RelaysecError("no scheme given has a method given; a baseline scheme has only mc-exact")
         for key, items in (("scheme", [k.value for k in self.schemes]), ("method", self.methods)):
             if len(set(items)) < len(items):
-                raise UsageError(f"a {key} is given more than once: {', '.join(items)}")
+                raise RelaysecError(f"a {key} is given more than once: {', '.join(items)}")
 
     def snr_points_db(self) -> list[float]:
         count = int(math.floor((self.snr_stop_db - self.snr_start_db) / self.snr_step_db + 1e-9)) + 1
@@ -153,11 +150,11 @@ def parse_config_file(path: str) -> dict[str, str]:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+                    raise RelaysecError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
                 key, _, val = line.partition("=")
                 values[key.strip()] = val.strip()
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+        raise RelaysecError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
@@ -189,7 +186,7 @@ def _convert(key: str, value: str | list[str]) -> dict:
             return dict(zip(names, map(kind, parts)))
     except (KeyError, ValueError):
         pass
-    raise UsageError(f"bad {key} {value!r}; expected {help_text}")
+    raise RelaysecError(f"bad {key} {value!r}; expected {help_text}")
 
 
 def build_spec(args: argparse.Namespace) -> SweepSpec:
@@ -202,8 +199,8 @@ def build_spec(args: argparse.Namespace) -> SweepSpec:
     values: dict = parse_config_file(args.config) if args.config else {}
     unread = [k for k in values if k not in keys]
     if unread:
-        raise UsageError(f"{args.config}: {args.command} reads no key {unread[0]!r}; "
-                         f"its keys are {', '.join(keys)}")
+        raise RelaysecError(f"{args.config}: {args.command} reads no key {unread[0]!r}; "
+                            f"its keys are {', '.join(keys)}")
     values.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
     kw: dict = {}
     for key, value in values.items():
@@ -298,7 +295,7 @@ class CheckRow:
     oracle: float
     tolerance: float
     note: str = ""
-    failed: bool = False  # a side met a numeric failure; its value is nan
+    failed: bool = False  # a side raised (its value is nan) or is not finite
 
     @property
     def abs_dev(self) -> float:
@@ -322,10 +319,11 @@ class CheckRow:
 def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     """The closed-form vs oracle check list that ``validate`` prints.
 
-    A row's closed form and oracle are computed apart: a side that meets a
-    numeric failure reads nan, the other keeps its value, and the row's
-    verdict is FAIL; the other rows are still computed.  Every Monte Carlo
-    mean is a row of one pass.
+    A row's closed form and oracle are computed apart.  A side that raises
+    (it reads nan) or whose value is not finite is a numeric failure named
+    on stderr, the other side keeps its value, and the row's verdict is
+    FAIL; the other rows are still computed.  Every Monte Carlo mean is a
+    row of one pass.
     """
     rows: list[CheckRow] = []
     n_mc = 10**5 if quick else 10**6
@@ -338,6 +336,8 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
             try:
                 value = compute()
                 sides[i] = value if isinstance(value, tuple) else (value, "")
+                if not math.isfinite(sides[i][0]):
+                    raise RelaysecError(f"{('closed form', 'oracle')[i]} is {sides[i][0]}")
             except NUMERIC_FAILURES as exc:
                 failures.append(exc)
         if failures:
@@ -410,13 +410,17 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
         # E{XY/(X+Y)} with means 1.3 and 0.7: the g and h gains rescaled
         return harmonic_mean(1.3 * (t.gamma_g / p30.bar_g), 0.7 * (t.gamma_h / p30.bar_h))
 
+    def t1(t):
+        with np.errstate(over="ignore"):  # an infinite ratio gives an infinite mean, which fails
+            return np.log1p(t.gamma_g / t.gamma_h)
+
     combinings = ("selection", "sum")
     links = ("gamma_h", "bar_h"), ("gamma_f", "bar_f")
     hops = LINKS[SchemeKind.THREE_HOP]  # g, h and f: all the T-term, KS and link-mean draws read
     rows_of_pass: dict = {}
     if isinstance(p30, ChannelStats):
         t_terms = {"P": lambda t: dominates(highsnr_sinrs(t)),
-                   "T1": lambda t: np.log1p(t.gamma_g / t.gamma_h), "XY/(X+Y)": harmonic,
+                   "T1": t1, "XY/(X+Y)": harmonic,
                    "T2": lambda t: np.log1p(highsnr_sinrs(t).gamma_r2)}
         rows_of_pass.update({(p30, term): (p30, fn, hops) for term, fn in t_terms.items()})
         rows_of_pass.update(esr_rows([(p30, SchemeKind.THREE_HOP, SinrMethod.EXACT)]))
@@ -491,7 +495,9 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
 
     def ks(stat, cdf):
         x, y, st = ks_sample().gamma_g, ks_sample().gamma_h, at(p30)
-        return empirical_cdf_ks(stat(x, y), lambda z: cdf(z, st.bar_g, st.bar_h))
+        # a ratio past the float range gives a nan distance, which fails the row
+        with np.errstate(over="ignore", invalid="ignore"):
+            return empirical_cdf_ks(stat(x, y), lambda z: cdf(z, st.bar_g, st.bar_h))
 
     check("KS distance, ratio CDF", True, lambda: ks(lambda x, y: x / y, analytics.cdf_ratio),
           lambda: (0.0, ks_tol))

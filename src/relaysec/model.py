@@ -12,18 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relaysec.errors import DomainError, InvalidTopologyError
+from relaysec.errors import RelaysecError
 
 
 def db_to_linear(db: float) -> float:
-    """Convert a dB power ratio to linear scale; DomainError if that overflows
+    """Convert a dB power ratio to linear scale; RelaysecError if that overflows
     float64 or underflows to 0."""
     try:
         linear = 10.0 ** (db / 10.0)
     except OverflowError:
-        raise DomainError(f"{db} dB overflows float64 as a linear power ratio") from None
+        raise RelaysecError(f"{db} dB overflows float64 as a linear power ratio") from None
     if linear == 0.0:
-        raise DomainError(f"{db} dB underflows float64 as a linear power ratio")
+        raise RelaysecError(f"{db} dB underflows float64 as a linear power ratio")
     return linear
 
 
@@ -31,23 +31,21 @@ def mean_power(pos_a: float, pos_b: float, n: float) -> float:
     """Mean channel power of the link between two node positions.
 
     Distance-power law d^(-n); symmetric in its position arguments
-    (TDD reciprocity).  Raises InvalidTopologyError unless the power is
+    (TDD reciprocity).  Raises RelaysecError unless the power is
     finite and > 0 in float64: coincident or near-coincident nodes overflow,
     very distant ones underflow to 0.
     """
     if n <= 0:
-        raise InvalidTopologyError(f"path-loss exponent must be > 0, got {n}")
+        raise RelaysecError(f"path-loss exponent must be > 0, got {n}")
     d = abs(pos_a - pos_b)
     if d == 0:
-        raise InvalidTopologyError(
-            f"coincident node positions ({pos_a}) give infinite mean power"
-        )
+        raise RelaysecError(f"coincident node positions ({pos_a}) give infinite mean power")
     try:
         m = d ** (-n)
     except OverflowError:
         m = math.inf
     if not 0.0 < m < math.inf:
-        raise InvalidTopologyError(
+        raise RelaysecError(
             f"distance {d} with path-loss exponent {n} gives mean power {m}, "
             "outside the finite positive float range"
         )
@@ -76,8 +74,8 @@ class Topology:
             for j in range(i + 1, 4):
                 try:
                     mean_power(pos[i], pos[j], self.n)
-                except InvalidTopologyError as exc:
-                    raise InvalidTopologyError(f"nodes {names[i]} and {names[j]}: {exc}") from None
+                except RelaysecError as exc:
+                    raise RelaysecError(f"nodes {names[i]} and {names[j]}: {exc}") from None
 
 
 #: The reference layout, the CLI's default.
@@ -91,7 +89,7 @@ class ChannelStats:
     m_g, m_h, m_f are the three hops S-R1, R1-R2, R2-D.  The remaining
     fields are the auxiliary links needed by the two-hop and direct
     baselines.  Every mean received SNR rho * m must be finite and > 0 in
-    float64, which also makes every mean power m finite and > 0.
+    float64; as mean_power's powers are finite and > 0, so then is rho.
     """
 
     m_g: float
@@ -103,13 +101,11 @@ class ChannelStats:
     rho: float
 
     def __post_init__(self) -> None:
-        if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise DomainError(f"transmit SNR rho must be finite and > 0, got {self.rho}")
         for name in ("m_g", "m_h", "m_f", "m_sr2", "m_sd", "m_dr1"):
             v = getattr(self, name)
             if not 0.0 < self.rho * v < math.inf:
-                raise DomainError(f"mean received SNR rho * {name} = {self.rho} * {v} "
-                                  "must be finite and > 0")
+                raise RelaysecError(f"mean received SNR rho * {name} = {self.rho} * {v} "
+                                    "must be finite and > 0")
 
     # Average received SNRs (exponential means of the fading gains).
     @property

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from relaysec.errors import DomainError, NumericError, RelaysecError
+from relaysec.errors import RelaysecError
 from relaysec.model import ChannelSample, ChannelStats
 from relaysec.sinr import LINKS, SchemeKind, SinrMethod, secrecy_rate
 
@@ -72,7 +72,7 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1, links: i
     and is > 0.  The draw order over links is fixed (g, h, f, sr2, sd, dr1),
     and the links not drawn are None.  A gain that underflows stays 0, and
     the first link in draw order with a gain that overflows raises
-    DomainError naming it: the one place a drawn gain is checked.  A gain's
+    RelaysecError naming it: the one place a drawn gain is checked.  A gain's
     last bits follow numpy's log, whose SIMD code differs between hosts;
     the printed sweep cells did not move with AVX-512 and AVX2 disabled.
 
@@ -94,8 +94,8 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1, links: i
             with np.errstate(over="raise"):
                 x *= -means[j]
         except FloatingPointError:
-            raise DomainError(f"channel gain {fields(ChannelSample)[j].name} "
-                              "must be finite and >= 0") from None
+            raise RelaysecError(f"channel gain {fields(ChannelSample)[j].name} "
+                                "must be finite and >= 0") from None
 
     list((executor.map if executor else map)(fill, range(links)))
     return ChannelSample(*gains)
@@ -114,15 +114,15 @@ def _reduce_chunks(partials: list[tuple[float, float]], n: int) -> tuple[float, 
         total = math.fsum(p[0] for p in partials)
         total_sq = math.fsum(p[1] for p in partials)
     except (OverflowError, ValueError):  # finite sums past the float64 maximum, or inf - inf
-        raise NumericError(f"Monte Carlo sum over {n} samples is not finite") from None
+        raise RelaysecError(f"Monte Carlo sum over {n} samples is not finite") from None
     mean = total / n
     if not math.isfinite(mean):
-        raise NumericError(f"Monte Carlo mean over {n} samples is {mean}")
+        raise RelaysecError(f"Monte Carlo mean over {n} samples is {mean}")
     if n < 2:
         return mean, 0.0
     var = (total_sq - n * mean * mean) / (n - 1)
     if not math.isfinite(var):  # squares past about 1.3e154 overflow
-        raise NumericError(f"Monte Carlo variance over {n} samples is {var}")
+        raise RelaysecError(f"Monte Carlo variance over {n} samples is {var}")
     return mean, math.sqrt(max(0.0, var) / n)
 
 
@@ -214,7 +214,7 @@ def _row_moments(row, unit: ChannelSample, highs: list[float]):
     try:
         for name, hi, m in zip(names, highs, scale):
             if hi * m == math.inf:
-                raise DomainError(f"channel gain {name} must be finite and >= 0")
+                raise RelaysecError(f"channel gain {name} must be finite and >= 0")
         return [block(start) for start in range(0, width, BLOCK_SIZE)]
     except RelaysecError as exc:  # kept without its frames, which hold the pass's buffers
         return exc.with_traceback(None)
@@ -240,17 +240,12 @@ def estimate_event_probability(mean_pass: MeanPass, key) -> tuple[float, float]:
 
 
 def empirical_cdf_ks(samples, cdf) -> float:
-    """Kolmogorov-Smirnov sup-distance between sample data and a CDF.
-
-    A distance that is not finite (a nan from the CDF) raises NumericError.
-    """
+    """Kolmogorov-Smirnov sup-distance between sample data and a CDF; a nan
+    from the CDF gives a nan distance."""
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     f = np.asarray(cdf(x), dtype=float)
     grid = np.arange(1, n + 1) / n
     d_plus = np.max(grid - f)
     d_minus = np.max(f - (grid - 1.0 / n))
-    d = float(max(d_plus, d_minus))
-    if not math.isfinite(d):
-        raise NumericError(f"KS distance over {n} samples is {d}")
-    return d
+    return float(max(d_plus, d_minus))

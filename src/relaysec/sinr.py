@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relaysec.errors import DegenerateSampleError
+from relaysec.errors import RelaysecError
 from relaysec.model import ChannelSample
 
 
@@ -127,7 +127,7 @@ def highsnr_sinrs(s: ChannelSample) -> SinrBundle:
     """
     g, h, f = s.gamma_g, s.gamma_h, s.gamma_f
     if np.any(np.asarray(g) == 0) or np.any(np.asarray(h) == 0) or np.any(np.asarray(f) == 0):
-        raise DegenerateSampleError("high-SNR SINRs need strictly positive gains")
+        raise RelaysecError("high-SNR SINRs need strictly positive gains")
     ig, r1_p1, r2, d, tmp = _workspace(5, g, h, f)
     with np.errstate(divide="ignore", over="ignore"):
         np.divide(1.0, g, out=ig)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from relaysec.errors import DomainError
+from relaysec.errors import RelaysecError
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -97,7 +97,7 @@ def bessel_k1(x):
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
-        raise DomainError("bessel_k1 requires x > 0")
+        raise RelaysecError("bessel_k1 requires x > 0")
     xs = np.atleast_1d(arr)
     out = np.empty_like(xs)
     low = xs <= _K1_SPLIT

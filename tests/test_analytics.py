@@ -25,7 +25,7 @@ from relaysec.analytics import (
     t2_printed,
 )
 from relaysec.cli import EXIT_NUMERIC, SweepSpec, cmd_asymptote, cmd_sweep
-from relaysec.errors import DomainError
+from relaysec.errors import RelaysecError
 from relaysec.model import (
     TOPOLOGY_1,
     ChannelStats,
@@ -215,6 +215,31 @@ def test_t1_scale_invariant():
     assert a == pytest.approx(b, rel=1e-12)
 
 
+@pytest.mark.parametrize("bar_g, bar_h", [
+    (1.0715086071862673e304, 8.104774656527567e-174),  # a/b overflows: validate 0,0.5,2,1 at n = 1000
+    (1.2589254117942255e308, 1000.0),  # a ln(a/b) overflows: validate 0,1e-113,1,2
+    (1e-297, 1.0000000023646861e303),  # a/b underflows to 0, whose log raised
+])
+def test_t1_finite_past_the_float_range_of_its_steps(bar_g, bar_h):
+    # the true T1 is finite at these means, though a/b or a ln(a/b) is not;
+    # 40-digit mpmath gives 1098.61229, 702.518712 and 1.4e-597 (0 in float64)
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(bar_g), mpmath.mpf(bar_h)
+        expected = float(a * mpmath.log(a / b) / (a - b))
+    assert t1_closed(stats_with(bar_g, bar_h, 1.0)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@given(a=st.floats(1e-300, 1e300), b=st.floats(1e-300, 1e300))
+def test_t1_keeps_the_direct_formula_wherever_it_is_finite(a, b):
+    # a ln(a/b) / (a - b), as validate and the bound read it, bit for bit
+    # outside the singular band, wherever each step stays in range
+    if abs(a - b) < 1e-6 * a or not 0.0 < a / b < math.inf:
+        return
+    direct = a * math.log(a / b) / (a - b)
+    if math.isfinite(direct):
+        assert t1_closed(stats_with(a, b, 1.0)) == direct
+
+
 def test_cdf_ratio_values():
     assert cdf_ratio(0.0, 1.0, 1.0) == 0.0
     assert cdf_ratio(1.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
@@ -391,13 +416,13 @@ def test_asymptote_root_and_slope():
 
 def test_domain_errors(capsys):
     # the closed forms take rho and every mean finite and > 0 on trust:
-    # ChannelStats refuses any other mean, and an SNR whose linear value
-    # rounds to 0 gives each closed-form row a failure, exit 3, instead of
-    # evaluating the closed form at rho = 0
+    # ChannelStats' rho * m check refuses any other, and an SNR whose linear
+    # value rounds to 0 gives each closed-form row a failure, exit 3, instead
+    # of evaluating the closed form at rho = 0
     for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(DomainError):
+        with pytest.raises(RelaysecError, match=rf"^mean received SNR rho \* m_sr2 = 1.0 \* {bad} must"):
             ChannelStats(1.0, 1.0, 1.0, bad, 1.0, 1.0, rho=1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(RelaysecError, match=rf"^mean received SNR rho \* m_g = {bad} \* 1.0 must"):
             ChannelStats(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, rho=bad)
     spec = SweepSpec(snr_start_db=-4000.0, snr_stop_db=-4000.0,
                      methods=["closed-form-lb", "asymptote"])

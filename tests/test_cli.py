@@ -26,7 +26,6 @@ from relaysec.cli import (
     MAX_WORKERS,
     SWEEP_HEADER,
     SweepSpec,
-    UsageError,
     cmd_asymptote,
     cmd_sweep,
     fmt,
@@ -35,7 +34,7 @@ from relaysec.cli import (
     parse_config_file,
 )
 from relaysec import analytics, cli
-from relaysec.errors import NumericError
+from relaysec.errors import RelaysecError
 from relaysec import montecarlo
 from relaysec.montecarlo import MeanPass, esr_rows, estimate_esr, estimate_event_probability
 from relaysec.sinr import SchemeKind, SinrMethod
@@ -104,7 +103,7 @@ def test_scheme_method_pairs(scheme, method, stats_30db):
         assert status == EXIT_OK
         assert len(text.strip().split("\n")) == 2
     else:
-        with pytest.raises(UsageError, match="no scheme given has a method given"):
+        with pytest.raises(RelaysecError, match="no scheme given has a method given"):
             sweep()
     if method.startswith("mc-") and exists:
         key = (stats_30db, scheme, SinrMethod(method))
@@ -112,16 +111,16 @@ def test_scheme_method_pairs(scheme, method, stats_30db):
 
 
 def test_spec_validation_errors():
-    with pytest.raises(UsageError):
+    with pytest.raises(RelaysecError, match="SNR step must be > 0 dB, got 0.0"):
         SweepSpec(snr_step_db=0.0)
-    with pytest.raises(UsageError):
+    with pytest.raises(RelaysecError, match="SNR start must not exceed SNR stop"):
         SweepSpec(snr_start_db=10.0, snr_stop_db=0.0)
-    with pytest.raises(UsageError):
+    with pytest.raises(RelaysecError, match="unknown method 'not-a-method'"):
         SweepSpec(methods=["not-a-method"])
-    with pytest.raises(UsageError):
+    with pytest.raises(RelaysecError, match=f"worker count must be 1 to {MAX_WORKERS}, got 0"):
         SweepSpec(workers=0)
     # refused before any pass, so no thread starts
-    with pytest.raises(UsageError, match=f"1 to {MAX_WORKERS}"):
+    with pytest.raises(RelaysecError, match=f"1 to {MAX_WORKERS}"):
         SweepSpec(workers=MAX_WORKERS + 1)
 
 
@@ -150,7 +149,7 @@ def test_config_file_parsing(tmp_path):
 def test_config_file_bad_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a key value pair\n")
-    with pytest.raises(UsageError):
+    with pytest.raises(RelaysecError, match="bad.cfg:1: expected 'key = value'"):
         parse_config_file(str(cfg))
 
 
@@ -239,7 +238,7 @@ def test_snr_outside_float_range_gives_nan_rows(argv, cause, tmp_path, capsys):
 
 def test_draw_overflow_gives_nan_row_without_warning(tmp_path, capsys):
     # rho * m_g is about 1e308, so -m ln(U) overflows to an infinite gain,
-    # which ChannelSample refuses
+    # which MeanPass refuses
     out = tmp_path / "o.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -530,12 +529,59 @@ def test_validate_non_finite_ks_is_a_numeric_failure(monkeypatch, capsys):
     monkeypatch.setattr(analytics, "cdf_harmonic", lambda w, m_x, m_y: np.full(np.shape(w), np.nan))
     assert main(["validate", "--quick"]) == EXIT_NUMERIC
     out, err = capsys.readouterr()
-    assert err == ("numeric failure in check 'KS distance, harmonic-mean CDF': "
-                   "KS distance over 10000 samples is nan\n")
+    assert err == "numeric failure in check 'KS distance, harmonic-mean CDF': closed form is nan\n"
     rows = {r["check"]: r for r in csv.DictReader(out.strip().split("\n"))}
     assert rows["KS distance, harmonic-mean CDF"]["closed_form"] == "nan"
     assert {name for name, r in rows.items() if r["verdict"] == "FAIL"} == {
         "KS distance, harmonic-mean CDF"}
+
+
+def unnamed_non_finite_rows(out: str, err: str) -> list[str]:
+    """validate rows with a nan or inf closed_form or oracle that no stderr
+    'numeric failure in check' line names."""
+    return [r["check"] for r in csv.DictReader(out.strip().split("\n"))
+            if not (math.isfinite(float(r["closed_form"])) and math.isfinite(float(r["oracle"])))
+            and f"numeric failure in check {r['check']!r}: " not in err]
+
+
+def test_validate_ratio_past_float_range_fails_without_warning(capsys):
+    # link powers from about 1e-176 to 1e301: g/h overflows in the T1 and
+    # KS ratio rows, which fail through their stderr lines with no
+    # RuntimeWarning, while T1's closed form and the scale-invariance row
+    # stay finite (40-digit mpmath: T1 = 1098.61229 nats)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", "--quick", "--topology=0,0.5,2,1", "--pathloss", "1000"]) == \
+            EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert caught == [] and "Warning" not in err
+    rows = {r["check"]: r for r in csv.DictReader(out.strip().split("\n"))}
+    assert rows["T1 closed form vs Monte Carlo"]["closed_form"] == "1098.61229"
+    assert math.isfinite(float(rows["eavesdrop rate scale invariance"]["closed_form"]))
+    for name in ("T1 closed form vs Monte Carlo", "KS distance, ratio CDF"):
+        assert f"numeric failure in check {name!r}: " in err and rows[name]["verdict"] == "FAIL"
+    assert unnamed_non_finite_rows(out, err) == []
+
+
+def test_validate_t1_closed_form_where_its_product_overflows(capsys):
+    # rho m_g is 1.26e308 at 30 dB: a ln(a/b) overflows although a/b is
+    # finite; 40-digit mpmath gives T1 = 702.518712 nats
+    assert main(["validate", "--quick", "--topology=0,1e-113,1,2"]) == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    rows = {r["check"]: r for r in csv.DictReader(out.strip().split("\n"))}
+    assert rows["T1 closed form vs Monte Carlo"]["closed_form"] == "702.518712"
+    assert unnamed_non_finite_rows(out, err) == []
+
+
+def test_closed_forms_where_the_hop_ratio_underflows(tmp_path):
+    # m_g = 1e-300 and m_h = 1e300: m_g / m_h rounds to 0, whose log raised
+    # a ValueError traceback from T1 and the power offset's b term
+    layout = ["--topology=0,1000,1000.001,500", "--pathloss", "100", "--snr", "30:30:5"]
+    out = tmp_path / "a.csv"
+    assert main(["asymptote", *layout, "--output", str(out)]) == EXIT_OK
+    assert "b_term,,0\n" in out.read_text()
+    assert main(["sweep", *layout, "--method", "closed-form-lb", "--output", str(out)]) == EXIT_OK
+    assert out.read_text().split("\n")[1] == "30,three-hop,closed-form-lb,0,0,0,1"
 
 
 def test_validate_draws_each_chunk_once(monkeypatch, tmp_path):
@@ -621,7 +667,7 @@ def test_validate_failing_check_keeps_other_rows(dependency, failing_rows, tmp_p
     default = {r["check"]: r for r in csv.DictReader((tmp_path / "validate.csv").read_text().splitlines())}
 
     def broken(*args):
-        raise NumericError("forced failure")
+        raise RelaysecError("forced failure")
 
     monkeypatch.setattr(analytics, dependency, broken)
     out = tmp_path / "broken.csv"
@@ -851,7 +897,7 @@ def test_closed_stdout_is_usage_error(monkeypatch, capsys):
 # products lie near the ends of the float64 range; or four drawn coordinates.
 LAYOUTS = ("-3,-1,1,3", "-3,-1,1.5,3", "0,0,1,2", "0,1e-200,1,2", "-3e100,-1,1,3e100", "1,2,3",
            "-1e119,-1,1,1e119", "0,1e-113,1,2", "0,1e74,2e74,3e74", "-1e-60,-1e-61,1e-61,1e-60",
-           "0,1e-52,2e-52,1")
+           "0,1e-52,2e-52,1", "0,0.5,2,1")
 SNR_TEXTS = ("nan:nan:1", "0:inf:5", "-inf:0:5", "20:10:5", "10:20:0", "0:10:-5",
              "3000:3000:1", "banana")
 #: A flag each subcommand does not read.
@@ -900,8 +946,6 @@ def argvs(draw):
     return argv, unread
 
 
-# Extreme SNRs overflow numpy arrays on their way to a nan row (exit 3).
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
 def test_cli_property_exit_contract(case):
@@ -915,6 +959,8 @@ def test_cli_property_exit_contract(case):
         assert status == EXIT_USAGE
     if status == EXIT_OK:
         assert "nan" not in out.getvalue(), (argv, out.getvalue())
+    if argv[0] == "validate" and status != EXIT_USAGE:
+        assert unnamed_non_finite_rows(out.getvalue(), err.getvalue()) == [], argv
 
 
 def test_default_workers_are_the_usable_cpus_up_to_two(monkeypatch):

@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from relaysec.errors import DomainError, InvalidTopologyError
+from relaysec.errors import RelaysecError
 from relaysec.model import (
     TOPOLOGY_1,
     ChannelStats,
@@ -43,16 +43,16 @@ def test_scaling_topology_by_third_scales_powers():
 @example(a=0.0, b=7.46e-155, n=2.0)  # finite, 0.05% below the float64 maximum
 def test_mean_power_symmetric(a, b, n):
     if a == b:
-        with pytest.raises(InvalidTopologyError):
+        with pytest.raises(RelaysecError, match="coincident node positions"):
             mean_power(a, b, n)
         return
     try:
         forward = mean_power(a, b, n)
-    except InvalidTopologyError:
+    except RelaysecError:
         # Only a power beyond the float64 range may be refused, up to a
         # rounding band at that boundary; the reverse order must agree.
         assert -n * math.log(abs(a - b)) > math.log(sys.float_info.max) * (1.0 - 1e-12)
-        with pytest.raises(InvalidTopologyError):
+        with pytest.raises(RelaysecError, match="outside the finite positive float range"):
             mean_power(b, a, n)
     else:
         assert 0.0 < forward < math.inf
@@ -67,19 +67,20 @@ def test_mean_power_position_scaling(c, n):
 
 
 def test_coincident_positions_rejected():
-    with pytest.raises(InvalidTopologyError):
+    with pytest.raises(RelaysecError, match=r"coincident node positions \(2.0\)"):
         mean_power(2.0, 2.0, 2.7)
-    with pytest.raises(InvalidTopologyError):
+    with pytest.raises(RelaysecError, match=r"^nodes S and R1: coincident node positions \(0.0\)"):
         Topology(0.0, 0.0, 1.0, 2.0)
     # (1e-200)^(-2.7) overflows float64, so the layout is refused when built
-    with pytest.raises(InvalidTopologyError):
+    with pytest.raises(RelaysecError, match="^nodes S and R1: distance 1e-200 with path-loss "
+                                            "exponent 2.7 gives mean power inf"):
         Topology(0.0, 1e-200, 1.0, 2.0)
 
 
 def test_nonpositive_exponent_rejected():
-    with pytest.raises(InvalidTopologyError):
+    with pytest.raises(RelaysecError, match="path-loss exponent must be > 0, got 0.0"):
         mean_power(0.0, 1.0, 0.0)
-    with pytest.raises(InvalidTopologyError):
+    with pytest.raises(RelaysecError, match="^nodes S and R1: path-loss exponent must be > 0, got -1.0"):
         Topology(0.0, 1.0, 2.0, 3.0, n=-1.0)
 
 
@@ -107,20 +108,20 @@ def test_db_to_linear():
         assert db_to_linear(db) == pytest.approx(lin, rel=1e-15)
     # past about 3083 dB 10^(dB/10) overflows float64; below about -3236 dB
     # it rounds to 0, while -3236 dB still gives the smallest subnormal
-    with pytest.raises(DomainError, match="4000.0 dB overflows float64"):
+    with pytest.raises(RelaysecError, match="4000.0 dB overflows float64"):
         db_to_linear(4000.0)
-    with pytest.raises(DomainError, match="-4000.0 dB underflows float64"):
+    with pytest.raises(RelaysecError, match="-4000.0 dB underflows float64"):
         db_to_linear(-4000.0)
     assert db_to_linear(-3236.0) == 5e-324
 
 
 def test_invalid_stats_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(RelaysecError, match=r"rho \* m_f = 1.0 \* 0.0 must be finite and > 0"):
         ChannelStats(1.0, 1.0, 0.0, 1.0, 1.0, 1.0, rho=1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(RelaysecError, match=r"rho \* m_g = 0.0 \* 0.15"):
         topology_to_stats(TOPOLOGY_1, 0.0)
     # a mean received SNR rho * m that underflows to 0 or overflows
-    with pytest.raises(DomainError):
+    with pytest.raises(RelaysecError, match=r"rho \* m_g = 1e-30 \* 1e-300 must"):
         ChannelStats(1e-300, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1e-30)
-    with pytest.raises(DomainError):
+    with pytest.raises(RelaysecError, match=r"rho \* m_f = 10000000000.0 \* 1e\+300 must"):
         ChannelStats(1.0, 1.0, 1e300, 1.0, 1.0, 1.0, rho=1e10)

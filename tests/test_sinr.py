@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relaysec.errors import DegenerateSampleError
+from relaysec.errors import RelaysecError
 from relaysec.model import ChannelSample, ChannelStats
 from relaysec.montecarlo import (BLOCK_SIZE, CHUNK_SIZE, MeanPass, RngStream, _reduce_chunks,
                                  sample_channels)
@@ -110,7 +110,7 @@ def test_highsnr_sinrs_asymmetric():
 
 
 def test_highsnr_rejects_zero_gain():
-    with pytest.raises(DegenerateSampleError):
+    with pytest.raises(RelaysecError, match="^high-SNR SINRs need strictly positive gains$"):
         highsnr_sinrs(sample(1.0, 0.0, 1.0))
 
 
@@ -121,7 +121,7 @@ def test_highsnr_sinrs_refuse_a_zero_gain_on_any_link(zero, shape):
     # makes the high-SNR form refuse; the exact form stays finite there.
     gains = [np.full(shape, 2.0) for _ in range(3)]
     gains[zero][...] = 0.0
-    with pytest.raises(DegenerateSampleError):
+    with pytest.raises(RelaysecError, match="^high-SNR SINRs need strictly positive gains$"):
         highsnr_sinrs(sample(*gains))
     b = exact_sinrs(sample(*gains))
     assert all(np.isfinite(v).all() for v in (b.gamma_r1_p1, b.gamma_r2, b.gamma_d))

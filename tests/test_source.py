@@ -1,4 +1,5 @@
-"""Every top-level name of the package is there for program code to read."""
+"""Every top-level name of the package is there for program code to read,
+and every test that expects a RelaysecError names its message."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,30 @@ def test_every_import_is_read():
     unused = {path.stem: found for path in sorted(SRC.glob("*.py"))
               if (found := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}, f"imported names that no code of their module reads: {unused}"
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def unmatched_raises(source):
+    """Line of each pytest.raises(RelaysecError, ...) that passes no match=, or match=None."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "raises"
+            and n.args and getattr(n.args[0], "id", getattr(n.args[0], "attr", None)) == "RelaysecError"
+            and not any(k.arg == "match" and not (isinstance(k.value, ast.Constant)
+                                                  and k.value.value is None) for k in n.keywords)]
+
+
+def test_unmatched_raises_check_finds_a_bare_raises():
+    assert unmatched_raises("pytest.raises(RelaysecError)\n"
+                            "pytest.raises(errors.RelaysecError, match=None)\n"
+                            "pytest.raises(RelaysecError, match='^x$')\n"
+                            "pytest.raises(ValueError)\n") == [1, 2]
+
+
+def test_every_relaysec_error_raises_names_its_message():
+    # RelaysecError is the package's one exception class, so only the
+    # message says which check refused: a test expecting one must match it.
+    bare = {path.name: found for path in sorted(TESTS.glob("*.py"))
+            if (found := unmatched_raises(path.read_text(encoding="utf-8")))}
+    assert bare == {}, f"pytest.raises(RelaysecError) without match=: {bare}"
