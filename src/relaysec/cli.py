@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import functools
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -27,14 +26,16 @@ from relaysec.model import TOPOLOGY_1, ChannelStats, Topology, db_to_linear, top
 from relaysec.montecarlo import (
     MeanPass,
     RngStream,
+    Row,
     empirical_cdf_ks,
     esr_rows,
     estimate_esr,
     estimate_event_probability,
+    link_means,
     sample_channels,
 )
 from relaysec.sinr import (LINKS, PRELOG, SchemeKind, SinrMethod, has_method, highsnr_sinrs,
-                           secrecy_rate)
+                           secrecy_rates, three_hop_coefficients)
 from relaysec.specfun import bessel_k1, bessel_k1_quadrature, k1_series, lah
 
 EXIT_OK = 0
@@ -66,8 +67,8 @@ def usable_cpus() -> int:
 
 
 #: Worker threads by default: the usable CPUs, at most two.  A pass starts that many
-#: pool threads, at most one per row, and none at one worker.  The interpreter lock
-#: holds two threads to about 1.4x one, and each further one adds about 4 MB of scratch.
+#: pool threads, at most one per (row, block) task, and none at one worker.  The interpreter
+#: lock holds two threads to about 1.4x one; each further one adds about 4 MB of scratch.
 DEFAULT_WORKERS = min(usable_cpus(), 2)
 
 
@@ -399,38 +400,35 @@ def validate_checks(spec: SweepSpec, quick: bool) -> list[CheckRow]:
     # Every Monte Carlo mean below is a row of one pass, which draws each
     # chunk once and runs on the first read.  A point whose statistics fail
     # gives no rows; its checks raise its failure before reading the pass.
-    def dominates(b):
-        return b.gamma_r1_p1 > b.gamma_r2
-
     def harmonic_mean(x, y):  # x y / (x + y) without the product, which can overflow
         lo, hi = np.minimum(x, y), np.maximum(x, y)
         return lo / (1.0 + lo / hi)
 
-    def harmonic(t):
-        # E{XY/(X+Y)} with means 1.3 and 0.7: the g and h gains rescaled
-        return harmonic_mean(1.3 * (t.gamma_g / p30.bar_g), 0.7 * (t.gamma_h / p30.bar_h))
+    def high_snr(t):  # P and T2 from one evaluation of the high-SNR SINRs
+        b = highsnr_sinrs(three_hop_coefficients(t, SinrMethod.HIGH_SNR), 1.0)
+        return b.gamma_r1_p1 > b.gamma_r2, np.log1p(b.gamma_r2)
 
-    def t1(t):
+    def t_terms(t):  # T1, and E{XY/(X+Y)} with means 1.3 and 0.7: the g and h gains rescaled
         with np.errstate(over="ignore"):  # an infinite ratio gives an infinite mean, which fails
-            return np.log1p(t.gamma_g / t.gamma_h)
+            t1 = np.log1p(t.gamma_g / t.gamma_h)
+        return t1, harmonic_mean(1.3 * (t.gamma_g / p30.bar_g), 0.7 * (t.gamma_h / p30.bar_h))
 
     combinings = ("selection", "sum")
     links = ("gamma_h", "bar_h"), ("gamma_f", "bar_f")
     hops = LINKS[SchemeKind.THREE_HOP]  # g, h and f: all the T-term, KS and link-mean draws read
-    rows_of_pass: dict = {}
+    two_hop = functools.partial(secrecy_rates, scheme=SchemeKind.TWO_HOP_CASE_I, method=SinrMethod.EXACT,
+                                xs=(1.0,), combinings=combinings)
+    # (point, fn, its keys, the links it reads, whether it reads high-SNR SINRs)
+    rows_of_pass = [Row(link_means(point), fn, reads, {(point, key): point for key in keys}, positive)
+                    for point, fn, keys, reads, positive in (
+                        (p30, high_snr, ("P", "T2"), hops, True),
+                        (p30, t_terms, ("T1", "XY/(X+Y)"), hops, False),
+                        (p10, two_hop, combinings, LINKS[SchemeKind.TWO_HOP_CASE_I], False),
+                        (asym, lambda t: [getattr(t, name) for name, _ in links], [n for n, _ in links],
+                         hops, False))
+                    if isinstance(point, ChannelStats)]
     if isinstance(p30, ChannelStats):
-        t_terms = {"P": lambda t: dominates(highsnr_sinrs(t)),
-                   "T1": t1, "XY/(X+Y)": harmonic,
-                   "T2": lambda t: np.log1p(highsnr_sinrs(t).gamma_r2)}
-        rows_of_pass.update({(p30, term): (p30, fn, hops) for term, fn in t_terms.items()})
-        rows_of_pass.update(esr_rows([(p30, SchemeKind.THREE_HOP, SinrMethod.EXACT)]))
-    if isinstance(p10, ChannelStats):
-        rows_of_pass.update({(p10, c): (p10, functools.partial(
-            secrecy_rate, scheme=SchemeKind.TWO_HOP_CASE_I, method=SinrMethod.EXACT, combining=c),
-            LINKS[SchemeKind.TWO_HOP_CASE_I]) for c in combinings})
-    if isinstance(asym, ChannelStats):
-        rows_of_pass.update({(asym, name): (asym, operator.attrgetter(name), hops)
-                             for name, _ in links})
+        rows_of_pass += esr_rows([(p30, SchemeKind.THREE_HOP, SinrMethod.EXACT)])
     mc_pass = MeanPass(rows_of_pass, n_mc, spec.seed, spec.workers)
 
     def within_3_se(estimate: tuple[float, float]) -> tuple[float, float]:

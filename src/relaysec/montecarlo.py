@@ -2,26 +2,27 @@
 
 Sampling is chunked with one counter-derived RNG stream per chunk, so the
 result of an estimate depends only on (seed, n) and never on how many
-workers share a chunk's links and rows.  MeanPass, the one engine,
-estimates the means of many rows, each an elementwise function of the
-fading at one SNR point, from one draw per chunk.  estimate_esr reads an
-ESR row (esr_rows) and estimate_event_probability a row of 0s and 1s
-from a pass that holds it, such as the one a sweep or validate builds
-for all its Monte Carlo means.
+workers share a chunk's blocks.  MeanPass, the one engine, estimates the
+means of many rows from one draw per chunk; a row gives one output per
+key, such as an ESR family (esr_rows), one output per SNR point of one
+(layout, scheme, method).  estimate_esr reads a point of a family and
+estimate_event_probability a key of 0s and 1s from a pass that holds it,
+such as the one a sweep or validate builds for all its Monte Carlo means.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from relaysec.errors import RelaysecError
 from relaysec.model import ChannelSample, ChannelStats
-from relaysec.sinr import LINKS, SchemeKind, SinrMethod, secrecy_rate
+from relaysec.sinr import LINKS, SchemeKind, SinrMethod, secrecy_rates
 
 #: Fixed chunk size; part of the determinism contract (results are chunked
 #: identically no matter how many workers run).
@@ -29,12 +30,11 @@ CHUNK_SIZE = 1 << 18
 
 #: MeanPass evaluates each row in blocks of this many realizations, cut from
 #: the start of each chunk; a rate kernel's one workspace per block holds a
-#: few 256 KiB rows (sinr).  Part of the determinism contract too: a row's
+#: few 256 KiB rows (sinr).  Part of the determinism contract too: a key's
 #: total is the correctly rounded sum (math.fsum) of its block sums.
 BLOCK_SIZE = 1 << 15
 
-#: Every mean 1: MeanPass draws these gains once per chunk and scales them
-#: by each SNR point's rho * m.
+#: Every mean 1: the gains MeanPass draws once per chunk for its rows.
 UNIT = ChannelStats(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1.0)
 
 
@@ -50,13 +50,8 @@ class RngStream:
         return np.random.Generator(bits.advance(offset))
 
 
-@dataclass(frozen=True)
-class EsrEstimate:
-    """Monte Carlo ESR estimate with its sampling metadata."""
-
-    mean: float
-    std_error: float
-    n_samples: int
+#: Monte Carlo ESR estimate with its sampling metadata.
+EsrEstimate = namedtuple("EsrEstimate", "mean std_error n_samples")
 
 
 def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1, links: int = 6, *,
@@ -82,7 +77,7 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1, links: i
     drawn apart: one executor.map task each, or in turn without one.
     """
     gains = (np.empty((links, n)) if out is None else out)[:links, :n]
-    means = _link_means(stats)
+    means = link_means(stats)
 
     def fill(j: int) -> None:
         x = gains[j]
@@ -101,7 +96,7 @@ def sample_channels(stats: ChannelStats, stream: RngStream, n: int = 1, links: i
     return ChannelSample(*gains)
 
 
-def _link_means(stats: ChannelStats) -> tuple[float, ...]:
+def link_means(stats: ChannelStats) -> tuple[float, ...]:
     """Exponential mean rho * m of every link, in draw order."""
     return (stats.bar_g, stats.bar_h, stats.bar_f,
             stats.rho * stats.m_sr2, stats.rho * stats.m_sd, stats.rho * stats.m_dr1)
@@ -126,35 +121,35 @@ def _reduce_chunks(partials: list[tuple[float, float]], n: int) -> tuple[float, 
     return mean, math.sqrt(max(0.0, var) / n)
 
 
+#: A MeanPass row; see MeanPass.
+Row = namedtuple("Row", "means fn links keys positive", defaults=[False])
+
+
 class MeanPass:
     """Monte Carlo means of many rows over one draw per chunk.
 
-    A row is (stats, fn, links): fn maps a ChannelSample of the first
-    ``links`` links, drawn at the means of ``stats``, to one array,
-    elementwise.  The row's estimate is that array's mean and standard error
-    over n >= 1 realizations.  Rows are given as a dict and read by its keys.
-
-    Each chunk draws unit gains once, sample_channels(UNIT, ...), for the
-    most links any row reads, and a row multiplies them by its point's
-    rho * m: the same product that sample_channels(stats, ...) forms, so
-    every row gets its bits.  A link whose largest unit gain times m is
-    infinite, a RelaysecError of fn and a non-finite mean or variance each
-    fail only their row.  The pass runs on the first read.
-
-    One chunk is in flight at a time.  A pool of min(workers, rows) threads,
-    one per pass, draws its links apart, then maps its rows, each whole,
-    block by block; at one worker both run on the calling thread.  A row
-    keeps its block sums, or its first failure, and _reduce_chunks adds up
-    the sums on each read of the row.
+    A row (means, fn, links, keys, positive) maps the unit gains of the
+    first ``links`` links times ``means`` to one array per key of ``keys``,
+    in order, elementwise; a key's estimate is its array's mean and
+    standard error over n >= 1 realizations.  Each chunk draws unit gains
+    once, sample_channels(UNIT, ...), for the most links any row reads.
+    ``keys`` maps each key to its point's ChannelStats: a key fails alone
+    where that rho * m times the largest unit gain of a link the row reads
+    is infinite or, in a ``positive`` row (high-SNR SINRs), times the
+    smallest is 0, as monotone rounding makes the point's own draw.  A
+    RelaysecError of fn fails the row's keys, a non-finite moment its key.
+    The pass runs on the first read, a chunk at a time, on a pool of
+    min(workers, tasks) threads (none at one worker) that draws the links
+    apart and runs the (row, block) tasks; the caller waits once per chunk
+    and keeps each key's block sums, or first failure, in task order.
     """
 
-    def __init__(self, rows: dict, n: int, seed: int, workers: int = 1) -> None:
-        self.n, self.seed, self.workers = n, seed, workers
-        self._rows = rows
+    def __init__(self, rows: list[Row], n: int, seed: int, workers: int = 1) -> None:
+        self.n, self.seed, self.workers, self._rows = n, seed, workers, rows
         self._results: dict | None = None
 
     def mean(self, key) -> tuple[float, float]:
-        """The row's (mean, standard error); raises the row's failure, if it had one."""
+        """The key's (mean, standard error); raises its failure, if it had one."""
         if self._results is None:
             self._results = self._run()
         result = self._results[key]
@@ -163,68 +158,79 @@ class MeanPass:
         return _reduce_chunks(result, self.n)
 
     def _run(self) -> dict:
-        rows = list(self._rows.values())
-        links = max(k for _, _, k in rows)
-        crew = min(self.workers, len(rows))
-        unit = np.empty((links, min(self.n, CHUNK_SIZE)))
-        chunks = []
+        rows, width = self._rows, min(self.n, CHUNK_SIZE)
+        unit = np.empty((max(row.links for row in rows), width))  # the most links any row reads
+        crew = min(self.workers, len(rows) * -(-width // BLOCK_SIZE))
+        sums, failed = {key: [] for row in rows for key in row.keys}, {}
         pool = ThreadPoolExecutor(crew) if crew > 1 else None
         try:
             for k, start in enumerate(range(0, self.n, CHUNK_SIZE)):
-                sample = sample_channels(UNIT, RngStream(self.seed, k), min(CHUNK_SIZE, self.n - start),
-                                         links, out=unit, executor=pool)
-                highs = [float(v.max()) for v in vars(sample).values() if v is not None]
-                chunks.append(list((pool.map if pool else map)(
-                    lambda row: _row_moments(row, sample, highs), rows)))
+                gains = list(vars(sample_channels(UNIT, RngStream(self.seed, k), min(CHUNK_SIZE, self.n - start),
+                                                  len(unit), out=unit, executor=pool)).values())[:len(unit)]
+                bounds = [(float(v.min()), float(v.max())) for v in gains]
+                tasks = [(row, [_point_failure(stats, bounds[:row.links], row.positive)
+                                for stats in row.keys.values()], gains, s)
+                         for row in rows for s in range(0, gains[0].size, BLOCK_SIZE)]
+                if pool:
+                    wait(futures := [pool.submit(_block_moments, *task) for task in tasks])
+                done = [f.result() for f in futures] if pool else [_block_moments(*task) for task in tasks]
+                for (row, *_), moments in zip(tasks, done):
+                    for key, m in zip(row.keys, moments):
+                        if isinstance(m, Exception):
+                            failed.setdefault(key, m)  # its first failure, in chunk order
+                        else:
+                            sums[key].append(m)
         finally:
             if pool:
                 pool.shutdown()
-        # a row that failed keeps its first failure, in chunk order
-        return {key: next((p for p in parts if isinstance(p, Exception)), None)
-                or [b for blocks in parts for b in blocks]
-                for key, parts in zip(self._rows, zip(*chunks))}
+        return {key: failed.get(key, part) for key, part in sums.items()}
 
 
-def _row_moments(row, unit: ChannelSample, highs: list[float]):
-    """Row (stats, fn, links)'s block (sum, sum of squares) list over a chunk, or its failure.
+def _point_failure(stats: ChannelStats, bounds: list, positive: bool) -> RelaysecError | None:
+    """A key's failure on a chunk whose unit gains of each link lie in ``bounds``, (low, high)."""
+    for field, (_, hi), m in zip(fields(ChannelSample), bounds, link_means(stats)):
+        if hi * m == math.inf:
+            return RelaysecError(f"channel gain {field.name} must be finite and >= 0")
+    if positive and any(lo * m == 0.0 for (lo, _), m in zip(bounds, link_means(stats))):
+        return RelaysecError("high-SNR SINRs need strictly positive gains")
 
-    A link whose largest unit gain (highs) times the row's m is infinite, or
-    a RelaysecError of fn, fails the row.  Each BLOCK_SIZE block of every
-    link the row reads is scaled into that link's row of its own buffer,
-    and fn reads it through a ChannelSample of the buffer.  fn's values fill
-    a values block, summed, then squared in place and summed.  A sum or
-    square that overflows, or a sum of inf and -inf, is left non-finite,
-    for _reduce_chunks to refuse.
-    """
-    stats, fn, read = row
-    names, gains = zip(*list(vars(unit).items())[:read])
-    scale = _link_means(stats)[:read]
-    width = gains[0].size
-    buf, values = np.empty((read, min(width, BLOCK_SIZE))), np.empty(min(width, BLOCK_SIZE))
 
-    def block(start: int) -> tuple[float, float]:
-        size = min(BLOCK_SIZE, width - start)
-        for u, m, b in zip(gains, scale, buf):
-            np.multiply(u[start:start + size], m, out=b[:size])
-        v = values[:size]
-        v[...] = fn(ChannelSample(*buf[:, :size]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.sum(v)), float(np.sum(np.multiply(v, v, out=v)))
-
+def _block_moments(row: Row, failures: list, gains: list, start: int) -> list:
+    """Each key's (sum, sum of squares) over the row's BLOCK_SIZE block at
+    ``start``, or its failure.  A non-finite sum is left for _reduce_chunks
+    to refuse; a RelaysecError of fn is kept without its frames."""
+    if all(failures):
+        return failures
+    size = min(BLOCK_SIZE, gains[0].size - start)
+    buf = np.empty((row.links + 1, size))
+    for u, m, b in zip(gains, row.means, buf):
+        np.multiply(u[start:start + size], m, out=b)
     try:
-        for name, hi, m in zip(names, highs, scale):
-            if hi * m == math.inf:
-                raise RelaysecError(f"channel gain {name} must be finite and >= 0")
-        return [block(start) for start in range(0, width, BLOCK_SIZE)]
-    except RelaysecError as exc:  # kept without its frames, which hold the pass's buffers
-        return exc.with_traceback(None)
+        return [f or _moments(v, buf[-1]) for f, v in zip(failures, row.fn(ChannelSample(*buf[:-1])))]
+    except RelaysecError as exc:
+        return [f or exc.with_traceback(None) for f in failures]
 
 
-def esr_rows(keys) -> dict:
-    """MeanPass rows keyed (stats, scheme, method): the mean of sinr.secrecy_rate."""
-    return {(stats, scheme, method):
-            (stats, functools.partial(secrecy_rate, scheme=scheme, method=method), LINKS[scheme])
-            for stats, scheme, method in keys}
+@np.errstate(over="ignore", invalid="ignore")
+def _moments(v, square) -> tuple[float, float]:
+    return float(v.sum()), float(np.multiply(v, v, out=square).sum())
+
+
+def esr_rows(keys) -> list[Row]:
+    """MeanPass rows of sinr.secrecy_rates keyed (stats, scheme, method), one
+    family per (mean powers m, scheme, method) over its SNR points: the unit
+    gains times c m, c the largest power of two <= 1 that puts every m the
+    scheme reads below 2, read at x = c / rho.  A point's value depends only
+    on (m, rho, seed)."""
+    families: dict = {}
+    for stats, scheme, method in keys:
+        m = astuple(stats)[:LINKS[scheme]]  # the mean powers m_g ... that the scheme reads
+        families.setdefault((m, scheme, method), {})[stats, scheme, method] = stats
+    return [Row(tuple(c * v for v in m), functools.partial(
+        secrecy_rates, scheme=scheme, method=method, xs=[c / stats.rho for stats in points.values()]),
+        len(m), points, method is SinrMethod.HIGH_SNR)
+        for (m, scheme, method), points in families.items()
+        for c in [2.0 ** min(0, 1 - math.frexp(max(m))[1])]]
 
 
 def estimate_esr(mean_pass: MeanPass, stats: ChannelStats, scheme: SchemeKind,

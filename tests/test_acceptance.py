@@ -16,9 +16,9 @@ from relaysec.analytics import esr_asymptote, esr_lower_bound, prob_r1_dominates
 from relaysec.cli import SweepSpec, cmd_sweep, validate_checks
 from relaysec.model import TOPOLOGY_1, db_to_linear, topology_to_stats
 from relaysec.montecarlo import MeanPass, esr_rows, estimate_esr, estimate_event_probability
-from relaysec.sinr import LINKS, SchemeKind, SinrMethod, exact_sinrs, highsnr_sinrs
+from relaysec.sinr import LINKS, SchemeKind, SinrMethod
 
-from reference import expression_three_hop
+from reference import expression_three_hop, point_row, three_hop_sinrs
 
 SEED = 1
 N_SWEEP = 1_000_000
@@ -45,9 +45,9 @@ def mc_exact_sweep(dbs, schemes):
             for db in dbs for kind in schemes}
 
 
-def one_row_pass(rows, n):
-    """A pass of ``rows``, a dict of one row, over n samples."""
-    return MeanPass(rows, n, seed=SEED, workers=4)
+def one_row_pass(row, n):
+    """A pass of one row over n samples."""
+    return MeanPass([row], n, seed=SEED, workers=4)
 
 
 @pytest.fixture(scope="module")
@@ -135,10 +135,10 @@ def test_criterion_4_scheme_ordering(three_hop_sweep, baseline_sweep, report):
 def test_criterion_5_relay_sinr_ordering(report):
     stats = topology_to_stats(TOPOLOGY_1, db_to_linear(30.0))
     def r2_at_least_phase3(s):
-        return (exact_sinrs(s).gamma_r2
+        return (three_hop_sinrs(s, SinrMethod.EXACT).gamma_r2
                 >= expression_three_hop(s.gamma_g, s.gamma_h, s.gamma_f, SinrMethod.EXACT)[2])
 
-    row = {"ordering": (stats, r2_at_least_phase3, LINKS[SchemeKind.THREE_HOP])}
+    row = point_row(stats, r2_at_least_phase3, LINKS[SchemeKind.THREE_HOP], "ordering")
     p, _ = one_row_pass(row, 1_000_000).mean("ordering")
     ok = p >= 0.99
     report(5, ok, f"Pr{{phase-2 relay SINR >= phase-3 relay SINR}} = {p:.6f} (floor 0.99)")
@@ -158,10 +158,10 @@ def test_criterion_7_oracle_suite(validate_rows, report):
 
     p_cf = prob_r1_dominates_oracle(stats)
     def dominates(s):
-        b = highsnr_sinrs(s)
+        b = three_hop_sinrs(s, SinrMethod.HIGH_SNR)
         return b.gamma_r1_p1 > b.gamma_r2
 
-    row = {"P": (stats, dominates, LINKS[SchemeKind.THREE_HOP])}
+    row = point_row(stats, dominates, LINKS[SchemeKind.THREE_HOP], "P", positive=True)
     p_mc, p_se = estimate_event_probability(one_row_pass(row, 10_000_000), "P")
     p_ok = abs(p_cf - p_mc) <= 3.0 * p_se
 

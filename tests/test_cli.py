@@ -323,6 +323,22 @@ def test_sweep_bytes_pinned_without_numpy_simd(flags, sha256, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+def test_sweep_point_does_not_depend_on_its_family(tmp_path):
+    # A point's row reads only its own (m, rho, seed): the 30 dB rows of a
+    # 13-point sweep equal those of a sweep of that point alone, for every
+    # scheme and Monte Carlo method, at 1, 2 and 3 workers.
+    flags = ["--method", "mc-exact", "--method", "mc-highsnr", "--samples", "70001",
+             *(f"--scheme={kind.value}" for kind in SchemeKind)]
+    rows = set()
+    for workers in ("1", "2", "3"):
+        for snr in ("0:60:5", "30:30:5"):
+            out = tmp_path / "family.csv"
+            assert main(["sweep", *flags, "--snr", snr, "--workers", workers, "--output", str(out)]) == EXIT_OK
+            rows.add(tuple(r for r in out.read_text().split("\n") if r.startswith("30,")))
+    [point] = rows
+    assert len(point) == 5
+
+
 def test_asymptote_output():
     spec = SweepSpec(snr_start_db=40.0, snr_stop_db=60.0, snr_step_db=10.0)
     buf = io.StringIO()
@@ -391,8 +407,8 @@ def test_validate_p_row_reads_as_a_pass_of_its_own(monkeypatch):
     monkeypatch.setattr(cli, "MeanPass", spy)
     cli.validate_checks(SweepSpec(), quick=True)
     [(rows, shared)] = passes
-    [key] = [key for key in rows if key[1:] == ("P",)]
-    alone = MeanPass({key: rows[key]}, shared.n, shared.seed)
+    [(row, key)] = [(row, key) for row in rows for key in row.keys if key[1:] == ("P",)]
+    alone = MeanPass([row], shared.n, shared.seed)
     assert len(rows) > 1
     assert estimate_event_probability(shared, key) == estimate_event_probability(alone, key)
 

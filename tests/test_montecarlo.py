@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from relaysec.analytics import cdf_harmonic, cdf_ratio, esr_lower_bound
 from relaysec.errors import RelaysecError
-from relaysec.model import TOPOLOGY_1, ChannelStats, db_to_linear, topology_to_stats
+from relaysec.model import TOPOLOGY_1, ChannelSample, ChannelStats, db_to_linear, topology_to_stats
 from relaysec import cli
 import relaysec.montecarlo as montecarlo
 from relaysec.montecarlo import (
@@ -32,8 +32,9 @@ from relaysec.montecarlo import (
     estimate_event_probability,
     sample_channels,
 )
-from relaysec.sinr import (LINKS, SchemeKind, SinrMethod, has_method, highsnr_sinrs, secrecy_rate,
-                           three_hop_sinrs)
+from relaysec.sinr import LINKS, SchemeKind, SinrMethod, has_method
+
+from reference import point_row, secrecy_rate, three_hop_sinrs
 
 
 def esr_alone(stats, scheme, method, n, seed, workers=1):
@@ -43,14 +44,14 @@ def esr_alone(stats, scheme, method, n, seed, workers=1):
 
 
 def event_row(stats, event):
-    """A row of 0s and 1s: event of the point's high-SNR three-hop SINRs."""
-    return stats, lambda s: event(highsnr_sinrs(s)), LINKS[SchemeKind.THREE_HOP]
+    """A row of 0s and 1s, keyed "event": event of the point's high-SNR three-hop SINRs."""
+    return point_row(stats, lambda s: event(three_hop_sinrs(s, SinrMethod.HIGH_SNR)),
+                     LINKS[SchemeKind.THREE_HOP], "event", positive=True)
 
 
 def event_alone(stats, event, n, seed, workers=1):
     """estimate_event_probability on a pass of that one row."""
-    return estimate_event_probability(MeanPass({"event": event_row(stats, event)}, n, seed, workers),
-                                      "event")
+    return estimate_event_probability(MeanPass([event_row(stats, event)], n, seed, workers), "event")
 
 
 def test_chunk_size_is_power_of_two():
@@ -313,43 +314,49 @@ def harmonic(s):
     return s.gamma_g * s.gamma_h / (s.gamma_g + s.gamma_h)
 
 
-#: name -> (fn, links) of the rows a point has besides its ESR rows: a raw
-#: gain, a boolean event, a T-term, and an infinite mean, which fails alone
-#: (h, which never rounds to 0 here, times infinity).
+#: name -> (fn, links, positive) of the rows a point has besides its ESR
+#: rows: a raw gain, a boolean event, a T-term, and an infinite mean, which
+#: fails alone (h, which never rounds to 0 here, times infinity).
 OTHER_ROWS = {
-    "gamma_sd": (operator.attrgetter("gamma_sd"), LINKS[SchemeKind.DIRECT]),
-    "event": (dominance, 3),
-    "harmonic": (harmonic, 3),
-    "infinite": (lambda s: s.gamma_h * np.inf, 3),
+    "gamma_sd": (operator.attrgetter("gamma_sd"), LINKS[SchemeKind.DIRECT], False),
+    "event": (dominance, 3, True),
+    "harmonic": (harmonic, 3, False),
+    "infinite": (lambda s: s.gamma_h * np.inf, 3, False),
 }
 
 
 def point_rows(stats):
-    """Every row of one point: ESR rows keyed (stats, scheme, method), others (stats, name)."""
-    rows = esr_rows((stats, *pair) for pair in PAIRS)
-    rows.update({(stats, name): (stats, fn, links) for name, (fn, links) in OTHER_ROWS.items()})
-    return rows
+    """Every row of one point: ESR families keyed (stats, scheme, method), others (stats, name)."""
+    return esr_rows((stats, *pair) for pair in PAIRS) + [
+        point_row(stats, fn, links, (stats, name), positive)
+        for name, (fn, links, positive) in OTHER_ROWS.items()]
 
 
 @functools.cache
 def reference_means(stats, n, seed):
     """key[1:] -> (mean, std_error) of every row of the point, or the message
-    of its first failure in chunk order; each chunk from the point's own draw,
-    sample_channels(stats, ...), with one unblocked call of the row's
-    function, whose values are summed in BLOCK_SIZE slices."""
-    parts = {key[1:]: [] for key in point_rows(stats)}
+    of its first failure in chunk order.  Each chunk evaluates a row with one
+    unblocked call, whose values are summed in BLOCK_SIZE slices: an ESR
+    family on the unit draw times its means, the other rows on the point's
+    own draw, sample_channels(stats, ...).  A high-SNR key fails where the
+    point's own draw has a gain of 0."""
+    rows = point_rows(stats)
+    parts = {key[1:]: [] for row in rows for key in row.keys}
     failed = {}
     for k, start in enumerate(range(0, n, CHUNK_SIZE)):
         # all six links: each row reads its prefix, the same bits as a shorter draw
-        s = sample_channels(stats, RngStream(seed, k), min(CHUNK_SIZE, n - start))
-        for key, (_, fn, _) in point_rows(stats).items():
-            try:
-                a = np.asarray(fn(s), dtype=float)
-            except RelaysecError as exc:
-                failed.setdefault(key[1:], str(exc))
-                continue
-            parts[key[1:]] += [(float(np.sum(b)), float(np.sum(b * b)))
-                               for b in np.split(a, range(BLOCK_SIZE, a.size, BLOCK_SIZE))]
+        unit = list(vars(sample_channels(UNIT, RngStream(seed, k), min(CHUNK_SIZE, n - start))).values())
+        own = sample_channels(stats, RngStream(seed, k), min(CHUNK_SIZE, n - start))
+        for row in rows:
+            if row.positive and any((v == 0).any() for v in list(vars(own).values())[:row.links]):
+                for key in row.keys:
+                    failed.setdefault(key[1:], "high-SNR SINRs need strictly positive gains")
+            family = len(next(iter(row.keys))) == 3
+            values = row.fn(ChannelSample(*(u * m for u, m in zip(unit, row.means))) if family else own)
+            for key, v in zip(row.keys, values):
+                a = np.asarray(v, dtype=float)
+                parts[key[1:]] += [(float(np.sum(b)), float(np.sum(b * b)))
+                                   for b in np.split(a, range(BLOCK_SIZE, a.size, BLOCK_SIZE))]
     out = {}
     for key, p in parts.items():
         try:
@@ -375,12 +382,12 @@ def spy_on_draws(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("n", [1, CHUNK_SIZE - 1, CHUNK_SIZE + 1, 300_001])
 def test_pass_matches_per_point_draws(n, workers, monkeypatch):
-    rows = {key: row for stats in POINTS for key, row in point_rows(stats).items()}
+    rows = [row for stats in POINTS for row in point_rows(stats)]
     for stats in POINTS:  # the reference draws, before the spy counts the pass's
         reference_means(stats, n, 7)
     calls = spy_on_draws(monkeypatch)
     shared = MeanPass(rows, n, seed=7, workers=workers)
-    for key in rows:
+    for key in (key for row in rows for key in row.keys):
         expected = reference_means(key[0], n, 7)[key[1:]]
         if isinstance(expected, str):  # fails, and alone: every other row still matches
             with pytest.raises(RelaysecError, match=f"^{re.escape(expected)}$"):
@@ -403,6 +410,18 @@ def test_pass_matches_per_point_draws(n, workers, monkeypatch):
               else contextlib.nullcontext()):
             p, _ = event_alone(stats, lambda b: b.gamma_r1_p1 > b.gamma_r2, n, 7, workers=workers)
             assert p == expected[0]
+
+
+@pytest.mark.parametrize("scheme, method", PAIRS)
+def test_family_equals_one_point_families(scheme, method):
+    # One family of 13 SNR points gives each point the bits of a pass in
+    # which every point is a family of its own, at any worker count.
+    keys = [(topology_to_stats(TOPOLOGY_1, db_to_linear(db)), scheme, method) for db in range(0, 65, 5)]
+    rows = esr_rows(keys)
+    assert len(rows) == 1 and list(rows[0].keys) == keys
+    family = MeanPass(rows, BLOCK_SIZE + 7, seed=2)
+    alone = MeanPass([row for key in keys for row in esr_rows([key])], BLOCK_SIZE + 7, seed=2, workers=3)
+    assert [family.mean(key) for key in keys] == [alone.mean(key) for key in keys]
 
 
 def test_pass_runs_on_first_read(monkeypatch):
@@ -460,7 +479,7 @@ def test_event_probability_reads_a_shared_pass(stats_30db, n, monkeypatch):
     esr_key = (stats_30db, SchemeKind.TWO_HOP_CASE_I, SinrMethod.EXACT)
     alone = event_alone(stats_30db, dominates, n, 5), esr_alone(*esr_key, n, 5)
     calls = spy_on_draws(monkeypatch)
-    shared = MeanPass({"event": event_row(stats_30db, dominates), **esr_rows([esr_key])}, n, seed=5)
+    shared = MeanPass([event_row(stats_30db, dominates), *esr_rows([esr_key])], n, seed=5)
     assert (estimate_event_probability(shared, "event"),
             estimate_esr(shared, *esr_key)) == alone
     assert calls == [UNIT] * -(-n // CHUNK_SIZE)
@@ -481,8 +500,8 @@ def test_pass_overflowing_square_fails_the_row():
     # sd gains near 1e200 have a finite mean, but their squares overflow: the
     # row fails instead of giving a standard error of 0, and warns of nothing
     stats = ChannelStats(1.0, 1.0, 1.0, 1.0, 1e200, 1.0, rho=1.0)
-    shared = MeanPass({"sd": (stats, operator.attrgetter("gamma_sd"), 5),
-                       "g": (stats, operator.attrgetter("gamma_g"), 5)}, 1000, seed=1)
+    shared = MeanPass([point_row(stats, operator.attrgetter("gamma_sd"), 5, "sd"),
+                       point_row(stats, operator.attrgetter("gamma_g"), 5, "g")], 1000, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mean, std_error = shared.mean("g")
@@ -494,9 +513,9 @@ def test_pass_overflowing_total_fails_the_row():
     # big: each chunk's sum of squares is finite, but their total is past
     # the float64 maximum; opposite: at seed 1 one chunk's sum overflows to
     # +inf and another's to -inf.  Each row fails alone, not the whole pass
-    shared = MeanPass({"big": (UNIT, lambda s: s.gamma_g * 1e151, 3),
-                       "opposite": (UNIT, lambda s: (s.gamma_g - s.gamma_h) * 4e305, 3),
-                       "g": (UNIT, operator.attrgetter("gamma_g"), 3)}, 4 * CHUNK_SIZE, seed=1)
+    shared = MeanPass([point_row(UNIT, lambda s: s.gamma_g * 1e151, 3, "big"),
+                       point_row(UNIT, lambda s: (s.gamma_g - s.gamma_h) * 4e305, 3, "opposite"),
+                       point_row(UNIT, operator.attrgetter("gamma_g"), 3, "g")], 4 * CHUNK_SIZE, seed=1)
     mean, std_error = shared.mean("g")
     for key in ("big", "opposite"):
         fails_on_each_read(shared, key, "sum")
@@ -506,8 +525,8 @@ def test_pass_overflowing_total_fails_the_row():
 def test_pass_opposite_infinite_block_sums_fail_the_row():
     # at seed 1 some block of "d" adds up to +inf and -inf: the row fails
     # with a RelaysecError, warns of nothing, and every other row reads its mean
-    shared = MeanPass({"d": (UNIT, lambda s: (s.gamma_g - s.gamma_h) * 5e305, 3),
-                       "g": (UNIT, operator.attrgetter("gamma_g"), 3)}, 4 * CHUNK_SIZE, seed=1)
+    shared = MeanPass([point_row(UNIT, lambda s: (s.gamma_g - s.gamma_h) * 5e305, 3, "d"),
+                       point_row(UNIT, operator.attrgetter("gamma_g"), 3, "g")], 4 * CHUNK_SIZE, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mean, std_error = shared.mean("g")
@@ -531,18 +550,19 @@ def test_row_blocks_tile_the_chunk_and_sum_as_numpy_does(n):
         assert s.gamma_sr2 is None and s.gamma_g.size <= BLOCK_SIZE
         return values(s)
 
-    x = values(montecarlo.ChannelSample(*(g * m for g, m in zip(gains, montecarlo._link_means(stats)))))
+    x = values(ChannelSample(*(g * m for g, m in zip(gains, montecarlo.link_means(stats)))))
     want = [(float(np.sum(b)), float(np.sum(b * b))) for b in np.split(x, range(BLOCK_SIZE, n, BLOCK_SIZE))]
     assert len(want) == -(-n // BLOCK_SIZE)
-    unit = montecarlo.ChannelSample(*gains)
-    assert montecarlo._row_moments((stats, fn, 3), unit, [float(g.max()) for g in gains]) == want
+    row = point_row(stats, fn, 3, "key")
+    assert [m for start in range(0, n, BLOCK_SIZE)
+            for m in montecarlo._block_moments(row, [None], list(gains), start)] == want
 
 
 @pytest.mark.xfail(strict=True, reason="squares of values below about 1.5e-162 underflow to 0")
 def test_pass_tiny_values_have_a_standard_error():
     # unequal values near 1e-200 have a positive sample variance, but their
     # squares, and so the sum of squares, underflow to 0
-    shared = MeanPass({"tiny": (UNIT, lambda s: s.gamma_g * 1e-200, 3)}, 1000, seed=1)
+    shared = MeanPass([point_row(UNIT, lambda s: s.gamma_g * 1e-200, 3, "tiny")], 1000, seed=1)
     mean, std_error = shared.mean("tiny")
     assert mean > 0.0 and std_error > 0.0
 
@@ -551,10 +571,9 @@ def test_one_chunk_and_few_rows_same_at_every_worker_count():
     # a pass of one chunk, and one with fewer rows than workers, gives the
     # same bits however many threads share its links and rows
     stats = topology_to_stats(TOPOLOGY_1, db_to_linear(20.0))
-    rows = {key: row for key, row in point_rows(stats).items() if key[1:][0] != "infinite"}
-    two = dict(list(rows.items())[:2])
-    for case, n in ((rows, 10**5), (two, CHUNK_SIZE + 5000)):
-        got = [{key: MeanPass(case, n, seed=4, workers=w).mean(key) for key in case}
+    rows = [row for row in point_rows(stats) if (stats, "infinite") not in row.keys]
+    for case, n in ((rows, 10**5), (rows[:2], CHUNK_SIZE + 5000)):
+        got = [{key: MeanPass(case, n, seed=4, workers=w).mean(key) for row in case for key in row.keys}
                for w in (1, 2, 5)]
         assert got[0] == got[1] == got[2]
 
@@ -607,8 +626,8 @@ def test_row_failing_in_a_middle_chunk_keeps_that_failure():
         return s.gamma_g
 
     ones = ChannelStats(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, rho=1.0)
-    rows = {"fails": (ones, fails_later, 3), "g": (ones, operator.attrgetter("gamma_g"), 3),
-            "h": (ones, operator.attrgetter("gamma_h"), 3)}
+    rows = [point_row(ones, fails_later, 3, "fails"), point_row(ones, operator.attrgetter("gamma_g"), 3, "g"),
+            point_row(ones, operator.attrgetter("gamma_h"), 3, "h")]
     means = set()
     for workers in (1, 2, 3):
         shared = MeanPass(rows, n, seed=2, workers=workers)
@@ -620,7 +639,7 @@ def test_row_failing_in_a_middle_chunk_keeps_that_failure():
     assert len(means) == 1
     # a read adds no frames to the next read's traceback
     frames = [raised_frames(lambda: shared.mean("fails")) for _ in range(2)]
-    assert frames[0] == frames[1] and "_row_moments" not in frames[0]
+    assert frames[0] == frames[1] and "_block_moments" not in frames[0]
 
 
 def raised_frames(read):
@@ -634,8 +653,9 @@ def raised_frames(read):
 
 def test_pool_threads_capped_by_row_count(monkeypatch):
     # one worker starts no pool: the rows run on the calling thread; 64
-    # workers on a 3-row pass start one pool of at most 3 threads, which
-    # runs every row, and shut it down
+    # workers on a 3-row pass start one pool of at most one thread per
+    # (row, block) task of a chunk, 3 x 8 here, which runs every task, and
+    # shut it down
     pools, idents = [], set()
 
     class Recording(ThreadPoolExecutor):
@@ -648,14 +668,15 @@ def test_pool_threads_capped_by_row_count(monkeypatch):
         return s.gamma_g
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
-    rows = {k: (UNIT, row, 3) for k in "abc"}
+    rows = [point_row(UNIT, row, 3, k) for k in "abc"]
+    tasks = 3 * CHUNK_SIZE // BLOCK_SIZE
     alone = MeanPass(rows, CHUNK_SIZE + 1, seed=3).mean("a")
     assert not pools and idents == {threading.get_ident()}
     idents.clear()
     assert MeanPass(rows, CHUNK_SIZE + 1, seed=3, workers=64).mean("a") == alone
-    assert len(pools) == 1 and pools[0]._max_workers == 3 and len(pools[0]._threads) <= 3
+    assert len(pools) == 1 and pools[0]._max_workers == tasks and len(pools[0]._threads) <= tasks
     assert pools[0]._shutdown and not any(t.is_alive() for t in pools[0]._threads)
-    assert 1 <= len(idents) <= 3 and threading.get_ident() not in idents
+    assert 1 <= len(idents) <= tasks and threading.get_ident() not in idents
 
 
 def test_pass_under_thread_switching_stress():
@@ -670,7 +691,7 @@ def test_pass_under_thread_switching_stress():
             return s.gamma_g * (j + 1.0)
         return fn
 
-    rows = {j: (UNIT, scaled(j), 3) for j in range(16)}
+    rows = [point_row(UNIT, scaled(j), 3, j) for j in range(16)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -678,8 +699,8 @@ def test_pass_under_thread_switching_stress():
         for workers in (1, 8):
             calls.clear()
             shared = MeanPass(rows, n, seed=6, workers=workers)
-            means.append([shared.mean(j) for j in rows])
-            assert sorted(calls) == sorted(list(rows) * blocks)
+            means.append([shared.mean(j) for j in range(16)])
+            assert sorted(calls) == sorted(list(range(16)) * blocks)
     finally:
         sys.setswitchinterval(interval)
     assert means[0] == means[1]

@@ -9,30 +9,41 @@ from hypothesis import given, settings, strategies as st
 
 from relaysec.errors import RelaysecError
 from relaysec.model import ChannelSample, ChannelStats
-from relaysec.montecarlo import (BLOCK_SIZE, CHUNK_SIZE, MeanPass, RngStream, _reduce_chunks,
-                                 sample_channels)
+from relaysec.montecarlo import (BLOCK_SIZE, CHUNK_SIZE, UNIT, MeanPass, Row, RngStream, _reduce_chunks,
+                                 esr_rows, link_means, sample_channels)
 from relaysec.sinr import (
     LINKS,
     PRELOG,
     SchemeKind,
     SinrMethod,
+    baseline_coefficients,
     baseline_sinrs,
-    exact_sinrs,
     has_method,
-    highsnr_sinrs,
     instantaneous_secrecy_rate,
-    secrecy_rate,
     secrecy_rate_from_pair,
-    three_hop_sinrs,
+    secrecy_rates,
 )
 
-from reference import expression_three_hop
+from reference import expression_baseline, expression_three_hop, secrecy_rate, three_hop_sinrs
 
 pos_gain = st.floats(min_value=1e-3, max_value=1e6)
 
 
 def sample(g, h, f, sr2=1.0, sd=1.0, dr1=1.0):
     return ChannelSample(g, h, f, sr2, sd, dr1)
+
+
+def exact_sinrs(s):
+    return three_hop_sinrs(s, SinrMethod.EXACT)
+
+
+def highsnr_sinrs(s):
+    return three_hop_sinrs(s, SinrMethod.HIGH_SNR)
+
+
+def baseline(s, kind, combining="selection"):
+    """A baseline's (destination SINR, leakage SINR) at the gains of s (x = 1)."""
+    return baseline_sinrs(baseline_coefficients(s, kind), 1.0, kind, combining)
 
 
 def test_exact_sinrs_unit_gains():
@@ -109,22 +120,36 @@ def test_highsnr_sinrs_asymmetric():
     assert b.gamma_d == pytest.approx(2.0 / (3.0 + 4.0 + 2.0), rel=1e-12)
 
 
+def high_snr_pass(stats, n, seed=1):
+    """MeanPass of the point's exact and high-SNR three-hop ESR."""
+    return MeanPass(esr_rows((stats, SchemeKind.THREE_HOP, method) for method in SinrMethod), n, seed)
+
+
 def test_highsnr_rejects_zero_gain():
+    # The pass refuses a high-SNR point whose h gains round to 0; the
+    # kernel itself reads a zero gain as its limit, gamma_d = 0, not nan.
+    stats = ChannelStats(1.0, 5e-324, 1.0, 1.0, 1.0, 1.0, rho=1.0)
     with pytest.raises(RelaysecError, match="^high-SNR SINRs need strictly positive gains$"):
-        highsnr_sinrs(sample(1.0, 0.0, 1.0))
+        high_snr_pass(stats, 1000).mean((stats, SchemeKind.THREE_HOP, SinrMethod.HIGH_SNR))
+    b = highsnr_sinrs(sample(1.0, 0.0, 1.0))
+    assert b.gamma_d == 0.0 and not any(np.isnan(v) for v in vars(b).values())
 
 
 @pytest.mark.parametrize("zero", range(3))
-@pytest.mark.parametrize("shape", [(), (4,)])
-def test_highsnr_sinrs_refuse_a_zero_gain_on_any_link(zero, shape):
-    # One zero gain on any of g, h, f, scalar or in one element of a block,
-    # makes the high-SNR form refuse; the exact form stays finite there.
-    gains = [np.full(shape, 2.0) for _ in range(3)]
-    gains[zero][...] = 0.0
+@pytest.mark.parametrize("n", [1, 1000])
+def test_highsnr_sinrs_refuse_a_zero_gain_on_any_link(zero, n):
+    # A point whose gains on g, h or f round to 0, in a pass of one sample
+    # or of a block, fails its high-SNR ESR, and only that; the exact ESR
+    # reads the zeros and stays finite.
+    means = [1.0] * 6
+    means[zero] = 5e-324  # rounds about 40% of the gains to 0
+    stats = ChannelStats(*means, rho=1.0)
+    seed = next(s for s in range(100)
+                if (list(vars(sample_channels(stats, RngStream(s, 0), n, 3)).values())[zero] == 0).any())
+    shared = high_snr_pass(stats, n, seed)
     with pytest.raises(RelaysecError, match="^high-SNR SINRs need strictly positive gains$"):
-        highsnr_sinrs(sample(*gains))
-    b = exact_sinrs(sample(*gains))
-    assert all(np.isfinite(v).all() for v in (b.gamma_r1_p1, b.gamma_r2, b.gamma_d))
+        shared.mean((stats, SchemeKind.THREE_HOP, SinrMethod.HIGH_SNR))
+    assert all(map(math.isfinite, shared.mean((stats, SchemeKind.THREE_HOP, SinrMethod.EXACT))))
 
 
 @settings(max_examples=60)
@@ -205,7 +230,7 @@ def test_scheme_and_method_values():
 
 def test_two_hop_unit_gains():
     s = ChannelSample(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    gamma_d, gamma_leak = baseline_sinrs(s, SchemeKind.TWO_HOP_CASE_I)
+    gamma_d, gamma_leak = baseline(s, SchemeKind.TWO_HOP_CASE_I)
     assert gamma_d == pytest.approx(1.0 / 4.0, rel=1e-12)
     # helper leak 1/2, idle phase-1 leak 1/2, idle phase-2 leak 1/5
     assert gamma_leak == pytest.approx(1.0 / 2.0, rel=1e-12)
@@ -213,8 +238,8 @@ def test_two_hop_unit_gains():
 
 def test_two_hop_cases_swap_relays():
     s = ChannelSample(2.0, 1.0, 0.5, 3.0, 1.0, 0.25)
-    d1, _ = baseline_sinrs(s, SchemeKind.TWO_HOP_CASE_I)
-    d2, _ = baseline_sinrs(s, SchemeKind.TWO_HOP_CASE_II)
+    d1, _ = baseline(s, SchemeKind.TWO_HOP_CASE_I)
+    d2, _ = baseline(s, SchemeKind.TWO_HOP_CASE_II)
     # case I helper uses (sr1, dr1) = (2, 0.25); case II uses (sr2, dr2) = (3, 0.5)
     assert d1 == pytest.approx(2.0 * 0.25 / (2.0 + 0.5 + 1.0), rel=1e-12)
     assert d2 == pytest.approx(3.0 * 0.5 / (3.0 + 1.0 + 1.0), rel=1e-12)
@@ -222,8 +247,8 @@ def test_two_hop_cases_swap_relays():
 
 def test_two_hop_sum_combining_leaks_at_least_selection():
     s = ChannelSample(2.0, 1.0, 0.5, 3.0, 1.0, 0.25)
-    _, sel = baseline_sinrs(s, SchemeKind.TWO_HOP_CASE_I, combining="selection")
-    _, summed = baseline_sinrs(s, SchemeKind.TWO_HOP_CASE_I, combining="sum")
+    _, sel = baseline(s, SchemeKind.TWO_HOP_CASE_I, combining="selection")
+    _, summed = baseline(s, SchemeKind.TWO_HOP_CASE_I, combining="sum")
     assert summed >= sel
 
 
@@ -252,14 +277,14 @@ def test_two_hop_sinrs_match_mpmath(gains, combining, kind):
     # at 1e160 the gain products overflow float64; zero gains must give
     # finite SINRs, not 0 / 0 or a division by zero
     s = ChannelSample(*gains)
-    got = baseline_sinrs(s, kind, combining)
+    got = baseline(s, kind, combining)
     for value, exact in zip(got, mpmath_baseline(s, kind, combining)):
         assert value == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 def test_direct_baseline():
     s = ChannelSample(0.4, 1.0, 1.0, 0.9, 2.5, 1.0)
-    gamma_d, gamma_leak = baseline_sinrs(s, SchemeKind.DIRECT)
+    gamma_d, gamma_leak = baseline(s, SchemeKind.DIRECT)
     assert gamma_d == 2.5
     assert gamma_leak == 0.9
 
@@ -270,26 +295,33 @@ STATS = ChannelStats(300.0, 100.0, 300.0, 30.0, 10.0, 100.0, rho=1.0)
 
 
 def rate_row(scheme, method=SinrMethod.EXACT, combining="selection", links=None):
-    """MeanPass row of the secrecy rate at STATS, on the scheme's links unless given."""
-    fn = functools.partial(secrecy_rate, scheme=scheme, method=method, combining=combining)
-    return STATS, fn, LINKS[scheme] if links is None else links
+    """A one-key MeanPass row, keyed (STATS, scheme, method, combining), of the
+    secrecy rate at STATS' own gains, on the scheme's links unless given."""
+    fn = functools.partial(secrecy_rates, scheme=scheme, method=method, xs=(1.0,), combinings=(combining,))
+    return Row(link_means(STATS), fn, LINKS[scheme] if links is None else links,
+               {(STATS, scheme, method, combining): STATS}, method is SinrMethod.HIGH_SNR)
 
 
 @pytest.mark.parametrize("n", [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 7,
                                1 << 18, CHUNK_SIZE + 1])
 def test_blocked_secrecy_rate_matches_one_pass(n):
-    # MeanPass evaluates a row in BLOCK_SIZE blocks; the reference is one
-    # unblocked secrecy_rate call per chunk on the point's own draw, its
-    # values summed in BLOCK_SIZE slices
-    rows = {(scheme, method, combining): rate_row(scheme, method, combining)
-            for scheme in SchemeKind for method in SinrMethod if has_method(scheme, method.value)
-            for combining in ("selection", "sum")}
+    # MeanPass evaluates a row in BLOCK_SIZE blocks: every (scheme, method)
+    # as an ESR family (esr_rows: gains c m u read at x = c / rho), and the
+    # two-hop sum rule at the point's own gains.  The reference is one
+    # unblocked secrecy_rate call per chunk on the point's own draw (x = 1),
+    # its values summed in BLOCK_SIZE slices.  STATS is at rho = 1 and c is
+    # a power of two, so a family's rates are those bit for bit.
+    rows = esr_rows((STATS, scheme, method) for scheme in SchemeKind for method in SinrMethod
+                    if has_method(scheme, method.value))
+    rows += [rate_row(scheme, combining="sum") for scheme in (SchemeKind.TWO_HOP_CASE_I,
+                                                              SchemeKind.TWO_HOP_CASE_II)]
     shared = MeanPass(rows, n, seed=3)
-    for key, (_, _, links) in rows.items():
+    for row in rows:
+        [key] = row.keys
         parts, positive = [], False
         for k, start in enumerate(range(0, n, CHUNK_SIZE)):
             length = min(CHUNK_SIZE, n - start)
-            rate = secrecy_rate(sample_channels(STATS, RngStream(3, k), length, links), *key)
+            rate = secrecy_rate(sample_channels(STATS, RngStream(3, k), length, row.links), *key[1:])
             assert rate.shape == (length,)
             parts += [(float(np.sum(b)), float(np.sum(b * b)))
                       for b in np.split(rate, range(BLOCK_SIZE, length, BLOCK_SIZE))]
@@ -304,43 +336,71 @@ def test_rate_reading_an_undrawn_link_raises(n):
     s = sample_channels(STATS, RngStream(1), n, links=LINKS[SchemeKind.THREE_HOP])
     assert s.gamma_sr2 is None and s.gamma_sd is None and s.gamma_dr1 is None
     secrecy_rate(s, SchemeKind.THREE_HOP, SinrMethod.EXACT)
+
+    def mean(scheme, links):
+        row = rate_row(scheme, links=links)
+        return MeanPass([row], n, seed=1).mean(*row.keys)
+
     for scheme in (SchemeKind.TWO_HOP_CASE_I, SchemeKind.TWO_HOP_CASE_II, SchemeKind.DIRECT):
         with pytest.raises(TypeError):
             secrecy_rate(s, scheme, SinrMethod.EXACT)
         with pytest.raises(TypeError):
-            MeanPass({scheme: rate_row(scheme, links=3)}, n, seed=1).mean(scheme)
+            mean(scheme, 3)
     # direct reads the first five links, a two-hop scheme all six
     five = sample_channels(STATS, RngStream(1), n, links=LINKS[SchemeKind.DIRECT])
     secrecy_rate(five, SchemeKind.DIRECT, SinrMethod.EXACT)
-    MeanPass({"direct": rate_row(SchemeKind.DIRECT, links=5)}, n, seed=1).mean("direct")
+    mean(SchemeKind.DIRECT, 5)
     with pytest.raises(TypeError):
         secrecy_rate(five, SchemeKind.TWO_HOP_CASE_I, SinrMethod.EXACT)
     with pytest.raises(TypeError):
-        MeanPass({"two-hop": rate_row(SchemeKind.TWO_HOP_CASE_I, links=5)}, n, seed=1).mean("two-hop")
+        mean(SchemeKind.TWO_HOP_CASE_I, 5)
 
 
-def expression_secrecy_rate(s, scheme, method, combining="selection"):
-    """secrecy_rate written as expressions, with the three-hop leakage the
-    maximum of all three relay SINRs."""
-    if scheme is SchemeKind.THREE_HOP:
-        r1_p1, r2, r1_p3, gamma_d = expression_three_hop(s.gamma_g, s.gamma_h, s.gamma_f, method)
-        leak = np.maximum(r1_p1, np.maximum(r2, r1_p3))
-    elif scheme is SchemeKind.DIRECT:
-        gamma_d, leak = s.gamma_sd, np.maximum(s.gamma_g, s.gamma_sr2)
-    else:
+def expression_sinrs(s, scheme, method, x=1.0, combining="selection"):
+    """The kernels' SINRs at gains s/x, written as expressions in the kernels'
+    order of operations: three-hop (r1_p1, r2, d), a baseline (d, leakage)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if scheme is SchemeKind.THREE_HOP:
+            g, h, f = (np.asarray(v, dtype=float) for v in (s.gamma_g, s.gamma_h, s.gamma_f))
+            ig, ih = 1.0 / g, 1.0 / h
+            a1 = ig * 3.0 + ih * 2.0 + 1.0 / f
+            b0 = np.fmin(f / g + f / h, np.inf)
+            if method is SinrMethod.HIGH_SNR:
+                return g / h, 1.0 / b0, 1.0 / x / a1
+            b2, sum2 = ig * ih, ig * 2.0 + ih
+            a2 = sum2 / f + b2 + b2
+            a3 = np.fmin(b2 / f, np.inf)
+            b1 = np.fmin(f / g * ih + sum2, np.inf)
+            return g / (h + x), 1.0 / ((b2 * x + b1) * x + b0), 1.0 / x / ((a3 * x + a2) * x + a1)
+        if scheme is SchemeKind.DIRECT:
+            return np.divide(s.gamma_sd, x), np.divide(np.maximum(s.gamma_g, s.gamma_sr2), x)
         a, b, u, v = ((s.gamma_g, s.gamma_dr1, s.gamma_sr2, s.gamma_f)
                       if scheme is SchemeKind.TWO_HOP_CASE_I else
                       (s.gamma_sr2, s.gamma_f, s.gamma_g, s.gamma_dr1))
         a, w = np.asarray(a, dtype=float), np.asarray(s.gamma_h, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            gamma_d = b / (1.0 + (2.0 * b + 1.0) / a)
-            gamma_e2 = a / (b + 1.0 + (a + b + 1.0) / w)
-        gamma_e1 = u / (v + 1.0)
-        idle = np.maximum(gamma_e1, gamma_e2) if combining == "selection" else gamma_e1 + gamma_e2
-        leak = np.maximum(a / (b + 1.0), idle)
+        ia, ib, iw = 1.0 / a, 1.0 / b, 1.0 / w
+        e0 = np.fmin(b * ia, np.inf)
+        e1 = np.fmin(e0 * iw + ia + iw, np.inf)
+        gamma_d = 1.0 / x / (ia * ib * x + (ib + ia * 2.0))
+        gamma_e2 = 1.0 / ((ia * iw * x + e1) * x + e0)
+        gamma_e1 = u / (v + x)
+    idle = np.maximum(gamma_e1, gamma_e2) if combining == "selection" else gamma_e1 + gamma_e2
+    return gamma_d, np.maximum(a / (b + x), idle)
+
+
+def expression_secrecy_rate(s, scheme, method, combining="selection"):
+    """secrecy_rate written as expressions, with the three-hop leakage the
+    maximum of all three relay SINRs (R1's phase-3 one in its
+    divided-through form) and one logarithm per rate."""
+    if scheme is SchemeKind.THREE_HOP:
+        r1_p1, r2, gamma_d = expression_sinrs(s, scheme, method)
+        leak = np.maximum(r1_p1, np.maximum(r2, expression_three_hop(s.gamma_g, s.gamma_h, s.gamma_f,
+                                                                     method)[2]))
+    else:
+        gamma_d, leak = expression_sinrs(s, scheme, method, combining=combining)
     with np.errstate(invalid="ignore"):
-        rate = PRELOG[scheme] * (np.log1p(gamma_d) - np.log1p(leak)) / np.log(2.0)
-    return np.maximum(rate, 0.0)
+        rate = (gamma_d - leak) / (leak + 1.0)
+    return np.log1p(np.fmax(rate, 0.0)) * (PRELOG[scheme] / math.log(2.0))
 
 
 RATE_PAIRS = [(scheme, method, combining) for scheme in SchemeKind for method in SinrMethod
@@ -387,40 +447,96 @@ def test_secrecy_rate_matches_expression_forms(scheme, method, combining, source
         # The expression form's phase-3 SINR is inf * 0 = nan where g / h
         # overflows while f / g underflows; the rewrite never forms it, and
         # the infinite phase-1 leakage gives rate 0 there.
-        nan = np.isnan(want)
-        assert np.isnan(expression_three_hop(s.gamma_g, s.gamma_h, s.gamma_f, method)[2][nan]).all()
+        nan = np.isnan(expression_three_hop(s.gamma_g, s.gamma_h, s.gamma_f, method)[2])
         assert np.all(got[nan] == 0.0) and not np.isnan(got).any()
         got, want = got[~nan], want[~nan]
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+#: The SNR points, x = 1/rho, at which the kernels are held to their forms.
+XS = (1e3, 1.0, 1e-6)
+
+
 @pytest.mark.parametrize("method", list(SinrMethod))
 def test_sinr_bundle_matches_expression_forms(method):
-    s = sample_channels(STATS, RngStream(5), 1000, links=3)
-    b = three_hop_sinrs(read_only(s), method)
-    r1_p1, r2, _, gamma_d = expression_three_hop(s.gamma_g, s.gamma_h, s.gamma_f, method)
-    for got, want in zip((b.gamma_r1_p1, b.gamma_r2, b.gamma_d), (r1_p1, r2, gamma_d)):
-        assert got.tobytes() == want.tobytes()
+    s = read_only(sample_channels(STATS, RngStream(5), 1000, links=3))
+    for x in XS:
+        b = three_hop_sinrs(s, method, x)
+        for got, want in zip(vars(b).values(), expression_sinrs(s, SchemeKind.THREE_HOP, method, x)):
+            assert got.tobytes() == want.tobytes(), x
 
 
 @pytest.mark.parametrize("method", list(SinrMethod))
 def test_sinr_bundle_matches_expression_forms_on_special_gains(method):
-    # On every (g, h, f) of SPECIAL (positive only for high SNR), one gain
-    # at a time and as one block, bit for bit, writing no input.
-    values = [v for v in SPECIAL if v > 0 or method is SinrMethod.EXACT]
-    grid = list(itertools.product(values, repeat=3))
-    for g, h, f in grid:
-        b = three_hop_sinrs(sample(g, h, f), method)
-        r1_p1, r2, _, gamma_d = expression_three_hop(g, h, f, method)
-        for got, want in zip((b.gamma_r1_p1, b.gamma_r2, b.gamma_d), (r1_p1, r2, gamma_d)):
-            assert np.asarray(got).tobytes() == want.tobytes(), (g, h, f)
+    # On every (g, h, f) of SPECIAL, one gain at a time and as one block, at
+    # each x of XS, bit for bit, writing no input.
+    grid = list(itertools.product(SPECIAL, repeat=3))
     block = read_only(sample(*(np.array(c) for c in zip(*grid))))
     before = [np.asarray(v).tobytes() for v in vars(block).values()]
-    b = three_hop_sinrs(block, method)
-    r1_p1, r2, _, gamma_d = expression_three_hop(block.gamma_g, block.gamma_h, block.gamma_f, method)
+    for x in XS:
+        for g, h, f in grid:
+            b = three_hop_sinrs(sample(g, h, f), method, x)
+            for got, want in zip(vars(b).values(), expression_sinrs(sample(g, h, f), SchemeKind.THREE_HOP,
+                                                                   method, x)):
+                assert np.asarray(got).tobytes() == want.tobytes(), (g, h, f, x)
+        b = three_hop_sinrs(block, method, x)
+        for got, want in zip(vars(b).values(), expression_sinrs(block, SchemeKind.THREE_HOP, method, x)):
+            assert got.shape == (len(grid),) and got.tobytes() == want.tobytes()
     assert [np.asarray(v).tobytes() for v in vars(block).values()] == before
-    for got, want in zip((b.gamma_r1_p1, b.gamma_r2, b.gamma_d), (r1_p1, r2, gamma_d)):
-        assert got.shape == (len(grid),) and got.tobytes() == want.tobytes()
+
+
+#: Budget of the kernels against the divided-through forms: |new - old| <=
+#: ABS + REL |old|.  ABS covers SINRs and rates that one form rounds to 0
+#: and the other does not (old gives 0 for a b / (a + 2b + 1) at a = 1e-300,
+#: b = 1e300, where (2b + 1)/a overflows); the rates' ABS also covers the
+#: two-log form's rounding of log1p(gamma_d) - log1p(gamma_leak) near 0.
+ORACLE_BUDGET = {"sinr": (1e-290, 1e-12), "rate": (1e-14, 1e-12)}
+
+
+def oracle_check(new, old, subnormal, kind):
+    """new against old: no nan where old is finite, and within ORACLE_BUDGET,
+    so 0 up to its ABS where old is 0, except where a point gain is
+    subnormal, which old reads to fewer bits (its 1/g can overflow) than
+    new; there new is only >= 0."""
+    new, old = (np.broadcast_to(np.asarray(v, dtype=float), np.shape(subnormal)) for v in (new, old))
+    finite = np.isfinite(old)
+    assert not np.isnan(new[finite]).any()
+    assert (new[finite] >= 0).all()
+    absolute, relative = ORACLE_BUDGET[kind]
+    m = finite & ~subnormal
+    assert (np.abs(new[m] - old[m]) <= absolute + relative * np.abs(old[m])).all()
+
+
+@pytest.mark.parametrize("rho", [1e-3, 1.0, 1e6])
+@pytest.mark.parametrize("source", ["block-2^15", "special"])
+@pytest.mark.parametrize("scheme,method,combining", RATE_PAIRS)
+def test_kernels_match_the_divided_through_forms(scheme, method, combining, source, rho):
+    # The kernels read gains G at rho = 1 and x = 1/rho; the forms they
+    # replaced (reference.py) read the point's gains rho G.  Points whose
+    # gains rho G overflow, or for high SNR round to 0, are the ones
+    # MeanPass fails, so they are left out.
+    s = (special_sample(positive=False) if source == "special" else
+         sample_channels(STATS, RngStream(5), BLOCK_SIZE))
+    with np.errstate(over="ignore", under="ignore"):
+        point = [rho * v for v in vars(s).values()]
+    keep = np.all([np.isfinite(v) & ((v > 0) | (method is SinrMethod.EXACT)) for v in point], axis=0)
+    base, point = (ChannelSample(*(np.asarray(v)[keep] for v in gains)) for gains in (vars(s).values(), point))
+    subnormal = np.any([(v > 0) & (v < np.finfo(float).tiny) for v in vars(point).values()], axis=0)
+    if scheme is SchemeKind.THREE_HOP:
+        new, old = three_hop_sinrs(base, method, 1.0 / rho), expression_three_hop(
+            point.gamma_g, point.gamma_h, point.gamma_f, method)
+        new_rate = instantaneous_secrecy_rate(new)
+        new, old = vars(new).values(), (old[0], old[1], old[3])
+        old_rate = PRELOG[scheme] * (np.log1p(old[2]) - np.log1p(np.maximum(old[0], old[1]))) / math.log(2.0)
+    else:
+        new = baseline_sinrs(baseline_coefficients(base, scheme), 1.0 / rho, scheme, combining)
+        old = expression_baseline(point, scheme, combining)
+        new_rate = secrecy_rate_from_pair(*new, PRELOG[scheme])
+        old_rate = PRELOG[scheme] * (np.log1p(old[0]) - np.log1p(old[1])) / math.log(2.0)
+    for got, want in zip(new, old):
+        oracle_check(got, want, subnormal, "sinr")
+    with np.errstate(invalid="ignore"):
+        oracle_check(new_rate, np.maximum(old_rate, 0.0), subnormal, "rate")
 
 
 exponent = st.floats(min_value=-3.0, max_value=3.0)

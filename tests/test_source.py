@@ -2,6 +2,7 @@
 and every test that expects a RelaysecError names its message."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "relaysec"
@@ -94,3 +95,22 @@ def test_every_relaysec_error_raises_names_its_message():
     bare = {path.name: found for path in sorted(TESTS.glob("*.py"))
             if (found := unmatched_raises(path.read_text(encoding="utf-8")))}
     assert bare == {}, f"pytest.raises(RelaysecError) without match=: {bare}"
+
+
+LAYERS = SRC.parent.parent / "perfbench" / "layers.py"
+
+
+def traced_targets():
+    """(module, function) of each entry of TARGETS in perfbench/layers.py, read from its source."""
+    [targets] = [stmt.value for stmt in ast.parse(LAYERS.read_text(encoding="utf-8")).body
+                 if isinstance(stmt, ast.Assign) and [t.id for t in stmt.targets] == ["TARGETS"]]
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+
+
+def test_every_traced_function_exists():
+    # The benchmark's tracer binds these relaysec functions by name, so a
+    # refactor that drops or renames one fails here, not only in a traced run.
+    targets = traced_targets()
+    missing = [f"{module}.{name}" for module, name in targets
+               if not callable(getattr(importlib.import_module(f"relaysec.{module}"), name, None))]
+    assert len(targets) >= 10 and missing == []
